@@ -1,44 +1,33 @@
 """Model-free HVAC fleet control that tracks a PV generation profile.
 
-The package wires an intelligent-proportional controller with a real-time
+The package wires an intelligent-proportional control law with a real-time
 drift estimator (control), a three-state RC building model (plant), a
 band-splitting fleet coordinator (coordinator), synthetic or CSV scenario
-inputs (scenario) and a simulation/trace/metrics engine with a CLI
-(simulate, cli).
+inputs (scenario) and an array-based simulation/trace/metrics engine with a
+CLI (simulate, cli).
 """
 
-from .control import (
-    Estimator,
-    IpController,
-    Sample,
-    SampleWindow,
-    estimate_f_algebraic,
-    estimate_f_closed_loop,
-    ip_control,
-)
+from .control import estimate_f, ip_control, reference
 from .coordinator import (
     BuildingBounds,
     FleetConfig,
     PowerBand,
-    StepRecord,
     clamp_to_bounds,
-    coordinator_step,
     per_building_bounds,
     power_band,
 )
 from .errors import (
     ConfigurationError,
-    EstimatorNotReady,
     PlantDivergenceError,
     ProfileError,
     PvflockError,
-    WindowError,
 )
 from .plant import (
     BuildingParams,
     BuildingState,
     DisturbanceSample,
     build_matrices,
+    check_sane,
     equilibrium,
     plant_derivative,
     plant_step,
@@ -77,10 +66,7 @@ __all__ = [
     "ConfigurationError",
     "DisturbanceParams",
     "DisturbanceSample",
-    "Estimator",
-    "EstimatorNotReady",
     "FleetConfig",
-    "IpController",
     "MetricsReport",
     "PlantDivergenceError",
     "PowerBand",
@@ -88,20 +74,15 @@ __all__ = [
     "ProfileError",
     "PvSourceConfig",
     "PvflockError",
-    "Sample",
-    "SampleWindow",
     "ScenarioConfig",
     "SimulationTrace",
-    "StepRecord",
-    "WindowError",
     "build_fleet",
     "build_matrices",
     "clamp_to_bounds",
+    "check_sane",
     "compute_metrics",
-    "coordinator_step",
     "equilibrium",
-    "estimate_f_algebraic",
-    "estimate_f_closed_loop",
+    "estimate_f",
     "ip_control",
     "load_config",
     "load_profile_csv",
@@ -111,6 +92,7 @@ __all__ = [
     "plant_step",
     "power_band",
     "read_trace",
+    "reference",
     "rk4_fleet",
     "rk4_fleet_reference",
     "run_simulation",

@@ -124,7 +124,9 @@ def _cmd_gen_profile(args: argparse.Namespace) -> int:
     lines = ["t_hours,value"]
     for k in range(steps + 1):
         t = k * dt
-        lines.append(f"{t:.6g},{value(t):.6g}")
+        # times in full (repr round-trips): at %.6g the grid stops looking
+        # uniform to the loader from 10 h on
+        lines.append(f"{t!r},{value(t):.6g}")
     with open(args.out, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return 0

@@ -1,4 +1,4 @@
-"""Model-free control core: ultra-local model, iP law and drift estimators.
+"""Model-free control core: ultra-local model, iP law and the F estimator.
 
 Each building's room temperature y is treated as the scalar ultra-local model
 
@@ -13,256 +13,83 @@ an intelligent proportional (iP) law,
 which cancels the estimated F_hat and leaves first-order error dynamics
 de/dt + kp * e = 0, stable for any kp > 0.
 
-F_hat is refreshed in real time from a short sliding window of samples by
-one of two estimators:
+F_hat is refreshed every control period by the algebraic (annihilator-kernel)
+estimator over the last c samples,
 
-* algebraic:    F_hat = -(6/tau^3) * int_0^tau [(tau - 2s) * y(s)
-                                                + alpha * s * (tau - s) * u(s)] ds
-  with s measured from the start of the window of span tau.  The kernel
-  annihilates any constant offset in y, so for affine y and constant u the
-  estimate is exact.
+    F_hat = -(6/tau^3) * int_0^tau [(tau - 2s) * y(s) + alpha * s * (tau - s) * u(s)] ds
 
-* closed_loop:  F_hat = (1/tau) * int (dy_ref/dt - alpha * u - kp * e) ds,
-  a windowed average of the iP identity rearranged for F.
+with s measured from the start of the window of span tau = (c - 1) dt.  The
+kernel annihilates any constant offset in y, so for affine y and constant u
+the estimate is exact.  The integral is evaluated with composite Simpson
+weights on the uniform sample grid, which is why windows hold an odd number
+of samples.  Until c samples exist the simulation uses F_hat = 0.
 
-Both integrals are evaluated with composite Simpson weights on the uniform
-sample grid, which is why windows hold an odd number of samples.  Until the
-window fills the controller substitutes a default F_hat (0 by default).
-
-Times are in hours, temperatures in degC, controls in kW with the thermal
-sign convention (u <= 0 extracts heat).  The window stores the control that
-was actually applied after any clamping, so saturation cannot wind up the
-estimate.
+Every function works on one building (floats) or on a whole fleet at once
+(arrays with one entry, or one column, per building).  Times are in hours,
+temperatures in degC, controls in kW with the thermal sign convention
+(u <= 0 extracts heat).  The estimator reads the control that was actually
+applied after any clamping, so saturation cannot wind up the estimate.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from collections import deque
-from dataclasses import dataclass
 
-from .errors import ConfigurationError, EstimatorNotReady, WindowError
+import numpy as np
 
-#: relative tolerance on the sample spacing check
-_SPACING_RTOL = 1e-9
+from .errors import ConfigurationError
 
 
-class Estimator(enum.Enum):
-    """Which windowed quadrature refreshes F_hat."""
-
-    ALGEBRAIC = "algebraic"
-    CLOSED_LOOP = "closed_loop"
+def _check_alpha(alpha: float) -> None:
+    if alpha == 0 or not math.isfinite(alpha):
+        raise ConfigurationError("alpha must be nonzero and finite")
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One controller-rate observation.
+def reference(t: float, y0, setpoint: float, ramp_hours: float):
+    """Reference value and slope at time t, for first measurements y0 taken at t = 0.
 
-    t is the sample instant in hours, y the measured output (degC), u the
-    control actually applied over the following interval (kW, <= 0 when
-    cooling), e the tracking error y - y_ref and y_ref_dot the reference
-    slope at t (degC/h).
+    The reference is the constant setpoint; if ramp_hours > 0 it instead
+    ramps linearly from y0 to the setpoint over that horizon (useful to
+    soften cold starts), after which it is constant.
     """
-
-    t: float
-    y: float
-    u: float
-    e: float
-    y_ref_dot: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("t", "y", "u", "e", "y_ref_dot"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"sample field {name} must be finite")
+    if ramp_hours > 0 and t < ramp_hours:
+        slope = (setpoint - y0) / ramp_hours
+        return y0 + slope * t, slope
+    return setpoint, 0.0
 
 
-class SampleWindow:
-    """Fixed-capacity ring of uniformly spaced samples.
-
-    Capacity must be odd and at least 3 so the span covers an even number
-    of intervals (composite Simpson).  Pushes must advance time by exactly
-    dt; anything else is rejected rather than silently resampled.
-    """
-
-    def __init__(self, capacity: int, dt: float):
-        if capacity < 3 or capacity % 2 == 0:
-            raise ConfigurationError("window capacity must be odd and >= 3")
-        if not (dt > 0 and math.isfinite(dt)):
-            raise ConfigurationError("window dt must be positive and finite")
-        self.capacity = capacity
-        self.dt = dt
-        self._samples: deque[Sample] = deque(maxlen=capacity)
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def __iter__(self):
-        return iter(self._samples)
-
-    @property
-    def full(self) -> bool:
-        return len(self._samples) == self.capacity
-
-    @property
-    def span(self) -> float:
-        """Time covered by the stored samples, (count - 1) * dt."""
-        return (len(self._samples) - 1) * self.dt if self._samples else 0.0
-
-    def push(self, sample: Sample) -> None:
-        if self._samples:
-            gap = sample.t - self._samples[-1].t
-            if gap <= 0:
-                raise WindowError(
-                    f"sample time {sample.t} does not advance past {self._samples[-1].t}"
-                )
-            if abs(gap - self.dt) > _SPACING_RTOL * self.dt:
-                raise WindowError(
-                    f"sample spacing {gap} deviates from the configured dt {self.dt}"
-                )
-        self._samples.append(sample)
-
-    def clear(self) -> None:
-        self._samples.clear()
-
-
-def _simpson(values: list[float], h: float) -> float:
-    # composite Simpson on an odd number of uniform samples
-    n = len(values) - 1
-    acc = values[0] + values[-1]
-    for i in range(1, n):
-        acc += values[i] * (4.0 if i % 2 else 2.0)
-    return acc * h / 3.0
-
-
-def ip_control(f_hat: float, y_ref_dot: float, e: float, alpha: float, kp: float) -> float:
+def ip_control(f_hat, y_ref_dot, e, alpha: float, kp: float):
     """Intelligent proportional law: u = -(f_hat - y_ref_dot + kp*e) / alpha."""
-    if alpha == 0 or not math.isfinite(alpha):
-        raise ConfigurationError("alpha must be nonzero and finite")
-    for name, value in (("f_hat", f_hat), ("y_ref_dot", y_ref_dot), ("e", e), ("kp", kp)):
-        if not math.isfinite(value):
-            raise ConfigurationError(f"{name} must be finite")
-    return -(f_hat - y_ref_dot + kp * e) / alpha
+    _check_alpha(alpha)
+    u = -(f_hat - y_ref_dot + kp * e) / alpha
+    if not np.all(np.isfinite(u)):
+        raise ConfigurationError("iP law inputs must be finite")
+    return u
 
 
-def estimate_f_algebraic(window: SampleWindow, alpha: float) -> float:
-    """Annihilator-kernel estimate of F over a full window.
+def estimate_f(t: np.ndarray, y, u, alpha: float, dt: float):
+    """Annihilator-kernel estimate of F over a window of c uniformly spaced samples.
 
-    Integrates (tau - 2s)*y + alpha*s*(tau - s)*u with s measured from the
-    window start, then scales by -6/tau^3.  Exact (up to rounding) whenever
-    y is affine in time and u constant across the window.
+    t holds the c sample times (spaced by dt); y and u hold the matching
+    outputs and applied controls, one row per sample.  Integrates
+    (tau - 2s)*y + alpha*s*(tau - s)*u with s measured from the window
+    start, then scales by -6/tau^3.  Exact (up to rounding) whenever y is
+    affine in time and u constant across the window.
     """
-    if not window.full:
-        raise EstimatorNotReady("window not full")
-    if alpha == 0 or not math.isfinite(alpha):
-        raise ConfigurationError("alpha must be nonzero and finite")
-    samples = list(window)
-    t0 = samples[0].t
-    tau = window.span
-    integrand = []
-    for s in samples:
-        sigma = s.t - t0
-        integrand.append((tau - 2.0 * sigma) * s.y + alpha * sigma * (tau - sigma) * s.u)
-    return -(6.0 / tau**3) * _simpson(integrand, window.dt)
+    c = len(t)
+    if c < 3 or c % 2 == 0:
+        raise ConfigurationError("the estimator window must hold an odd number >= 3 of samples")
+    _check_alpha(alpha)
+    tau = (c - 1) * dt
 
+    def integrand(i: int):
+        sigma = t[i] - t[0]
+        return (tau - 2.0 * sigma) * y[i] + alpha * sigma * (tau - sigma) * u[i]
 
-def estimate_f_closed_loop(window: SampleWindow, alpha: float, kp: float) -> float:
-    """Windowed average of the rearranged iP identity.
-
-    F_hat = (1/tau) * int (y_ref_dot - alpha*u - kp*e) ds over the window.
-    """
-    if not window.full:
-        raise EstimatorNotReady("window not full")
-    if alpha == 0 or not math.isfinite(alpha):
-        raise ConfigurationError("alpha must be nonzero and finite")
-    tau = window.span
-    integrand = [s.y_ref_dot - alpha * s.u - kp * s.e for s in window]
-    return _simpson(integrand, window.dt) / tau
-
-
-class IpController:
-    """iP regulator with a windowed F estimator for one building.
-
-    Usage per control period: u_raw = ctrl.step(y, t), clamp u_raw however
-    the supervisory layer requires, then ctrl.record_applied(u_clamped) so
-    the estimator window sees the true actuation.  step() must be called on
-    the sampling grid (t advancing by exactly dt).
-
-    The reference is the constant setpoint; if ramp_hours > 0 the reference
-    instead ramps linearly from the first measured y to the setpoint over
-    that horizon (useful to soften cold starts), after which it is constant.
-    """
-
-    def __init__(
-        self,
-        alpha: float,
-        kp: float,
-        setpoint: float,
-        dt: float,
-        window_capacity: int = 3,
-        estimator: Estimator = Estimator.ALGEBRAIC,
-        ramp_hours: float = 0.0,
-        default_f_hat: float = 0.0,
-    ):
-        if alpha == 0 or not math.isfinite(alpha):
-            raise ConfigurationError("alpha must be nonzero and finite")
-        if not (kp > 0 and math.isfinite(kp)):
-            raise ConfigurationError("kp must be positive (closed-loop stability)")
-        if not math.isfinite(setpoint):
-            raise ConfigurationError("setpoint must be finite")
-        if ramp_hours < 0:
-            raise ConfigurationError("ramp_hours must be >= 0")
-        self.alpha = alpha
-        self.kp = kp
-        self.setpoint = setpoint
-        self.dt = dt
-        self.estimator = estimator
-        self.ramp_hours = ramp_hours
-        self.default_f_hat = default_f_hat
-        self.window = SampleWindow(window_capacity, dt)
-        self.f_hat = default_f_hat
-        self._ramp_origin: tuple[float, float] | None = None  # (t0, y0)
-        self._last_t: float | None = None
-        self._pending: tuple[float, float, float, float] | None = None
-
-    def reference(self, t: float) -> tuple[float, float]:
-        """Reference value and slope at time t."""
-        if self.ramp_hours > 0 and self._ramp_origin is not None:
-            t0, y0 = self._ramp_origin
-            if t < t0 + self.ramp_hours:
-                slope = (self.setpoint - y0) / self.ramp_hours
-                return y0 + slope * (t - t0), slope
-        return self.setpoint, 0.0
-
-    def step(self, y: float, t: float) -> float:
-        """Return the raw (pre-clamp) control for measurement y at time t."""
-        if self._pending is not None:
-            raise RuntimeError("record_applied() was not called after the previous step")
-        if self._last_t is not None:
-            gap = t - self._last_t
-            if abs(gap - self.dt) > _SPACING_RTOL * self.dt:
-                raise ConfigurationError(
-                    f"controller stepped off its sampling grid: gap {gap}, dt {self.dt}"
-                )
-        if self._ramp_origin is None:
-            self._ramp_origin = (t, y)
-        y_ref, y_ref_dot = self.reference(t)
-        e = y - y_ref
-        if self.window.full:
-            if self.estimator is Estimator.ALGEBRAIC:
-                self.f_hat = estimate_f_algebraic(self.window, self.alpha)
-            else:
-                self.f_hat = estimate_f_closed_loop(self.window, self.alpha, self.kp)
-        else:
-            self.f_hat = self.default_f_hat
-        self._last_t = t
-        self._pending = (t, y, e, y_ref_dot)
-        return ip_control(self.f_hat, y_ref_dot, e, self.alpha, self.kp)
-
-    def record_applied(self, u_applied: float) -> None:
-        """Report the post-clamp control so the window reflects reality."""
-        if self._pending is None:
-            raise RuntimeError("record_applied() called without a pending step")
-        t, y, e, y_ref_dot = self._pending
-        self.window.push(Sample(t=t, y=y, u=u_applied, e=e, y_ref_dot=y_ref_dot))
-        self._pending = None
+    # composite Simpson accumulated in sample order, with s from the sample
+    # times: a precomputed-weight dot product rounds differently and moves
+    # trace digits
+    acc = integrand(0) + integrand(c - 1)
+    for i in range(1, c - 1):
+        acc = acc + integrand(i) * (4.0 if i % 2 else 2.0)
+    return -(6.0 / tau**3) * (acc * dt / 3.0)

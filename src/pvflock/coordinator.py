@@ -17,28 +17,20 @@ is empty (PV so large that even hvac_max per building cannot absorb it)
 the bounds collapse to the nearest feasible point and the step is flagged
 infeasible.
 
-Per control period and per building the order is fixed: ask the iP
-controller for a raw control, clamp it to the bounds, integrate the plant
-under the clamped value, then push the applied value into the controller's
-estimator window.
+The bounds are the same for every building, so the clamp is one array
+operation over the fleet.  The simulation clamps each period's raw iP
+controls, integrates the plant under the clamped values and keeps those
+applied values for the estimator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .control import IpController
-from .errors import ConfigurationError, PlantDivergenceError
-from .plant import (
-    SANITY_RANGE,
-    BuildingParams,
-    BuildingState,
-    DisturbanceSample,
-    rk4_fleet,
-)
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -79,30 +71,6 @@ class BuildingBounds:
     infeasible: bool = False
 
 
-@dataclass
-class StepRecord:
-    """Everything the trace keeps for one control period.
-
-    Temperatures are the measurements at t (before actuation); u/p are the
-    controls applied over [t, t + dt).
-    """
-
-    t: float
-    pv: float
-    band: PowerBand
-    infeasible: bool
-    t1: list[float] = field(default_factory=list)
-    t2: list[float] = field(default_factory=list)
-    t3: list[float] = field(default_factory=list)
-    u: list[float] = field(default_factory=list)
-    p: list[float] = field(default_factory=list)
-    clamped: list[bool] = field(default_factory=list)
-
-    @property
-    def sum_p(self) -> float:
-        return sum(self.p)
-
-
 def power_band(pv: float, epsilon: float) -> PowerBand:
     """Aggregate band for the current PV output."""
     if not (math.isfinite(pv) and pv >= 0):
@@ -132,68 +100,14 @@ def per_building_bounds(band: PowerBand, cfg: FleetConfig) -> BuildingBounds:
     return BuildingBounds(lower=lo, upper=hi)
 
 
-def clamp_to_bounds(u_raw: float, b: BuildingBounds) -> tuple[float, float, bool]:
-    """Project a raw thermal control onto the electrical bounds.
+def clamp_to_bounds(u_raw, b: BuildingBounds):
+    """Project raw thermal controls (one float or an array) onto the electrical bounds.
 
     Returns (p, u_applied, clamped) with p = -u_applied in [b.lower, b.upper].
     A positive u_raw (a heating wish) maps to the smallest admissible draw.
     """
-    if not math.isfinite(u_raw):
+    if not np.all(np.isfinite(u_raw)):
         raise ConfigurationError("u_raw must be finite")
     p_want = -u_raw
-    p = min(max(p_want, b.lower), b.upper)
+    p = np.minimum(np.maximum(p_want, b.lower), b.upper)
     return p, -p, p != p_want
-
-
-def coordinator_step(
-    fleet: list[tuple[IpController, BuildingState]],
-    pv: float,
-    w: DisturbanceSample,
-    cfg: FleetConfig,
-    t: float,
-    params: BuildingParams,
-    substeps: int = 10,
-) -> StepRecord:
-    """Advance every building by one control period; states mutate in place.
-
-    Raises PlantDivergenceError naming the offending building if any state
-    leaves the sane temperature range.
-    """
-    if len(fleet) != cfg.n_buildings:
-        raise ConfigurationError(
-            f"fleet has {len(fleet)} buildings, config says {cfg.n_buildings}"
-        )
-    band = power_band(pv, cfg.epsilon)
-    bounds = per_building_bounds(band, cfg)
-    record = StepRecord(t=t, pv=pv, band=band, infeasible=bounds.infeasible)
-
-    controls = np.empty(len(fleet))
-    states = np.empty((3, len(fleet)))
-    for i, (ctrl, state) in enumerate(fleet):
-        u_raw = ctrl.step(state.t1, t)
-        p, u_applied, clamped = clamp_to_bounds(u_raw, bounds)
-        record.t1.append(state.t1)
-        record.t2.append(state.t2)
-        record.t3.append(state.t3)
-        record.u.append(u_applied)
-        record.p.append(p)
-        record.clamped.append(clamped)
-        controls[i] = u_applied
-        states[0, i] = state.t1
-        states[1, i] = state.t2
-        states[2, i] = state.t3
-
-    advanced = rk4_fleet(states, controls, w, params, cfg.sample_dt, substeps)
-
-    lo, hi = SANITY_RANGE
-    for i, (ctrl, state) in enumerate(fleet):
-        t1, t2, t3 = advanced[:, i]
-        if not all(math.isfinite(v) and lo <= v <= hi for v in (t1, t2, t3)):
-            raise PlantDivergenceError(
-                f"building {i} left the sane range at t = {t + cfg.sample_dt:.4f} h "
-                f"(T = {t1:.2f}, {t2:.2f}, {t3:.2f})"
-            )
-        state.t1, state.t2, state.t3 = float(t1), float(t2), float(t3)
-        ctrl.record_applied(record.u[i])
-
-    return record

@@ -11,14 +11,6 @@ class ConfigurationError(PvflockError):
     """Invalid parameter, option or config-file content."""
 
 
-class WindowError(PvflockError):
-    """A sample push violated the window's time contract."""
-
-
-class EstimatorNotReady(PvflockError):
-    """The sample window is not full yet; the caller should fall back."""
-
-
 class PlantDivergenceError(PvflockError):
     """A simulated building left the physically sane temperature range."""
 

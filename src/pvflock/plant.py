@@ -4,18 +4,17 @@ States are the room air temperature T1, an interior-mass temperature T2
 (floors, partitions, furnishings) and a wall-core temperature T3.  Inputs
 are the cooling power u (kW, <= 0 extracts heat) and the disturbance triple
 w = (d1, d2, d3): outdoor temperature (degC), solar gain (kW) and internal
-gain (kW).  With capacitances c1..c3 (kJ/degC) and conductances k1..k5
-(kW/degC) the dynamics are, in degC per second,
+gain (kW).  With capacitances c1..c3 (kJ/degC) and conductances k1, k2,
+k4 and k5 (kW/degC) the dynamics are, in degC per second,
 
     dT1/dt = [ (k1 + k2) * (T2 - T1) + k5 * (T3 - T1) + u + d2 + d3 ] / c1
     dT2/dt = [ (k1 + k2) * (T1 - T2) + d2 ] / c2
     dT3/dt = [ k5 * (T1 - T3) + k4 * (d1 - T3) ] / c3
 
 scaled by 3600 so the package-wide time base is hours.  The solar gain d2
-feeds both the air and the mass node; k3 is carried for completeness but
-does not enter the dynamics.  Default constants are the literature set for
-a large office building; the scenario layer substitutes a residential-scale
-set for the fleet simulations (see scenario.py).
+feeds both the air and the mass node.  Default constants are the
+literature set for a large office building; the scenario layer substitutes
+a residential-scale set for the fleet simulations (see scenario.py).
 
 Integration is classical RK4 with zero-order-hold inputs over each control
 period, split into substeps so the fastest node stays well resolved.  The
@@ -24,10 +23,9 @@ build_matrices(); the nonlinear-form derivative and the matrix form are
 kept as two separately written routines and cross-checked in the tests.
 Because the plant is linear and the inputs are held constant over the
 period, the whole substep loop collapses to a single affine update
-x+ = x + S (A x + f) whose matrix S rk4_fleet() precomputes once per
-parameter set; the
-plain per-substep loop is retained as rk4_fleet_reference() and the two
-are cross-checked in the tests as well.
+x+ = x + S (A x + f); S is computed, and cached with A, B and C, once per
+parameter set and period.  The plain per-substep loop is retained as
+rk4_fleet_reference() and the two are cross-checked in the tests as well.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ class BuildingParams:
     c3: float = 6.695e5
     k1: float = 16.48
     k2: float = 108.5
-    k3: float = 5.0  # unused by the dynamics, kept for structural fidelity
     k4: float = 30.5
     k5: float = 23.04
 
@@ -133,8 +130,11 @@ def build_matrices(p: BuildingParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 @lru_cache(maxsize=16)
-def _transition_map(p: BuildingParams, dt: float, substeps: int) -> np.ndarray:
-    """Precomputed RK4 update over one control period, in increment form.
+def _transition_map(
+    p: BuildingParams, dt: float, substeps: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Matrices A, B, C and the precomputed RK4 update S over one control
+    period, in increment form.
 
     For the linear plant with constant forcing f = B u + C w, one RK4
     substep of size h is exactly the affine map
@@ -152,7 +152,7 @@ def _transition_map(p: BuildingParams, dt: float, substeps: int) -> np.ndarray:
     the loop, and the increment form makes any state where the derivative
     evaluates to exactly zero an exact fixed point of the update.
     """
-    a, _, _ = build_matrices(p)
+    a, b, c = build_matrices(p)
     h = dt / substeps
     eye = np.eye(3)
     pw = h * a
@@ -161,8 +161,9 @@ def _transition_map(p: BuildingParams, dt: float, substeps: int) -> np.ndarray:
     s = np.zeros((3, 3))
     for _ in range(substeps):
         s = phi @ s + gamma
-    s.setflags(write=False)
-    return s
+    for m in (a, b, c, s):
+        m.setflags(write=False)
+    return a, b, c, s
 
 
 def rk4_fleet(
@@ -181,9 +182,8 @@ def rk4_fleet(
     """
     if substeps < 1:
         raise ConfigurationError("substeps must be >= 1")
-    a, b, c = build_matrices(p)
+    a, b, c, s = _transition_map(p, float(dt), int(substeps))
     forcing = (b[:, None] * u[None, :]) + (c @ w.as_array())[:, None]
-    s = _transition_map(p, float(dt), int(substeps))
     return states + s @ (a @ states + forcing)
 
 
@@ -231,18 +231,22 @@ def plant_step(
     if not (dt > 0 and math.isfinite(dt)):
         raise ConfigurationError("dt must be positive and finite")
     out = rk4_fleet(x.as_array()[:, None], np.array([u], dtype=float), w, p, dt, substeps)
-    state = BuildingState(t1=float(out[0, 0]), t2=float(out[1, 0]), t3=float(out[2, 0]))
-    check_sane(state)
-    return state
+    check_sane(out)
+    return BuildingState(t1=float(out[0, 0]), t2=float(out[1, 0]), t3=float(out[2, 0]))
 
 
-def check_sane(state: BuildingState) -> None:
+def check_sane(states: np.ndarray, t: float | None = None) -> None:
+    """Raise PlantDivergenceError naming the first building of a (3, n) state
+    block that left SANITY_RANGE (reached at time t, if given)."""
     lo, hi = SANITY_RANGE
-    for name, value in (("T1", state.t1), ("T2", state.t2), ("T3", state.t3)):
-        if not (math.isfinite(value) and lo <= value <= hi):
-            raise PlantDivergenceError(
-                f"{name} = {value} left the sane range [{lo}, {hi}] degC"
-            )
+    bad = ~np.all((states >= lo) & (states <= hi), axis=0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        t1, t2, t3 = states[:, i]
+        when = "" if t is None else f" at t = {t:.4f} h"
+        raise PlantDivergenceError(
+            f"building {i} left the sane range{when} (T = {t1:.2f}, {t2:.2f}, {t3:.2f})"
+        )
 
 
 def equilibrium(

@@ -32,7 +32,6 @@ from pathlib import Path
 import numpy as np
 
 from .coordinator import FleetConfig
-from .control import Estimator
 from .errors import ConfigurationError, ProfileError
 from .plant import BuildingParams, DisturbanceSample
 
@@ -45,7 +44,6 @@ def scenario_building_defaults() -> BuildingParams:
         c3=4500.0,
         k1=0.25,
         k2=0.65,
-        k3=5.0,
         k4=0.035,
         k5=0.12,
     )
@@ -183,7 +181,6 @@ class ScenarioConfig:
     alpha: float = 5.0
     kp: float = 2.0
     window_capacity: int = 3
-    estimator: Estimator = Estimator.ALGEBRAIC
     ramp_hours: float = 0.0
     initial_t1_low: float = 22.5
     initial_t1_high: float = 26.5
@@ -207,6 +204,12 @@ class ScenarioConfig:
             raise ConfigurationError("substeps must be >= 1")
         if self.window_capacity < 3 or self.window_capacity % 2 == 0:
             raise ConfigurationError("window_capacity must be odd and >= 3")
+        if self.alpha == 0 or not math.isfinite(self.alpha):
+            raise ConfigurationError("alpha must be nonzero and finite")
+        if not (self.kp > 0 and math.isfinite(self.kp)):
+            raise ConfigurationError("kp must be positive (closed-loop stability)")
+        if not self.ramp_hours >= 0:
+            raise ConfigurationError("ramp_hours must be >= 0")
 
     @property
     def n_steps(self) -> int:
@@ -215,22 +218,6 @@ class ScenarioConfig:
 
 # ---------------------------------------------------------------------------
 # config file parsing
-
-def _parse_bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
-def _parse_estimator(raw: str) -> Estimator:
-    try:
-        return Estimator(raw.lower())
-    except ValueError:
-        raise ValueError(f"unknown estimator {raw!r} (algebraic or closed_loop)") from None
-
 
 #: config key -> (target object, attribute, parser)
 CONFIG_KEYS: dict[str, tuple[str, str, type | object]] = {
@@ -251,13 +238,11 @@ CONFIG_KEYS: dict[str, tuple[str, str, type | object]] = {
     "controller.alpha": ("", "alpha", float),
     "controller.kp": ("", "kp", float),
     "controller.window_capacity": ("", "window_capacity", int),
-    "controller.estimator": ("", "estimator", _parse_estimator),
     "building.c1": ("building", "c1", float),
     "building.c2": ("building", "c2", float),
     "building.c3": ("building", "c3", float),
     "building.k1": ("building", "k1", float),
     "building.k2": ("building", "k2", float),
-    "building.k3": ("building", "k3", float),
     "building.k4": ("building", "k4", float),
     "building.k5": ("building", "k5", float),
     "disturbance.d1_mean_c": ("disturbance", "d1_mean", float),

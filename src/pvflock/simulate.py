@@ -1,10 +1,11 @@
 """Fleet simulation driver, trace serialization and scenario metrics.
 
-A run wires N identical buildings (each with its own iP controller) to the
-coordinator and marches the configured horizon at the control rate.  Initial
-air temperatures are drawn uniformly from the configured range with a seeded
-generator; interior mass starts at the air temperature and the wall core one
-degree above, so a hot start really is a hot building.
+A run marches N identical buildings at the control rate, one array step per
+control period: the iP law on every building's air temperature, one split
+of the PV band, one clamp and one RK4 update of the (3, N) state block.
+Initial air temperatures are drawn uniformly from the configured range with
+a seeded generator; interior mass starts at the air temperature and the wall
+core one degree above, so a hot start really is a hot building.
 
 The trace CSV layout (one row per control period, LF line endings, floats at
 6 significant digits):
@@ -22,10 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import IpController
-from .coordinator import StepRecord, coordinator_step
+from .control import estimate_f, ip_control, reference
+from .coordinator import clamp_to_bounds, per_building_bounds, power_band
 from .errors import ProfileError
-from .plant import BuildingState
+from .plant import check_sane, rk4_fleet
 from .scenario import (
     Profile,
     ScenarioConfig,
@@ -37,7 +38,11 @@ from .scenario import (
 
 @dataclass
 class SimulationTrace:
-    """Column-oriented record of a run; arrays are (steps,) or (steps, n)."""
+    """Column-oriented record of a run; arrays are (steps,) or (steps, n).
+
+    Temperatures in row k are the measurements at t[k] (before actuation);
+    u and p are the controls applied over [t[k], t[k] + dt).
+    """
 
     n_buildings: int
     t: np.ndarray
@@ -57,64 +62,12 @@ class SimulationTrace:
     def n_steps(self) -> int:
         return len(self.t)
 
-    @classmethod
-    def from_records(cls, records: list[StepRecord], n_buildings: int) -> "SimulationTrace":
-        def col(getter):
-            return np.array([getter(r) for r in records], dtype=float)
 
-        def grid(getter):
-            out = np.array([getter(r) for r in records], dtype=float)
-            return out.reshape(len(records), n_buildings)
-
-        return cls(
-            n_buildings=n_buildings,
-            t=col(lambda r: r.t),
-            pv=col(lambda r: r.pv),
-            sum_p=col(lambda r: r.sum_p),
-            band_lo=col(lambda r: r.band.lower),
-            band_hi=col(lambda r: r.band.upper),
-            infeasible=np.array([r.infeasible for r in records], dtype=bool),
-            t1=grid(lambda r: r.t1),
-            t2=grid(lambda r: r.t2),
-            t3=grid(lambda r: r.t3),
-            u=grid(lambda r: r.u),
-            p=grid(lambda r: r.p),
-            clamped=np.array([r.clamped for r in records], dtype=bool).reshape(
-                len(records), n_buildings
-            ),
-        )
-
-
-def _empty_trace(n_buildings: int) -> SimulationTrace:
-    z = np.zeros(0)
-    zg = np.zeros((0, n_buildings))
-    return SimulationTrace(
-        n_buildings=n_buildings,
-        t=z, pv=z.copy(), sum_p=z.copy(), band_lo=z.copy(), band_hi=z.copy(),
-        infeasible=np.zeros(0, dtype=bool),
-        t1=zg, t2=zg.copy(), t3=zg.copy(), u=zg.copy(), p=zg.copy(),
-        clamped=np.zeros((0, n_buildings), dtype=bool),
-    )
-
-
-def build_fleet(cfg: ScenarioConfig) -> list[tuple[IpController, BuildingState]]:
-    """Instantiate controllers and seeded initial states for every building."""
+def build_fleet(cfg: ScenarioConfig) -> np.ndarray:
+    """Seeded initial (T1, T2, T3) of every building, as a (3, n) block."""
     rng = np.random.default_rng(cfg.seed)
-    t1_init = rng.uniform(cfg.initial_t1_low, cfg.initial_t1_high, cfg.fleet.n_buildings)
-    fleet = []
-    for t1 in t1_init:
-        ctrl = IpController(
-            alpha=cfg.alpha,
-            kp=cfg.kp,
-            setpoint=cfg.setpoint,
-            dt=cfg.fleet.sample_dt,
-            window_capacity=cfg.window_capacity,
-            estimator=cfg.estimator,
-            ramp_hours=cfg.ramp_hours,
-        )
-        state = BuildingState(t1=float(t1), t2=float(t1), t3=float(t1) + 1.0)
-        fleet.append((ctrl, state))
-    return fleet
+    t1 = rng.uniform(cfg.initial_t1_low, cfg.initial_t1_high, cfg.fleet.n_buildings)
+    return np.stack([t1, t1, t1 + 1.0])
 
 
 def _pv_lookup(cfg: ScenarioConfig):
@@ -128,24 +81,56 @@ def _pv_lookup(cfg: ScenarioConfig):
 
 
 def run_simulation(cfg: ScenarioConfig, seed: int | None = None) -> SimulationTrace:
-    """Run the configured scenario; an explicit seed overrides the config's."""
+    """Run the configured scenario; an explicit seed overrides the config's.
+
+    Raises PlantDivergenceError naming the first building whose state leaves
+    the sane temperature range.
+    """
     if seed is not None:
         cfg = replace(cfg, seed=seed)
-    n = cfg.fleet.n_buildings
-    if cfg.n_steps == 0:
-        return _empty_trace(n)
-    fleet = build_fleet(cfg)
+    n, steps, dt = cfg.fleet.n_buildings, cfg.n_steps, cfg.fleet.sample_dt
+    c = cfg.window_capacity
+    tr = SimulationTrace(
+        n_buildings=n,
+        t=np.arange(steps) * dt,
+        pv=np.zeros(steps),
+        sum_p=np.zeros(steps),
+        band_lo=np.zeros(steps),
+        band_hi=np.zeros(steps),
+        infeasible=np.zeros(steps, dtype=bool),
+        t1=np.zeros((steps, n)),
+        t2=np.zeros((steps, n)),
+        t3=np.zeros((steps, n)),
+        u=np.zeros((steps, n)),
+        p=np.zeros((steps, n)),
+        clamped=np.zeros((steps, n), dtype=bool),
+    )
+    states = build_fleet(cfg)
+    y0 = states[0]
     pv_at = _pv_lookup(cfg)
-    dt = cfg.fleet.sample_dt
-    records: list[StepRecord] = []
-    for k in range(cfg.n_steps):
+    for k in range(steps):
         t = k * dt
         pv = pv_at(t)
-        w = synth_disturbances(t, cfg.disturbance)
-        records.append(
-            coordinator_step(fleet, pv, w, cfg.fleet, t, cfg.building, cfg.substeps)
+        band = power_band(pv, cfg.fleet.epsilon)
+        bounds = per_building_bounds(band, cfg.fleet)
+        y_ref, y_ref_dot = reference(t, y0, cfg.setpoint, cfg.ramp_hours)
+        # the estimator window is the last c rows of the measured T1 and applied u
+        f_hat = (
+            estimate_f(tr.t[k - c:k], tr.t1[k - c:k], tr.u[k - c:k], cfg.alpha, dt)
+            if k >= c else 0.0
         )
-    return SimulationTrace.from_records(records, n)
+        u_raw = ip_control(f_hat, y_ref_dot, states[0] - y_ref, cfg.alpha, cfg.kp)
+        tr.p[k], tr.u[k], tr.clamped[k] = clamp_to_bounds(u_raw, bounds)
+        tr.pv[k], tr.band_lo[k], tr.band_hi[k] = pv, band.lower, band.upper
+        tr.infeasible[k] = bounds.infeasible
+        tr.t1[k], tr.t2[k], tr.t3[k] = states
+        w = synth_disturbances(t, cfg.disturbance)
+        states = rk4_fleet(states, tr.u[k], w, cfg.building, dt, cfg.substeps)
+        check_sane(states, t + dt)
+    # summed left to right, building by building: numpy's pairwise sum can
+    # differ in the last bit, which %.6g occasionally shows
+    tr.sum_p[:] = np.cumsum(tr.p, axis=1)[:, -1]
+    return tr
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +229,6 @@ def compute_metrics(
 # ---------------------------------------------------------------------------
 # trace serialization
 
-def _g6(value: float) -> str:
-    return f"{value:.6g}"
-
-
 def trace_header(n_buildings: int) -> str:
     cols = ["t_hours", "pv_kw", "sum_p_kw", "band_lo_kw", "band_hi_kw", "infeasible"]
     for i in range(1, n_buildings + 1):
@@ -257,27 +238,19 @@ def trace_header(n_buildings: int) -> str:
 
 def write_trace(trace: SimulationTrace, path: str | Path) -> None:
     """Serialize a trace; floats at 6 significant digits, flags as 0/1, LF."""
-    lines = [trace_header(trace.n_buildings)]
-    for k in range(trace.n_steps):
-        row = [
-            _g6(trace.t[k]),
-            _g6(trace.pv[k]),
-            _g6(trace.sum_p[k]),
-            _g6(trace.band_lo[k]),
-            _g6(trace.band_hi[k]),
-            str(int(trace.infeasible[k])),
-        ]
-        for i in range(trace.n_buildings):
-            row += [
-                _g6(trace.t1[k, i]),
-                _g6(trace.t2[k, i]),
-                _g6(trace.t3[k, i]),
-                _g6(trace.u[k, i]),
-                _g6(trace.p[k, i]),
-                str(int(trace.clamped[k, i])),
-            ]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    n = trace.n_buildings
+    # one float table in file order; column j of building i is 6 + 6i + j
+    table = np.empty((trace.n_steps, 6 * (n + 1)))
+    for j, col in enumerate((trace.t, trace.pv, trace.sum_p, trace.band_lo, trace.band_hi,
+                             trace.infeasible)):
+        table[:, j] = col
+    for j, col in enumerate((trace.t1, trace.t2, trace.t3, trace.u, trace.p, trace.clamped)):
+        table[:, 6 + j::6] = col
+    row_format = ",".join(["%.6g"] * 5 + ["%d"] + (["%.6g"] * 5 + ["%d"]) * n)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(trace_header(n) + "\n")
+        for row in table:
+            fh.write(row_format % tuple(row) + "\n")
 
 
 def read_trace(path: str | Path) -> SimulationTrace:

@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from pvflock import read_trace
+from pvflock import load_profile_csv, read_trace
 from pvflock.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+#: sha256 of the trace `pvflock run configs/<name>.cfg` writes at the config's seed
+PINNED_TRACE_SHA256 = {
+    "default": "5b66141927d6949428515957a82a1cb077b961c19aaf42c9805b867442106278",
+    "fleet14": "95b4812ed62433a786fb80ce9dd0b397f0f59749311309d91d419e2ed1a4544b",
+    "regulation_only": "341b938dfa7685c7ff7c7d1d6820e2f3ac1f9704eebcb2151427d581d8deeb3c",
+}
 
 SMALL = """
 scenario.horizon_hours = 2
@@ -63,6 +74,14 @@ class TestRun:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["default", "fleet14", "regulation_only"])
+    def test_shipped_config_trace_bytes_are_pinned(self, name, tmp_path):
+        # a change that moves any digit of a shipped run must update these
+        # digests on purpose
+        out = tmp_path / "trace.csv"
+        assert main(["run", str(CONFIGS / f"{name}.cfg"), "--out", str(out), "--quiet"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_TRACE_SHA256[name]
 
 
 class TestSeedResolution:
@@ -134,6 +153,15 @@ class TestGenProfile:
         assert main(["run", str(synth_cfg), "--out", str(a), "--quiet"]) == 0
         assert main(["run", str(csv_cfg), "--out", str(b), "--quiet"]) == 0
         np.testing.assert_allclose(read_trace(b).pv, read_trace(a).pv, rtol=1e-5, atol=1e-5)
+
+    def test_default_horizon_pv_profile_loads(self, tmp_path):
+        # from 10 h on the time column must keep enough digits for the
+        # loader to see a uniform grid
+        out = tmp_path / "pv.csv"
+        assert main(["gen-profile", "pv", str(out), "--horizon", "72"]) == 0
+        profile = load_profile_csv(out, non_negative=True)
+        assert profile.span == (0.0, 72.0)
+        assert profile.value_at(13.0 + 48.0) == pytest.approx(12.0, rel=1e-5)
 
     def test_peak_scales_the_pv_kind(self, tmp_path):
         out = tmp_path / "pv.csv"

@@ -11,22 +11,18 @@ from hypothesis import strategies as st
 
 from pvflock import (
     BuildingBounds,
-    BuildingParams,
-    BuildingState,
     ConfigurationError,
-    DisturbanceSample,
     FleetConfig,
-    IpController,
     PlantDivergenceError,
+    PvSourceConfig,
+    ScenarioConfig,
+    check_sane,
     clamp_to_bounds,
-    coordinator_step,
     per_building_bounds,
     power_band,
+    run_simulation,
 )
 
-RESIDENTIAL = BuildingParams(
-    c1=1500.0, c2=6000.0, c3=4500.0, k1=0.25, k2=0.65, k3=5.0, k4=0.035, k5=0.12
-)
 CFG = FleetConfig()  # 13 buildings, epsilon 1, hvac_max 3, dt 1/6
 
 
@@ -147,89 +143,65 @@ class TestClampToBounds:
 
 
 # ---------------------------------------------------------------------------
-# fleet step
+# fleet step: one control period of run_simulation
 
-def make_fleet(n: int, t1_values) -> list[tuple[IpController, BuildingState]]:
-    fleet = []
-    for t1 in t1_values:
-        ctrl = IpController(alpha=5.0, kp=2.0, setpoint=23.0, dt=CFG.sample_dt)
-        fleet.append((ctrl, BuildingState(t1=t1, t2=t1, t3=t1 + 1.0)))
-    return fleet
+def constant_pv(tmp_path, kw: float) -> PvSourceConfig:
+    path = tmp_path / "pv.csv"
+    path.write_text("t_hours,value\n" + "".join(f"{h},{kw}\n" for h in range(5)))
+    return PvSourceConfig(kind="csv", csv_path=str(path))
+
+
+def fleet_run(n: int, pv: PvSourceConfig, t1: tuple[float, float] = (22.5, 26.5), horizon=4.0):
+    cfg = ScenarioConfig(
+        fleet=FleetConfig(n_buildings=n), pv=pv, horizon=horizon,
+        initial_t1_low=t1[0], initial_t1_high=t1[1],
+    )
+    return run_simulation(cfg)
 
 
 class TestCoordinatorStep:
-    W = DisturbanceSample(30.0, 0.04, 0.1)
+    """Each control period of run_simulation: band, split, clamp, plant update."""
 
-    def test_record_layout_and_band(self):
-        fleet = make_fleet(13, [24.0] * 13)
-        rec = coordinator_step(fleet, 13.0, self.W, CFG, 0.0, RESIDENTIAL)
-        assert rec.t == 0.0 and rec.pv == 13.0
-        assert (rec.band.lower, rec.band.upper) == (12.0, 14.0)
-        assert len(rec.t1) == len(rec.u) == len(rec.p) == 13
-        assert rec.sum_p == pytest.approx(sum(rec.p))
-        assert not rec.infeasible
+    def test_record_layout_and_band(self, tmp_path):
+        tr = fleet_run(13, constant_pv(tmp_path, 13.0))
+        assert tr.t[0] == 0.0 and tr.pv[0] == 13.0
+        assert (tr.band_lo[0], tr.band_hi[0]) == (12.0, 14.0)
+        assert tr.t1.shape == tr.u.shape == tr.p.shape == (24, 13)
+        assert np.array_equal(tr.u, -tr.p)
+        np.testing.assert_allclose(tr.sum_p, tr.p.sum(axis=1), rtol=1e-12)
+        assert tr.sum_p[0] == sum(tr.p[0].tolist())  # summed left to right
+        assert not tr.infeasible.any()
 
-    def test_identical_buildings_stay_identical(self):
-        fleet = make_fleet(13, [25.0] * 13)
-        t = 0.0
-        for _ in range(12):
-            rec = coordinator_step(fleet, 13.0, self.W, CFG, t, RESIDENTIAL)
-            assert len(set(rec.p)) == 1
-            assert len(set(rec.u)) == 1
-            t += CFG.sample_dt
-        t1 = {state.t1 for _, state in fleet}
-        assert len(t1) == 1
+    def test_identical_buildings_stay_identical(self, tmp_path):
+        tr = fleet_run(13, constant_pv(tmp_path, 13.0), t1=(25.0, 25.0))
+        for col in (tr.t1, tr.t2, tr.t3, tr.u, tr.p):
+            assert np.all(col == col[:, :1])
 
-    def test_applied_power_respects_bounds_every_step(self):
-        fleet = make_fleet(13, np.linspace(22.5, 26.5, 13))
-        t = 0.0
-        for _ in range(24):
-            rec = coordinator_step(fleet, 13.0, self.W, CFG, t, RESIDENTIAL)
-            lo, hi = 12.0 / 13.0, 14.0 / 13.0
-            for p in rec.p:
-                assert lo - 1e-12 <= p <= hi + 1e-12
-            assert rec.band.lower - 1e-9 <= rec.sum_p <= rec.band.upper + 1e-9
-            t += CFG.sample_dt
+    def test_applied_power_respects_bounds_every_step(self, tmp_path):
+        tr = fleet_run(13, constant_pv(tmp_path, 13.0))
+        lo, hi = 12.0 / 13.0, 14.0 / 13.0
+        assert np.all((tr.p >= lo - 1e-12) & (tr.p <= hi + 1e-12))
+        assert np.all((tr.band_lo - 1e-9 <= tr.sum_p) & (tr.sum_p <= tr.band_hi + 1e-9))
 
     def test_zero_pv_leaves_regulation_unconstrained_above(self):
-        fleet = make_fleet(13, [26.5] * 13)
-        rec = coordinator_step(fleet, 0.0, self.W, CFG, 0.0, RESIDENTIAL)
-        assert not rec.band.pv_active
-        for p in rec.p:
-            assert 0.0 <= p <= CFG.hvac_max
+        tr = fleet_run(13, PvSourceConfig(kind="off"), t1=(26.5, 26.5))
+        assert not tr.band_hi.any()
+        assert np.all((tr.p >= 0.0) & (tr.p <= 3.0))
+        assert tr.p[0, 0] == pytest.approx(2.0 * 3.5 / 5.0)  # -(kp*e)/alpha, no clamp
 
-    def test_states_advance_in_place(self):
-        fleet = make_fleet(2, [26.0, 26.0])
-        cfg = FleetConfig(n_buildings=2)
-        before = [state.t1 for _, state in fleet]
-        coordinator_step(fleet, 0.0, self.W, cfg, 0.0, RESIDENTIAL)
-        after = [state.t1 for _, state in fleet]
-        assert before != after
-
-    def test_controller_window_records_the_clamped_value(self):
-        fleet = make_fleet(1, [23.0])
-        cfg = FleetConfig(n_buildings=1)
+    def test_controller_window_records_the_clamped_value(self, tmp_path):
         # pv forces a draw even though the building wants almost none
-        rec = coordinator_step(fleet, 2.0, self.W, cfg, 0.0, RESIDENTIAL)
-        assert rec.clamped[0]
-        ctrl, _ = fleet[0]
-        assert [s.u for s in ctrl.window] == [rec.u[0]]
-
-    def test_fleet_size_mismatch_rejected(self):
-        fleet = make_fleet(3, [24.0, 24.0, 24.0])
-        with pytest.raises(ConfigurationError):
-            coordinator_step(fleet, 0.0, self.W, CFG, 0.0, RESIDENTIAL)
+        tr = fleet_run(1, constant_pv(tmp_path, 2.0), t1=(23.0, 23.0))
+        assert tr.clamped[0, 0]
+        assert tr.u[0, 0] == -1.0  # the bound, not the raw wish
 
     def test_divergence_names_the_building(self):
-        fleet = make_fleet(2, [24.0, 59.9])
-        cfg = FleetConfig(n_buildings=2)
-        blazing = DisturbanceSample(45.0, 2.0, 50.0)
-        with pytest.raises(PlantDivergenceError, match="building 1"):
-            coordinator_step(fleet, 0.0, blazing, cfg, 0.0, RESIDENTIAL)
+        states = np.array([[24.0, 24.0, 60.5], [24.0, 61.0, 24.0], [25.0, 25.0, 25.0]])
+        with pytest.raises(PlantDivergenceError, match="building 1 left the sane range at t = 0.5000 h"):
+            check_sane(states, 0.5)
+        check_sane(states[:, :1], 0.5)
 
-    def test_infeasible_step_pins_and_flags(self):
-        fleet = make_fleet(2, [24.0, 24.0])
-        cfg = FleetConfig(n_buildings=2)
-        rec = coordinator_step(fleet, 30.0, self.W, cfg, 0.0, RESIDENTIAL)
-        assert rec.infeasible
-        assert rec.p == [3.0, 3.0]
+    def test_infeasible_step_pins_and_flags(self, tmp_path):
+        tr = fleet_run(2, constant_pv(tmp_path, 30.0))
+        assert tr.infeasible.all()
+        assert np.all(tr.p == 3.0)

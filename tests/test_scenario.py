@@ -9,7 +9,6 @@ import pytest
 
 from pvflock import (
     ConfigurationError,
-    Estimator,
     Profile,
     ProfileError,
     ScenarioConfig,
@@ -168,7 +167,6 @@ class TestConfig:
         assert (cfg.comfort_low, cfg.comfort_high) == (22.0, 24.0)
         assert cfg.alpha == 5.0 and cfg.kp == 2.0
         assert cfg.window_capacity == 3
-        assert cfg.estimator is Estimator.ALGEBRAIC
         assert cfg.pv.kind == "synthetic" and cfg.pv.peak == 12.0
         assert cfg.building == scenario_building_defaults()
         assert cfg.building.c2 == 6000.0
@@ -196,7 +194,6 @@ class TestConfig:
             controller.alpha = 4
             controller.kp = 1.5
             controller.window_capacity = 5
-            controller.estimator = closed_loop
             building.c1 = 1200
             building.k5 = 0.2
             disturbance.d1_mean_c = 26
@@ -212,7 +209,6 @@ class TestConfig:
         assert cfg.fleet.n_buildings == 2 and cfg.fleet.epsilon == 0.5
         assert cfg.alpha == 4.0 and cfg.kp == 1.5
         assert cfg.window_capacity == 5
-        assert cfg.estimator is Estimator.CLOSED_LOOP
         assert cfg.building.c1 == 1200.0 and cfg.building.k5 == 0.2
         assert cfg.building.c3 == 4500.0  # untouched keys keep their defaults
         assert cfg.disturbance.d1_mean == 26.0 and cfg.disturbance.d3_day == 0.2
@@ -233,8 +229,17 @@ class TestConfig:
             parse_config_text("scenario.horizon_hours 72")
 
     def test_unknown_estimator_is_an_error(self):
-        with pytest.raises(ConfigurationError, match="estimator"):
-            parse_config_text("controller.estimator = ridge")
+        # there is one estimator, so choosing one is not a setting
+        for value in ("algebraic", "closed_loop"):
+            with pytest.raises(ConfigurationError, match="unknown config key 'controller.estimator'"):
+                parse_config_text(f"controller.estimator = {value}")
+
+    @pytest.mark.parametrize(
+        "line", ["controller.alpha = 0", "controller.kp = 0", "scenario.ramp_hours = -1"]
+    )
+    def test_bad_controller_settings_fail_at_load(self, line):
+        with pytest.raises(ConfigurationError):
+            parse_config_text(line)
 
     def test_horizon_must_sit_on_the_grid(self):
         with pytest.raises(ConfigurationError, match="multiple"):

@@ -113,19 +113,20 @@ class TestRunSimulation:
 class TestBuildFleet:
     def test_initial_conditions_follow_the_contract(self):
         cfg = small_cfg(seed=4)
-        fleet = build_fleet(cfg)
-        assert len(fleet) == 3
-        for _, state in fleet:
-            assert cfg.initial_t1_low <= state.t1 <= cfg.initial_t1_high
-            assert state.t2 == state.t1
-            assert state.t3 == state.t1 + 1.0
+        states = build_fleet(cfg)
+        assert states.shape == (3, 3)
+        t1, t2, t3 = states
+        assert np.all((cfg.initial_t1_low <= t1) & (t1 <= cfg.initial_t1_high))
+        assert np.array_equal(t2, t1)
+        assert np.array_equal(t3, t1 + 1.0)
+        assert np.array_equal(run_simulation(cfg).t1[0], t1)
 
     def test_seed_controls_the_draw(self):
-        t1_a = [s.t1 for _, s in build_fleet(small_cfg(seed=4))]
-        t1_b = [s.t1 for _, s in build_fleet(small_cfg(seed=4))]
-        t1_c = [s.t1 for _, s in build_fleet(small_cfg(seed=5))]
-        assert t1_a == t1_b
-        assert t1_a != t1_c
+        t1_a = build_fleet(small_cfg(seed=4))[0]
+        t1_b = build_fleet(small_cfg(seed=4))[0]
+        t1_c = build_fleet(small_cfg(seed=5))[0]
+        assert np.array_equal(t1_a, t1_b)
+        assert not np.array_equal(t1_a, t1_c)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +152,27 @@ class TestTraceSerialization:
         np.testing.assert_allclose(back.u, trace.u, rtol=1e-5, atol=1e-5)
         assert np.array_equal(back.infeasible, trace.infeasible)
         assert np.array_equal(back.clamped, trace.clamped)
+
+    def test_matches_a_cell_by_cell_writer(self, tmp_path):
+        # reference: format each cell on its own, row by row, building by building
+        rng = np.random.default_rng(11)
+        odd = manual_trace(t=[0.0, 1e-7, 123456.5], pv=[-0.0, 1e16, 2.5e-300],
+                           sum_p=[1.0, 999999.5, -3.25], t1=[23.0, -0.0, 1.0 / 3.0])
+        odd.u[:] = rng.normal(size=(3, 1)) * 1e5
+        odd.clamped[1] = True
+        for trace in (run_simulation(small_cfg()), odd):
+            lines = [trace_header(trace.n_buildings)]
+            for k in range(trace.n_steps):
+                row = [f"{v:.6g}" for v in (trace.t[k], trace.pv[k], trace.sum_p[k],
+                                             trace.band_lo[k], trace.band_hi[k])]
+                row.append(str(int(trace.infeasible[k])))
+                for i in range(trace.n_buildings):
+                    row += [f"{col[k, i]:.6g}" for col in (trace.t1, trace.t2, trace.t3, trace.u, trace.p)]
+                    row.append(str(int(trace.clamped[k, i])))
+                lines.append(",".join(row))
+            path = tmp_path / "trace.csv"
+            write_trace(trace, path)
+            assert path.read_text() == "\n".join(lines) + "\n"
 
     def test_lf_line_endings_and_flag_format(self, tmp_path):
         path = tmp_path / "trace.csv"
