@@ -8,14 +8,7 @@ CLI (simulate, cli).
 """
 
 from .control import estimate_f, ip_control, reference
-from .coordinator import (
-    BuildingBounds,
-    FleetConfig,
-    PowerBand,
-    clamp_to_bounds,
-    per_building_bounds,
-    power_band,
-)
+from .coordinator import FleetConfig, building_bounds, clamp_to_bounds
 from .errors import (
     ConfigurationError,
     PlantDivergenceError,
@@ -24,13 +17,10 @@ from .errors import (
 )
 from .plant import (
     BuildingParams,
-    BuildingState,
-    DisturbanceSample,
     build_matrices,
     check_sane,
     equilibrium,
     plant_derivative,
-    plant_step,
     rk4_fleet,
     rk4_fleet_reference,
 )
@@ -60,16 +50,12 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BuildingBounds",
     "BuildingParams",
-    "BuildingState",
     "ConfigurationError",
     "DisturbanceParams",
-    "DisturbanceSample",
     "FleetConfig",
     "MetricsReport",
     "PlantDivergenceError",
-    "PowerBand",
     "Profile",
     "ProfileError",
     "PvSourceConfig",
@@ -77,6 +63,7 @@ __all__ = [
     "ScenarioConfig",
     "SimulationTrace",
     "build_fleet",
+    "building_bounds",
     "build_matrices",
     "clamp_to_bounds",
     "check_sane",
@@ -87,10 +74,7 @@ __all__ = [
     "load_config",
     "load_profile_csv",
     "parse_config_text",
-    "per_building_bounds",
     "plant_derivative",
-    "plant_step",
-    "power_band",
     "read_trace",
     "reference",
     "rk4_fleet",

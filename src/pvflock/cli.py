@@ -17,6 +17,8 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .errors import PvflockError
 from .scenario import (
     DisturbanceParams,
@@ -108,25 +110,17 @@ def _cmd_gen_profile(args: argparse.Namespace) -> int:
     if args.horizon <= 0:
         raise PvflockError("--horizon must be positive")
     dist = DisturbanceParams()
-    if args.kind == "pv":
-        peak = 12.0 if args.peak is None else args.peak
-        value = lambda t: synth_pv(t, peak)
-    elif args.kind == "solar":
-        if args.peak is not None:
-            dist = replace(dist, d2_peak=args.peak)
-        value = lambda t: synth_disturbances(t, dist).d2
-    elif args.kind == "outdoor":
-        value = lambda t: synth_disturbances(t, dist).d1
-    else:  # internal
-        value = lambda t: synth_disturbances(t, dist).d3
+    if args.kind == "solar" and args.peak is not None:
+        dist = replace(dist, d2_peak=args.peak)
     dt = 1.0 / 6.0
-    steps = round(args.horizon / dt)
-    lines = ["t_hours,value"]
-    for k in range(steps + 1):
-        t = k * dt
-        # times in full (repr round-trips): at %.6g the grid stops looking
-        # uniform to the loader from 10 h on
-        lines.append(f"{t!r},{value(t):.6g}")
+    t = np.arange(round(args.horizon / dt) + 1) * dt
+    if args.kind == "pv":
+        values = synth_pv(t, 12.0 if args.peak is None else args.peak)
+    else:
+        values = synth_disturbances(t, dist)[:, ("outdoor", "solar", "internal").index(args.kind)]
+    # times in full (repr of the Python float round-trips): at %.6g the grid
+    # stops looking uniform to the loader from 10 h on
+    lines = ["t_hours,value"] + [f"{tk!r},{v:.6g}" for tk, v in zip(t.tolist(), values.tolist())]
     with open(args.out, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return 0

@@ -1,7 +1,7 @@
 """Fleet coordination: turn a PV profile into per-building power bounds.
 
-The aggregate target is a band around the current PV generation: when the
-plant produces pv > 0 kW the fleet's total consumption must land inside
+The aggregate target is a band around the PV generation: when the plant
+produces pv > 0 kW the fleet's total consumption must land inside
 [max(0, pv - epsilon), pv + epsilon].  With n identical buildings the band
 is divided evenly, so each building's electrical draw p = -u (COP 1, so
 thermal extraction and electrical consumption coincide in magnitude) is
@@ -17,10 +17,12 @@ is empty (PV so large that even hvac_max per building cannot absorb it)
 the bounds collapse to the nearest feasible point and the step is flagged
 infeasible.
 
-The bounds are the same for every building, so the clamp is one array
-operation over the fleet.  The simulation clamps each period's raw iP
-controls, integrates the plant under the clamped values and keeps those
-applied values for the estimator.
+The band depends on the PV output alone, never on the fleet's state, so
+building_bounds() computes it for a whole run at once, one entry per
+control period.  The bounds are the same for every building, so the clamp
+is one array operation over the fleet per period.  The simulation clamps
+each period's raw iP controls, integrates the plant under the clamped
+values and keeps those applied values for the estimator.
 """
 
 from __future__ import annotations
@@ -53,61 +55,43 @@ class FleetConfig:
             raise ConfigurationError("sample_dt must be positive")
 
 
-@dataclass(frozen=True)
-class PowerBand:
-    """Aggregate consumption band for one step (kW)."""
+def building_bounds(pv, cfg: FleetConfig):
+    """Aggregate band and per-building bounds for PV outputs pv (kW).
 
-    lower: float
-    upper: float
-    pv_active: bool
-
-
-@dataclass(frozen=True)
-class BuildingBounds:
-    """Per-building electrical bounds for one step (kW)."""
-
-    lower: float
-    upper: float
-    infeasible: bool = False
-
-
-def power_band(pv: float, epsilon: float) -> PowerBand:
-    """Aggregate band for the current PV output."""
-    if not (math.isfinite(pv) and pv >= 0):
-        raise ConfigurationError(f"pv must be finite and >= 0, got {pv}")
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise ConfigurationError("epsilon must be positive")
-    if pv == 0:
-        return PowerBand(lower=0.0, upper=0.0, pv_active=False)
-    return PowerBand(lower=max(0.0, pv - epsilon), upper=pv + epsilon, pv_active=True)
-
-
-def per_building_bounds(band: PowerBand, cfg: FleetConfig) -> BuildingBounds:
-    """Split the aggregate band evenly and intersect with the HVAC range."""
-    if not band.pv_active:
-        return BuildingBounds(lower=0.0, upper=cfg.hvac_max)
-    n = cfg.n_buildings
-    pv = band.upper - cfg.epsilon  # band.upper is always pv + epsilon
-    raw_lo = (pv - cfg.epsilon) / n
-    raw_hi = (pv + cfg.epsilon) / n
-    lo = max(0.0, raw_lo)
-    hi = min(raw_hi, cfg.hvac_max)
-    if lo > hi:
-        # PV beyond what the fleet can absorb: pin to the nearest limit.
-        if raw_lo > cfg.hvac_max:
-            return BuildingBounds(lower=cfg.hvac_max, upper=cfg.hvac_max, infeasible=True)
-        return BuildingBounds(lower=0.0, upper=0.0, infeasible=True)
-    return BuildingBounds(lower=lo, upper=hi)
+    Returns (band_lo, band_hi, lo, hi, infeasible), each shaped like pv:
+    the aggregate band, then every building's electrical bounds and whether
+    the even split could not fit the HVAC range.
+    """
+    pv = np.asarray(pv, dtype=float)
+    if not np.all(np.isfinite(pv) & (pv >= 0)):
+        raise ConfigurationError("pv must be finite and >= 0")
+    eps, hvac_max = cfg.epsilon, cfg.hvac_max
+    active = pv > 0
+    band_lo = np.where(active, np.maximum(0.0, pv - eps), 0.0)
+    band_hi = np.where(active, pv + eps, 0.0)
+    # split the pv recovered from the band's upper edge, which can differ
+    # from pv in the last bit
+    pv_band = band_hi - eps
+    raw_lo = (pv_band - eps) / cfg.n_buildings
+    raw_hi = (pv_band + eps) / cfg.n_buildings
+    # an inert band leaves the whole HVAC range, which is never infeasible
+    lo = np.where(active, np.maximum(0.0, raw_lo), 0.0)
+    hi = np.where(active, np.minimum(raw_hi, hvac_max), hvac_max)
+    infeasible = lo > hi
+    # PV beyond what the fleet can absorb: pin to the nearest limit
+    pinned = np.where(raw_lo > hvac_max, hvac_max, 0.0)
+    lo, hi = np.where(infeasible, pinned, lo), np.where(infeasible, pinned, hi)
+    return band_lo, band_hi, lo, hi, infeasible
 
 
-def clamp_to_bounds(u_raw, b: BuildingBounds):
+def clamp_to_bounds(u_raw, lo, hi):
     """Project raw thermal controls (one float or an array) onto the electrical bounds.
 
-    Returns (p, u_applied, clamped) with p = -u_applied in [b.lower, b.upper].
+    Returns (p, u_applied, clamped) with p = -u_applied in [lo, hi].
     A positive u_raw (a heating wish) maps to the smallest admissible draw.
     """
     if not np.all(np.isfinite(u_raw)):
         raise ConfigurationError("u_raw must be finite")
     p_want = -u_raw
-    p = np.minimum(np.maximum(p_want, b.lower), b.upper)
+    p = np.minimum(np.maximum(p_want, lo), hi)
     return p, -p, p != p_want

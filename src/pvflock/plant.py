@@ -1,4 +1,4 @@
-"""Three-state RC thermal model of one building.
+"""Three-state RC thermal model of the fleet's identical buildings.
 
 States are the room air temperature T1, an interior-mass temperature T2
 (floors, partitions, furnishings) and a wall-core temperature T3.  Inputs
@@ -26,6 +26,11 @@ period, the whole substep loop collapses to a single affine update
 x+ = x + S (A x + f); S is computed, and cached with A, B and C, once per
 parameter set and period.  The plain per-substep loop is retained as
 rk4_fleet_reference() and the two are cross-checked in the tests as well.
+
+Everything here takes plain arrays: one building's state is the length-3
+array (T1, T2, T3), a fleet is a (3, n) block with one column per building,
+and w is the length-3 disturbance held over the period.  A single building
+is simply a (3, 1) block.
 """
 
 from __future__ import annotations
@@ -55,54 +60,23 @@ class BuildingParams:
     k5: float = 23.04
 
     def __post_init__(self) -> None:
-        for name in ("c1", "c2", "c3"):
-            if not (getattr(self, name) > 0 and math.isfinite(getattr(self, name))):
-                raise ConfigurationError(f"{name} must be positive and finite")
-        for name in ("k1", "k2", "k4", "k5"):
+        for name in ("c1", "c2", "c3", "k1", "k2", "k4", "k5"):
             if not (getattr(self, name) > 0 and math.isfinite(getattr(self, name))):
                 raise ConfigurationError(f"{name} must be positive and finite")
 
 
-@dataclass
-class BuildingState:
-    """Node temperatures in degC."""
+def plant_derivative(x, u: float, w, p: BuildingParams) -> np.ndarray:
+    """Right-hand side in degC per hour, written straight from the ODEs.
 
-    t1: float
-    t2: float
-    t3: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.t1, self.t2, self.t3], dtype=float)
-
-
-@dataclass(frozen=True)
-class DisturbanceSample:
-    """Exogenous inputs at one instant: outdoor temp, solar gain, internal gain."""
-
-    d1: float
-    d2: float
-    d3: float
-
-    def __post_init__(self) -> None:
-        for name in ("d1", "d2", "d3"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"disturbance {name} must be finite")
-        if self.d2 < 0 or self.d3 < 0:
-            raise ConfigurationError("heat gains d2 and d3 must be >= 0")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.d1, self.d2, self.d3], dtype=float)
-
-
-def plant_derivative(
-    x: BuildingState, u: float, w: DisturbanceSample, p: BuildingParams
-) -> tuple[float, float, float]:
-    """Right-hand side in degC per hour, written straight from the ODEs."""
+    x = (T1, T2, T3) and w = (d1, d2, d3) are length-3 sequences.
+    """
+    t1, t2, t3 = x
+    d1, d2, d3 = w
     k12 = p.k1 + p.k2
-    dt1 = (k12 * (x.t2 - x.t1) + p.k5 * (x.t3 - x.t1) + u + w.d2 + w.d3) / p.c1
-    dt2 = (k12 * (x.t1 - x.t2) + w.d2) / p.c2
-    dt3 = (p.k5 * (x.t1 - x.t3) + p.k4 * (w.d1 - x.t3)) / p.c3
-    return 3600.0 * dt1, 3600.0 * dt2, 3600.0 * dt3
+    dt1 = (k12 * (t2 - t1) + p.k5 * (t3 - t1) + u + d2 + d3) / p.c1
+    dt2 = (k12 * (t1 - t2) + d2) / p.c2
+    dt3 = (p.k5 * (t1 - t3) + p.k4 * (d1 - t3)) / p.c3
+    return 3600.0 * np.array([dt1, dt2, dt3])
 
 
 def build_matrices(p: BuildingParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -167,33 +141,23 @@ def _transition_map(
 
 
 def rk4_fleet(
-    states: np.ndarray,
-    u: np.ndarray,
-    w: DisturbanceSample,
-    p: BuildingParams,
-    dt: float,
-    substeps: int,
+    states: np.ndarray, u: np.ndarray, w: np.ndarray, p: BuildingParams, dt: float, substeps: int
 ) -> np.ndarray:
     """Advance a (3, n) block of building states by dt hours under ZOH inputs.
 
-    All buildings share the parameter set and the disturbance; u is one
-    control per building.  Returns a new array.  Evaluates the classical
+    All buildings share the parameter set and the disturbance w = (d1, d2,
+    d3); u is one control per building.  Returns a new array.  Evaluates the classical
     RK4 substep recursion through the precomputed transition map.
     """
     if substeps < 1:
         raise ConfigurationError("substeps must be >= 1")
     a, b, c, s = _transition_map(p, float(dt), int(substeps))
-    forcing = (b[:, None] * u[None, :]) + (c @ w.as_array())[:, None]
+    forcing = (b[:, None] * u[None, :]) + (c @ w)[:, None]
     return states + s @ (a @ states + forcing)
 
 
 def rk4_fleet_reference(
-    states: np.ndarray,
-    u: np.ndarray,
-    w: DisturbanceSample,
-    p: BuildingParams,
-    dt: float,
-    substeps: int,
+    states: np.ndarray, u: np.ndarray, w: np.ndarray, p: BuildingParams, dt: float, substeps: int
 ) -> np.ndarray:
     """Plain per-substep RK4 loop, kept as an independent route.
 
@@ -203,7 +167,7 @@ def rk4_fleet_reference(
     if substeps < 1:
         raise ConfigurationError("substeps must be >= 1")
     a, b, c = build_matrices(p)
-    forcing = (b[:, None] * u[None, :]) + (c @ w.as_array())[:, None]
+    forcing = (b[:, None] * u[None, :]) + (c @ w)[:, None]
 
     def deriv(x: np.ndarray) -> np.ndarray:
         return a @ x + forcing
@@ -217,22 +181,6 @@ def rk4_fleet_reference(
         k4 = deriv(x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return x
-
-
-def plant_step(
-    x: BuildingState,
-    u: float,
-    w: DisturbanceSample,
-    p: BuildingParams,
-    dt: float,
-    substeps: int = 10,
-) -> BuildingState:
-    """One ZOH control period of RK4 integration for a single building."""
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ConfigurationError("dt must be positive and finite")
-    out = rk4_fleet(x.as_array()[:, None], np.array([u], dtype=float), w, p, dt, substeps)
-    check_sane(out)
-    return BuildingState(t1=float(out[0, 0]), t2=float(out[1, 0]), t3=float(out[2, 0]))
 
 
 def check_sane(states: np.ndarray, t: float | None = None) -> None:
@@ -249,10 +197,7 @@ def check_sane(states: np.ndarray, t: float | None = None) -> None:
         )
 
 
-def equilibrium(
-    u: float, w: DisturbanceSample, p: BuildingParams
-) -> BuildingState:
-    """Steady state for constant inputs: x = -A^-1 (B u + C w)."""
+def equilibrium(u: float, w, p: BuildingParams) -> np.ndarray:
+    """Steady state (T1, T2, T3) for constant inputs: x = -A^-1 (B u + C w)."""
     a, b, c = build_matrices(p)
-    x = np.linalg.solve(a, -(b * u + c @ w.as_array()))
-    return BuildingState(t1=float(x[0]), t2=float(x[1]), t3=float(x[2]))
+    return np.linalg.solve(a, -(b * u + c @ w))

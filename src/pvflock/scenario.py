@@ -9,7 +9,10 @@ The synthetic day used by the fleet simulations:
 
 with h = t mod 24.  Real measurements can replace the PV shape through a
 two-column CSV (header "t_hours,value", uniform time grid, linear
-interpolation between rows).
+interpolation between rows).  None of these inputs depends on the fleet's
+state, so a run evaluates each one once over its whole time grid: the
+synthetic functions and Profile.value_at take an array of times, and a
+profile that does not cover the grid fails before anything is simulated.
 
 The fleet's default building is a residential-scale realization of the RC
 structure in plant.py, sized so that a 0..3 kW cooling unit has real
@@ -33,7 +36,7 @@ import numpy as np
 
 from .coordinator import FleetConfig
 from .errors import ConfigurationError, ProfileError
-from .plant import BuildingParams, DisturbanceSample
+from .plant import BuildingParams
 
 
 def scenario_building_defaults() -> BuildingParams:
@@ -67,26 +70,30 @@ class DisturbanceParams:
             raise ConfigurationError("gain magnitudes must be >= 0")
 
 
-def _solar_shape(h: float) -> float:
-    if not 6.0 <= h <= 20.0:
-        return 0.0
-    return max(0.0, math.sin(math.pi * (h - 6.0) / 14.0)) ** 2
+def _solar_shape(h):
+    """The daylight bell max(0, sin(pi (h - 6) / 14))^2 on [6, 20] h, else 0."""
+    bell = np.maximum(0.0, np.sin(math.pi * (h - 6.0) / 14.0)) ** 2
+    return np.where((h >= 6.0) & (h <= 20.0), bell, 0.0)
 
 
-def synth_disturbances(t: float, params: DisturbanceParams) -> DisturbanceSample:
-    """Disturbance triple at time t (hours, 24 h periodic)."""
-    h = t % 24.0
-    d1 = params.d1_mean + params.d1_amp * math.sin(2.0 * math.pi * (h - 9.0) / 24.0)
+def synth_disturbances(t, params: DisturbanceParams) -> np.ndarray:
+    """Disturbances (d1, d2, d3) at times t (hours, 24 h periodic).
+
+    t may be one time or an array of them; the result has one trailing
+    axis of length 3, so an array of times gives a (len(t), 3) table.
+    """
+    h = np.mod(t, 24.0)
+    d1 = params.d1_mean + params.d1_amp * np.sin(2.0 * math.pi * (h - 9.0) / 24.0)
     d2 = params.d2_peak * _solar_shape(h)
-    d3 = params.d3_day if 8.0 <= h <= 18.0 else params.d3_night
-    return DisturbanceSample(d1=d1, d2=d2, d3=d3)
+    d3 = np.where((h >= 8.0) & (h <= 18.0), params.d3_day, params.d3_night)
+    return np.stack([d1, d2, d3], axis=-1)
 
 
-def synth_pv(t: float, peak: float) -> float:
-    """Synthetic PV output (kW) at time t, same bell as the solar gain."""
+def synth_pv(t, peak: float):
+    """Synthetic PV output (kW) at times t, same bell as the solar gain."""
     if not (peak >= 0 and math.isfinite(peak)):
         raise ConfigurationError("pv peak must be >= 0 and finite")
-    return peak * _solar_shape(t % 24.0)
+    return peak * _solar_shape(np.mod(t, 24.0))
 
 
 class Profile:
@@ -111,11 +118,15 @@ class Profile:
     def span(self) -> tuple[float, float]:
         return float(self.t[0]), float(self.t[-1])
 
-    def value_at(self, t: float) -> float:
+    def value_at(self, t):
+        """Interpolated values at times t (one time or an array of them)."""
         lo, hi = self.span
-        if t < lo or t > hi:
-            raise ProfileError(f"query t = {t} h outside the profile span [{lo}, {hi}] h")
-        return float(np.interp(t, self.t, self.values))
+        t = np.asarray(t, dtype=float)
+        outside = (t < lo) | (t > hi)
+        if outside.any():
+            first = float(t[outside][0])
+            raise ProfileError(f"query t = {first} h outside the profile span [{lo}, {hi}] h")
+        return np.interp(t, self.t, self.values)
 
 
 def load_profile_csv(path: str | Path, *, non_negative: bool = False) -> Profile:

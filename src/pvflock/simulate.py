@@ -1,8 +1,12 @@
 """Fleet simulation driver, trace serialization and scenario metrics.
 
-A run marches N identical buildings at the control rate, one array step per
-control period: the iP law on every building's air temperature, one split
-of the PV band, one clamp and one RK4 update of the (3, N) state block.
+A run first computes every input that does not depend on the fleet's state,
+one column each over the whole time grid: the times, the PV output, the
+aggregate band with the per-building bounds, and the (steps, 3) disturbance
+table.  It then marches N identical buildings at the control rate, one array
+step per control period: the iP law on every building's air temperature,
+one clamp onto that period's bounds and one RK4 update of the (3, N) state
+block.
 Initial air temperatures are drawn uniformly from the configured range with
 a seeded generator; interior mass starts at the air temperature and the wall
 core one degree above, so a hot start really is a hot building.
@@ -18,22 +22,17 @@ A (config, seed) pair fully determines every byte of the trace.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .control import estimate_f, ip_control, reference
-from .coordinator import clamp_to_bounds, per_building_bounds, power_band
+from .coordinator import building_bounds, clamp_to_bounds
 from .errors import ProfileError
 from .plant import check_sane, rk4_fleet
-from .scenario import (
-    Profile,
-    ScenarioConfig,
-    load_profile_csv,
-    synth_disturbances,
-    synth_pv,
-)
+from .scenario import ScenarioConfig, load_profile_csv, synth_disturbances, synth_pv
 
 
 @dataclass
@@ -70,16 +69,6 @@ def build_fleet(cfg: ScenarioConfig) -> np.ndarray:
     return np.stack([t1, t1, t1 + 1.0])
 
 
-def _pv_lookup(cfg: ScenarioConfig):
-    if cfg.pv.kind == "off":
-        return lambda t: 0.0
-    if cfg.pv.kind == "csv":
-        profile: Profile = load_profile_csv(cfg.pv.csv_path, non_negative=True)
-        return profile.value_at
-    peak = cfg.pv.peak
-    return lambda t: synth_pv(t, peak)
-
-
 def run_simulation(cfg: ScenarioConfig, seed: int | None = None) -> SimulationTrace:
     """Run the configured scenario; an explicit seed overrides the config's.
 
@@ -90,14 +79,23 @@ def run_simulation(cfg: ScenarioConfig, seed: int | None = None) -> SimulationTr
         cfg = replace(cfg, seed=seed)
     n, steps, dt = cfg.fleet.n_buildings, cfg.n_steps, cfg.fleet.sample_dt
     c = cfg.window_capacity
+    t = np.arange(steps) * dt
+    if cfg.pv.kind == "csv":
+        pv = load_profile_csv(cfg.pv.csv_path, non_negative=True).value_at(t)
+    elif cfg.pv.kind == "synthetic":
+        pv = synth_pv(t, cfg.pv.peak)
+    else:
+        pv = np.zeros(steps)
+    band_lo, band_hi, lo, hi, infeasible = building_bounds(pv, cfg.fleet)
+    w = synth_disturbances(t, cfg.disturbance)
     tr = SimulationTrace(
         n_buildings=n,
-        t=np.arange(steps) * dt,
-        pv=np.zeros(steps),
+        t=t,
+        pv=pv,
         sum_p=np.zeros(steps),
-        band_lo=np.zeros(steps),
-        band_hi=np.zeros(steps),
-        infeasible=np.zeros(steps, dtype=bool),
+        band_lo=band_lo,
+        band_hi=band_hi,
+        infeasible=infeasible,
         t1=np.zeros((steps, n)),
         t2=np.zeros((steps, n)),
         t3=np.zeros((steps, n)),
@@ -107,26 +105,18 @@ def run_simulation(cfg: ScenarioConfig, seed: int | None = None) -> SimulationTr
     )
     states = build_fleet(cfg)
     y0 = states[0]
-    pv_at = _pv_lookup(cfg)
     for k in range(steps):
-        t = k * dt
-        pv = pv_at(t)
-        band = power_band(pv, cfg.fleet.epsilon)
-        bounds = per_building_bounds(band, cfg.fleet)
-        y_ref, y_ref_dot = reference(t, y0, cfg.setpoint, cfg.ramp_hours)
+        y_ref, y_ref_dot = reference(t[k], y0, cfg.setpoint, cfg.ramp_hours)
         # the estimator window is the last c rows of the measured T1 and applied u
         f_hat = (
-            estimate_f(tr.t[k - c:k], tr.t1[k - c:k], tr.u[k - c:k], cfg.alpha, dt)
+            estimate_f(t[k - c:k], tr.t1[k - c:k], tr.u[k - c:k], cfg.alpha, dt)
             if k >= c else 0.0
         )
         u_raw = ip_control(f_hat, y_ref_dot, states[0] - y_ref, cfg.alpha, cfg.kp)
-        tr.p[k], tr.u[k], tr.clamped[k] = clamp_to_bounds(u_raw, bounds)
-        tr.pv[k], tr.band_lo[k], tr.band_hi[k] = pv, band.lower, band.upper
-        tr.infeasible[k] = bounds.infeasible
+        tr.p[k], tr.u[k], tr.clamped[k] = clamp_to_bounds(u_raw, lo[k], hi[k])
         tr.t1[k], tr.t2[k], tr.t3[k] = states
-        w = synth_disturbances(t, cfg.disturbance)
-        states = rk4_fleet(states, tr.u[k], w, cfg.building, dt, cfg.substeps)
-        check_sane(states, t + dt)
+        states = rk4_fleet(states, tr.u[k], w[k], cfg.building, dt, cfg.substeps)
+        check_sane(states, t[k] + dt)
     # summed left to right, building by building: numpy's pairwise sum can
     # differ in the last bit, which %.6g occasionally shows
     tr.sum_p[:] = np.cumsum(tr.p, axis=1)[:, -1]
@@ -257,32 +247,29 @@ def read_trace(path: str | Path) -> SimulationTrace:
     """Load a trace CSV back into arrays (used by the metrics subcommand)."""
     path = Path(path)
     try:
-        text = path.read_text()
+        with open(path) as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            try:
+                with warnings.catch_warnings():
+                    # a header-only trace is empty, which loadtxt warns about
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError:
+                data = None
     except OSError as exc:
         raise ProfileError(f"cannot read trace {path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    if header == [""]:
         raise ProfileError(f"{path}: empty file, not a trace")
-    header = lines[0].split(",")
-    if len(header) < 6 or header[:6] != [
-        "t_hours", "pv_kw", "sum_p_kw", "band_lo_kw", "band_hi_kw", "infeasible",
-    ]:
+    if header[:6] != ["t_hours", "pv_kw", "sum_p_kw", "band_lo_kw", "band_hi_kw", "infeasible"]:
         raise ProfileError(f"{path}: unrecognized trace header")
     per_building = len(header) - 6
     if per_building % 6 != 0:
         raise ProfileError(f"{path}: trace header has a partial building group")
+    if data is None or (data.size and data.shape[1] != len(header)):
+        raise ProfileError(_first_bad_row(path, len(header)))
+    data = data.reshape(-1, len(header))  # a header-only trace reads as (0, 1)
     n = per_building // 6
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise ProfileError(f"{path}:{lineno}: expected {len(header)} fields")
-        try:
-            rows.append([float(x) for x in parts])
-        except ValueError as exc:
-            raise ProfileError(f"{path}:{lineno}: non-numeric field: {exc}") from exc
-    data = np.array(rows, dtype=float) if rows else np.zeros((0, len(header)))
-    group = data[:, 6:].reshape(len(rows), n, 6) if n else np.zeros((len(rows), 0, 6))
+    group = data[:, 6:].reshape(len(data), n, 6)
     return SimulationTrace(
         n_buildings=n,
         t=data[:, 0],
@@ -298,3 +285,23 @@ def read_trace(path: str | Path) -> SimulationTrace:
         p=group[:, :, 4],
         clamped=group[:, :, 5] != 0,
     )
+
+
+def _first_bad_row(path: Path, width: int) -> str:
+    """Name the first data line of a trace that is not `width` numbers.
+
+    Only runs once parsing has failed.  loadtxt's own messages count rows
+    without the header and, for a bad number, without blank lines.
+    """
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if lineno == 1 or not line.strip():
+                continue
+            parts = line.split(",")
+            if len(parts) != width:
+                return f"{path}:{lineno}: expected {width} fields"
+            try:
+                [float(x) for x in parts]
+            except ValueError as exc:
+                return f"{path}:{lineno}: non-numeric field: {exc}"
+    return f"{path}: unreadable trace"

@@ -19,14 +19,15 @@ from pvflock import (
     PvSourceConfig,
     ScenarioConfig,
     build_matrices,
+    building_bounds,
+    check_sane,
     clamp_to_bounds,
     compute_metrics,
     equilibrium,
     estimate_f,
     ip_control,
-    per_building_bounds,
     plant_derivative,
-    power_band,
+    rk4_fleet,
     run_simulation,
 )
 
@@ -169,40 +170,40 @@ def test_criterion_5_error_contracts_at_two_thirds_per_period():
 
 
 def test_criterion_6_plant_integration_matches_adaptive_reference():
-    """24 h of chained plant_step calls stays within 1e-6 degC of a 1e-10
-    adaptive reference, and the uniform state (T_out, T_out, T_out) with the
-    HVAC off and no gains is a bitwise-exact fixed point of plant_step."""
-    from pvflock import BuildingState, DisturbanceSample, plant_step
-
+    """24 h of chained rk4_fleet periods on one building stays within 1e-6
+    degC of a 1e-10 adaptive reference, and the uniform state (T_out, T_out,
+    T_out) with the HVAC off and no gains is a bitwise-exact fixed point."""
     p = BuildingParams()  # literature constants
-    w = DisturbanceSample(30.0, 0.1, 1.0)
-    x0 = BuildingState(24.0, 23.0, 26.0)
+    w = np.array([30.0, 0.1, 1.0])  # (d1, d2, d3)
+    x0 = np.array([24.0, 23.0, 26.0])  # (T1, T2, T3)
     a, b, c = build_matrices(p)
-    forcing = b * (-2.0) + c @ w.as_array()
+    forcing = b * (-2.0) + c @ w
     sol = solve_ivp(
-        lambda t, x: a @ x + forcing, (0.0, 24.0), x0.as_array(),
+        lambda t, x: a @ x + forcing, (0.0, 24.0), x0,
         rtol=1e-10, atol=1e-10,
     )
-    state = x0
+    state = x0[:, None]  # one building is a (3, 1) block
     for _ in range(144):
-        state = plant_step(state, -2.0, w, p, DT, 10)
-    diff = float(np.max(np.abs(state.as_array() - sol.y[:, -1])))
+        state = rk4_fleet(state, np.array([-2.0]), w, p, DT, 10)
+        check_sane(state)
+    diff = float(np.max(np.abs(state[:, 0] - sol.y[:, -1])))
     assert diff < 1e-6
 
     # with no HVAC, sun, or occupants, a building at outdoor temperature
     # must stay there exactly — 24 h of steps may not move a single bit
     t_out = 30.0
-    calm = DisturbanceSample(t_out, 0.0, 0.0)
-    uniform = BuildingState(t_out, t_out, t_out)
+    calm = np.array([t_out, 0.0, 0.0])
+    uniform = np.full((3, 1), t_out)
     for _ in range(144):
-        uniform = plant_step(uniform, 0.0, calm, p, DT, 10)
-    assert (uniform.t1, uniform.t2, uniform.t3) == (t_out, t_out, t_out)
+        uniform = rk4_fleet(uniform, np.array([0.0]), calm, p, DT, 10)
+        check_sane(uniform)
+    assert uniform[:, 0].tolist() == [t_out, t_out, t_out]
 
     eq = equilibrium(-2.0, w, p)
-    resid = max(abs(v) for v in plant_derivative(eq, -2.0, w, p))
+    resid = float(np.max(np.abs(plant_derivative(eq, -2.0, w, p))))
     assert resid < 1e-9
     print(
-        f"\n[acceptance] criterion 6 PASS — 24 h plant_step off by "
+        f"\n[acceptance] criterion 6 PASS — 24 h of rk4_fleet off by "
         f"{diff:.2e} degC (< 1e-6) from the 1e-10 reference; uniform "
         f"equilibrium preserved bitwise; analytic equilibrium residual "
         f"{resid:.2e} degC/h"
@@ -223,31 +224,32 @@ def test_criterion_7_band_decomposition_over_random_cases():
         epsilon = float(rng.uniform(0.1, 4.0))
         n = int(rng.integers(1, 26))
         cfg = FleetConfig(n_buildings=n, epsilon=epsilon, hvac_max=hvac_max)
-        band = power_band(pv, epsilon)
-        bounds = per_building_bounds(band, cfg)
+        band_lo, band_hi, lo, hi, infeasible = (
+            col.item() for col in building_bounds(pv, cfg)
+        )
 
-        if not band.pv_active:
-            assert bounds.lower == 0.0 and bounds.upper == hvac_max
+        if pv == 0:
+            assert (band_lo, band_hi, lo, hi, infeasible) == (0.0, 0.0, 0.0, hvac_max, False)
             continue
 
         # independent feasibility predicate from the raw even split
         raw_lo = (pv - epsilon) / n
         raw_hi = (pv + epsilon) / n
         expect_infeasible = max(0.0, raw_lo) > min(raw_hi, hvac_max)
-        assert bounds.infeasible == expect_infeasible
-        if bounds.infeasible:
+        assert infeasible == expect_infeasible
+        if infeasible:
             infeasible_seen += 1
             continue
 
         draws = rng.uniform(-6.0, 6.0, size=n)
         total = 0.0
         for u_raw in draws:
-            p_i, u_i, _ = clamp_to_bounds(float(u_raw), bounds)
+            p_i, u_i, _ = clamp_to_bounds(float(u_raw), lo, hi)
             assert -1e-12 <= p_i <= hvac_max + 1e-12
             assert u_i == -p_i
             total += p_i
         slack = 1e-9 * max(1.0, pv)
-        assert band.lower - slack <= total <= band.upper + slack
+        assert band_lo - slack <= total <= band_hi + slack
     assert infeasible_seen > 0  # the random sweep exercised the flag path
     print(
         f"\n[acceptance] criterion 7 PASS — {cases} random band splits: sums "

@@ -18,6 +18,10 @@ PINNED_TRACE_SHA256 = {
     "fleet14": "95b4812ed62433a786fb80ce9dd0b397f0f59749311309d91d419e2ed1a4544b",
     "regulation_only": "341b938dfa7685c7ff7c7d1d6820e2f3ac1f9704eebcb2151427d581d8deeb3c",
 }
+#: sha256 of `pvflock gen-profile pv <out>` with default flags
+PINNED_PV_PROFILE_SHA256 = "64f672b0ba6cbf5601d029107750c2b927e7f194360e33da082c506fb8c8b990"
+#: sha256 of the trace of configs/default.cfg at seed 1 with PV read from that profile
+PINNED_CSV_PV_TRACE_SHA256 = "c70c3bed5c21777a9f10bdb30f97142c05b09e3dcf8e238c1ee01b0efbc6030e"
 
 SMALL = """
 scenario.horizon_hours = 2
@@ -82,6 +86,18 @@ class TestRun:
         out = tmp_path / "trace.csv"
         assert main(["run", str(CONFIGS / f"{name}.cfg"), "--out", str(out), "--quiet"]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_TRACE_SHA256[name]
+
+    def test_csv_pv_trace_bytes_are_pinned(self, config_file, tmp_path):
+        # the default profile's bytes pin the time column too: a numpy scalar
+        # repr there would read "np.float64(...)"
+        profile = tmp_path / "pv.csv"
+        assert main(["gen-profile", "pv", str(profile)]) == 0
+        assert hashlib.sha256(profile.read_bytes()).hexdigest() == PINNED_PV_PROFILE_SHA256
+        text = (CONFIGS / "default.cfg").read_text()
+        cfg = config_file(text + f"\npv.source = csv\npv.csv_path = {profile}\n")
+        out = tmp_path / "trace.csv"
+        assert main(["run", str(cfg), "--out", str(out), "--seed", "1", "--quiet"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CSV_PV_TRACE_SHA256
 
 
 class TestSeedResolution:

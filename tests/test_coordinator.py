@@ -10,89 +10,99 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pvflock import (
-    BuildingBounds,
     ConfigurationError,
     FleetConfig,
     PlantDivergenceError,
     PvSourceConfig,
     ScenarioConfig,
+    building_bounds,
     check_sane,
     clamp_to_bounds,
-    per_building_bounds,
-    power_band,
     run_simulation,
 )
 
 CFG = FleetConfig()  # 13 buildings, epsilon 1, hvac_max 3, dt 1/6
 
 
+def bounds_at(pv: float, cfg: FleetConfig = CFG):
+    """building_bounds for one PV value: (band_lo, band_hi, lo, hi, infeasible)."""
+    return tuple(col.item() for col in building_bounds(pv, cfg))
+
+
 # ---------------------------------------------------------------------------
-# aggregate band
+# aggregate band: the first two columns of building_bounds
 
 class TestPowerBand:
     def test_inactive_when_pv_zero(self):
-        band = power_band(0.0, 1.0)
-        assert (band.lower, band.upper, band.pv_active) == (0.0, 0.0, False)
+        assert bounds_at(0.0)[:2] == (0.0, 0.0)
 
     def test_symmetric_band_when_pv_clears_epsilon(self):
-        band = power_band(5.0, 1.0)
-        assert (band.lower, band.upper, band.pv_active) == (4.0, 6.0, True)
+        assert bounds_at(5.0)[:2] == (4.0, 6.0)
 
     def test_lower_edge_clips_at_zero(self):
-        band = power_band(0.5, 1.0)
-        assert (band.lower, band.upper) == (0.0, 1.5)
+        assert bounds_at(0.5)[:2] == (0.0, 1.5)
 
     def test_rejects_negative_or_non_finite_pv(self):
-        with pytest.raises(ConfigurationError):
-            power_band(-0.1, 1.0)
-        with pytest.raises(ConfigurationError):
-            power_band(math.inf, 1.0)
+        for bad in (-0.1, math.inf, math.nan):
+            with pytest.raises(ConfigurationError):
+                building_bounds(bad, CFG)
+            # one bad period anywhere in the run's column is enough
+            with pytest.raises(ConfigurationError):
+                building_bounds(np.array([0.0, 5.0, bad, 1.0]), CFG)
 
     def test_rejects_bad_epsilon(self):
-        with pytest.raises(ConfigurationError):
-            power_band(1.0, 0.0)
+        # the band takes its epsilon from the fleet config, which checks it
+        for bad in (0.0, -1.0, math.inf):
+            with pytest.raises(ConfigurationError):
+                FleetConfig(epsilon=bad)
 
 
 # ---------------------------------------------------------------------------
-# per-building split
+# per-building split: the last three columns of building_bounds
 
 class TestPerBuildingBounds:
     def test_inactive_band_frees_the_hvac_range(self):
-        b = per_building_bounds(power_band(0.0, CFG.epsilon), CFG)
-        assert b == BuildingBounds(lower=0.0, upper=3.0, infeasible=False)
+        assert bounds_at(0.0)[2:] == (0.0, 3.0, False)
 
     def test_even_split_at_the_headline_fleet_point(self):
         # pv = 13 kW over 13 buildings: each gets [12/13, 14/13]
-        b = per_building_bounds(power_band(13.0, CFG.epsilon), CFG)
-        assert b.lower == pytest.approx(12.0 / 13.0, rel=1e-12)
-        assert b.upper == pytest.approx(14.0 / 13.0, rel=1e-12)
-        assert not b.infeasible
+        _, _, lo, hi, infeasible = bounds_at(13.0)
+        assert lo == pytest.approx(12.0 / 13.0, rel=1e-12)
+        assert hi == pytest.approx(14.0 / 13.0, rel=1e-12)
+        assert not infeasible
 
     def test_lower_edge_clips_at_zero(self):
-        b = per_building_bounds(power_band(0.5, CFG.epsilon), CFG)
-        assert b.lower == 0.0
-        assert b.upper == pytest.approx(1.5 / 13.0)
+        _, _, lo, hi, _ = bounds_at(0.5)
+        assert lo == 0.0
+        assert hi == pytest.approx(1.5 / 13.0)
 
     def test_upper_edge_clips_at_hvac_max(self):
         cfg = FleetConfig(n_buildings=2, epsilon=1.0, hvac_max=3.0)
-        b = per_building_bounds(power_band(5.5, cfg.epsilon), cfg)
-        assert b.lower == pytest.approx(2.25)
-        assert b.upper == pytest.approx(3.0)
-        assert not b.infeasible
+        _, _, lo, hi, infeasible = bounds_at(5.5, cfg)
+        assert lo == pytest.approx(2.25)
+        assert hi == pytest.approx(3.0)
+        assert not infeasible
 
     def test_oversized_pv_is_flagged_infeasible(self):
         # 70 kW over 14 buildings wants >= 69/14 kW each, beyond hvac_max
-        cfg = FleetConfig(n_buildings=14)
-        b = per_building_bounds(power_band(70.0, cfg.epsilon), cfg)
-        assert b == BuildingBounds(lower=3.0, upper=3.0, infeasible=True)
+        assert bounds_at(70.0, FleetConfig(n_buildings=14))[2:] == (3.0, 3.0, True)
 
     def test_widening_epsilon_widens_the_interval(self):
         for eps_small, eps_big in [(0.5, 1.0), (1.0, 2.0)]:
-            cfg_s = FleetConfig(epsilon=eps_small)
-            cfg_b = FleetConfig(epsilon=eps_big)
-            small = per_building_bounds(power_band(8.0, eps_small), cfg_s)
-            big = per_building_bounds(power_band(8.0, eps_big), cfg_b)
-            assert big.lower <= small.lower and big.upper >= small.upper
+            small = bounds_at(8.0, FleetConfig(epsilon=eps_small))
+            big = bounds_at(8.0, FleetConfig(epsilon=eps_big))
+            assert big[2] <= small[2] and big[3] >= small[3]
+
+    def test_run_column_matches_one_period_at_a_time(self):
+        # a whole run's column, with inert, clipped, split and infeasible
+        # periods, gives each period what a call on that period alone gives
+        cfg = FleetConfig(n_buildings=2)
+        pv = np.array([0.0, 0.5, 3.0, 5.5, 5.0 + 1e-15, 7.5, 30.0, 0.0])
+        columns = building_bounds(pv, cfg)
+        assert all(col.shape == pv.shape for col in columns)
+        assert columns[4].dtype == bool
+        for k, value in enumerate(pv):
+            assert tuple(col[k] for col in columns) == bounds_at(value, cfg)
 
     @given(
         pv=st.floats(0.01, 60.0),
@@ -103,15 +113,13 @@ class TestPerBuildingBounds:
     def test_summed_clamps_stay_inside_the_aggregate_band(self, pv, epsilon, n, draws):
         # the whole coordination argument: n values from the per-building
         # interval can never leave the aggregate band
-        cfg = FleetConfig(n_buildings=n, epsilon=epsilon)
-        band = power_band(pv, epsilon)
-        bounds = per_building_bounds(band, cfg)
-        if bounds.infeasible:
+        band_lo, band_hi, lo, hi, infeasible = bounds_at(pv, FleetConfig(n_buildings=n, epsilon=epsilon))
+        if infeasible:
             return
         draws = (draws * n)[:n]
-        total = sum(clamp_to_bounds(-want, bounds)[0] for want in draws)
+        total = sum(clamp_to_bounds(-want, lo, hi)[0] for want in draws)
         slack = 1e-9 * max(1.0, pv)
-        assert band.lower - slack <= total <= band.upper + slack
+        assert band_lo - slack <= total <= band_hi + slack
 
 
 # ---------------------------------------------------------------------------
@@ -119,27 +127,27 @@ class TestPerBuildingBounds:
 
 class TestClampToBounds:
     def test_inside_passes_through(self):
-        p, u, clamped = clamp_to_bounds(-2.0, BuildingBounds(0.0, 3.0))
+        p, u, clamped = clamp_to_bounds(-2.0, 0.0, 3.0)
         assert (p, u, clamped) == (2.0, -2.0, False)
 
     def test_overdraw_clamps_to_upper(self):
-        p, u, clamped = clamp_to_bounds(-5.0, BuildingBounds(0.0, 3.0))
+        p, u, clamped = clamp_to_bounds(-5.0, 0.0, 3.0)
         assert (p, u, clamped) == (3.0, -3.0, True)
 
     def test_heating_wish_maps_to_minimum_draw(self):
         lo = 12.0 / 13.0
-        p, u, clamped = clamp_to_bounds(0.5, BuildingBounds(lo, 14.0 / 13.0))
+        p, u, clamped = clamp_to_bounds(0.5, lo, 14.0 / 13.0)
         assert p == pytest.approx(lo)
         assert u == pytest.approx(-lo)
         assert clamped
 
     def test_boundary_is_not_a_clamp(self):
-        p, u, clamped = clamp_to_bounds(-3.0, BuildingBounds(0.0, 3.0))
+        p, u, clamped = clamp_to_bounds(-3.0, 0.0, 3.0)
         assert (p, clamped) == (3.0, False)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ConfigurationError):
-            clamp_to_bounds(math.nan, BuildingBounds(0.0, 3.0))
+            clamp_to_bounds(math.nan, 0.0, 3.0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,12 @@ from scipy.linalg import expm
 
 from pvflock import (
     BuildingParams,
-    BuildingState,
     ConfigurationError,
-    DisturbanceSample,
+    DisturbanceParams,
     PlantDivergenceError,
     build_matrices,
     equilibrium,
     plant_derivative,
-    plant_step,
     rk4_fleet,
     rk4_fleet_reference,
 )
@@ -35,8 +33,9 @@ from pvflock.plant import SANITY_RANGE, check_sane
 RESIDENTIAL = BuildingParams(
     c1=1500.0, c2=6000.0, c3=4500.0, k1=0.25, k2=0.65, k4=0.035, k5=0.12
 )
-W0 = DisturbanceSample(30.0, 0.1, 1.0)
-X0 = BuildingState(24.0, 23.0, 26.0)
+W0 = np.array([30.0, 0.1, 1.0])  # (d1, d2, d3)
+X0 = np.array([24.0, 23.0, 26.0])  # (T1, T2, T3)
+ZERO = np.zeros(3)
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +71,9 @@ class TestDerivative:
             for _ in range(25):
                 x = rng.uniform(10, 40, 3)
                 u = rng.uniform(-3, 1)
-                w = DisturbanceSample(*rng.uniform([0, 0, 0], [45, 2, 2]))
-                direct = plant_derivative(BuildingState(*x), u, w, p)
-                matrix = a @ x + b * u + c @ w.as_array()
+                w = rng.uniform([0, 0, 0], [45, 2, 2])
+                direct = plant_derivative(x, u, w, p)
+                matrix = a @ x + b * u + c @ w
                 np.testing.assert_allclose(direct, matrix, rtol=1e-12, atol=1e-14)
 
     def test_uniform_temperature_is_stationary_without_gains(self):
@@ -82,11 +81,8 @@ class TestDerivative:
         # nothing moves (row sums of A cancel against the d1 column of C)
         for p in (BuildingParams(), RESIDENTIAL):
             for theta in (0.0, 23.0, 41.5):
-                d = plant_derivative(
-                    BuildingState(theta, theta, theta), 0.0,
-                    DisturbanceSample(theta, 0.0, 0.0), p,
-                )
-                assert d == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
+                d = plant_derivative(np.full(3, theta), 0.0, np.array([theta, 0.0, 0.0]), p)
+                assert d == pytest.approx(ZERO, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -100,25 +96,22 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             BuildingParams(**{field: -1.0})
 
+    # the disturbances are checked once, as the parameters of the synthetic day
     def test_disturbance_gains_must_be_nonnegative(self):
-        with pytest.raises(ConfigurationError):
-            DisturbanceSample(20.0, -0.1, 0.0)
-        with pytest.raises(ConfigurationError):
-            DisturbanceSample(20.0, 0.0, -0.1)
-        DisturbanceSample(-10.0, 0.0, 0.0)  # cold outdoor air is fine
+        for field in ("d2_peak", "d3_day", "d3_night"):
+            with pytest.raises(ConfigurationError):
+                DisturbanceParams(**{field: -0.1})
+        DisturbanceParams(d1_mean=-10.0)  # cold outdoor air is fine
 
     def test_non_finite_disturbance_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DisturbanceSample(math.nan, 0.0, 0.0)
+        for field in ("d1_mean", "d1_amp", "d2_peak", "d3_day", "d3_night"):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ConfigurationError):
+                    DisturbanceParams(**{field: bad})
 
     def test_substeps_must_be_positive(self):
-        x = X0.as_array()[:, None]
         with pytest.raises(ConfigurationError):
-            rk4_fleet(x, np.array([0.0]), W0, BuildingParams(), 1 / 6, 0)
-
-    def test_plant_step_rejects_bad_dt(self):
-        with pytest.raises(ConfigurationError):
-            plant_step(X0, 0.0, W0, BuildingParams(), 0.0)
+            rk4_fleet(X0[:, None], np.array([0.0]), W0, BuildingParams(), 1 / 6, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +126,7 @@ class TestIntegrator:
             for _ in range(30):
                 x = rng.uniform(15, 35, size=(3, 4))
                 u = rng.uniform(-3, 0, size=4)
-                w = DisturbanceSample(*rng.uniform([10, 0, 0], [40, 1, 1]))
+                w = rng.uniform([10, 0, 0], [40, 1, 1])
                 fast = rk4_fleet(x, u, w, p, 1 / 6, 10)
                 loop = rk4_fleet_reference(x, u, w, p, 1 / 6, 10)
                 np.testing.assert_allclose(fast, loop, rtol=0, atol=1e-11)
@@ -142,12 +135,12 @@ class TestIntegrator:
         # chain 144 control periods and compare with solve_ivp at 1e-10
         p = BuildingParams()
         a, b, c = build_matrices(p)
-        forcing = b * (-2.0) + c @ W0.as_array()
+        forcing = b * (-2.0) + c @ W0
         sol = solve_ivp(
-            lambda t, x: a @ x + forcing, (0.0, 24.0), X0.as_array(),
+            lambda t, x: a @ x + forcing, (0.0, 24.0), X0,
             rtol=1e-10, atol=1e-10,
         )
-        x = X0.as_array()[:, None]
+        x = X0[:, None]
         for _ in range(144):
             x = rk4_fleet(x, np.array([-2.0]), W0, p, 1 / 6, 10)
         assert np.max(np.abs(x[:, 0] - sol.y[:, -1])) < 1e-6
@@ -157,14 +150,14 @@ class TestIntegrator:
         # the residential set at a 0.5 h period gives measurable errors
         p = RESIDENTIAL
         a, b, c = build_matrices(p)
-        forcing = b * (-2.0) + c @ W0.as_array()
+        forcing = b * (-2.0) + c @ W0
         dt = 0.5
-        exact = expm(a * dt) @ X0.as_array() + np.linalg.solve(
+        exact = expm(a * dt) @ X0 + np.linalg.solve(
             a, (expm(a * dt) - np.eye(3)) @ forcing
         )
         errs = {}
         for n in (8, 16, 32):
-            xn = rk4_fleet(X0.as_array()[:, None], np.array([-2.0]), W0, p, dt, n)[:, 0]
+            xn = rk4_fleet(X0[:, None], np.array([-2.0]), W0, p, dt, n)[:, 0]
             errs[n] = np.max(np.abs(xn - exact))
         assert errs[32] > 1e-10  # still above rounding, the ratio is meaningful
         assert 14.0 < errs[8] / errs[16] < 20.0
@@ -176,10 +169,9 @@ class TestIntegrator:
         u = np.array([-1.0, -3.0, 0.0])
         batch = rk4_fleet(states, u, W0, p, 1 / 6, 10)
         for i in range(3):
-            single = plant_step(BuildingState(*states[:, i]), float(u[i]), W0, p, 1 / 6)
-            assert batch[:, i] == pytest.approx(
-                [single.t1, single.t2, single.t3], rel=1e-14
-            )
+            # one building is a (3, 1) block
+            single = rk4_fleet(states[:, i:i + 1], u[i:i + 1], W0, p, 1 / 6, 10)
+            assert batch[:, i] == pytest.approx(single[:, 0], rel=1e-14)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -188,12 +180,13 @@ class TestIntegrator:
         d1=st.floats(-5, 45),
     )
     def test_one_period_stays_physical(self, t, u, d1):
-        out = plant_step(
-            BuildingState(t, t, t + 1.0), u, DisturbanceSample(d1, 0.2, 0.5),
-            RESIDENTIAL, 1 / 6,
+        out = rk4_fleet(
+            np.array([[t], [t], [t + 1.0]]), np.array([u]), np.array([d1, 0.2, 0.5]),
+            RESIDENTIAL, 1 / 6, 10,
         )
         lo, hi = SANITY_RANGE
-        assert lo <= out.t1 <= hi and lo <= out.t2 <= hi and lo <= out.t3 <= hi
+        assert np.all((lo <= out) & (out <= hi))
+        check_sane(out)
 
 
 # ---------------------------------------------------------------------------
@@ -205,31 +198,31 @@ class TestEquilibrium:
             for u in (0.0, -2.0):
                 eq = equilibrium(u, W0, p)
                 d = plant_derivative(eq, u, W0, p)
-                assert d == pytest.approx((0.0, 0.0, 0.0), abs=1e-9)
+                assert d == pytest.approx(ZERO, abs=1e-9)
 
     def test_pinned_free_equilibrium(self):
         # closed-form elimination gives T1 = d1 + (u + 2 d2 + d3)(k4+k5)/(k4 k5),
         # T2 = T1 + d2/(k1+k2), T3 = (k5 T1 + k4 d1)/(k4+k5); evaluated in
         # rational arithmetic for the literature set at u=0, w=(30, 0.1, 1)
         eq = equilibrium(0.0, W0, BuildingParams())
-        assert eq.t1 == pytest.approx(30.091427595628414, rel=1e-12)
-        assert eq.t2 == pytest.approx(30.092227723648900, rel=1e-12)
-        assert eq.t3 == pytest.approx(30.039344262295080, rel=1e-12)
+        assert eq[0] == pytest.approx(30.091427595628414, rel=1e-12)
+        assert eq[1] == pytest.approx(30.092227723648900, rel=1e-12)
+        assert eq[2] == pytest.approx(30.039344262295080, rel=1e-12)
 
     def test_integration_preserves_equilibrium(self):
         p = RESIDENTIAL
         eq = equilibrium(-1.0, W0, p)
-        x = eq.as_array()[:, None]
+        x = eq[:, None]
         for _ in range(60):
             x = rk4_fleet(x, np.array([-1.0]), W0, p, 1 / 6, 10)
-        assert x[:, 0] == pytest.approx(eq.as_array(), abs=1e-9)
+        assert x[:, 0] == pytest.approx(eq, abs=1e-9)
 
     def test_cooling_authority_on_residential_scale(self):
         # 3 kW of cooling must move the residential equilibrium by whole
         # degrees, which is what makes the 22-24 degC band reachable
         p = RESIDENTIAL
-        free = equilibrium(0.0, W0, p).t1
-        cooled = equilibrium(-3.0, W0, p).t1
+        free = equilibrium(0.0, W0, p)[0]
+        cooled = equilibrium(-3.0, W0, p)[0]
         assert free - cooled > 5.0
 
     def test_sanity_guard_raises_outside_range(self):
@@ -238,8 +231,9 @@ class TestEquilibrium:
                 check_sane(np.array(bad)[:, None])
         check_sane(np.array([[-20.0], [60.0], [0.0]]))  # closed interval
 
-    def test_plant_step_flags_divergence(self):
-        hot = BuildingState(59.9, 59.9, 59.9)
-        blazing = DisturbanceSample(45.0, 2.0, 50.0)
-        with pytest.raises(PlantDivergenceError):
-            plant_step(hot, 0.0, blazing, RESIDENTIAL, 1 / 6)
+    def test_diverging_period_is_flagged(self):
+        hot = np.full((3, 1), 59.9)
+        blazing = np.array([45.0, 2.0, 50.0])
+        out = rk4_fleet(hot, np.array([0.0]), blazing, RESIDENTIAL, 1 / 6, 10)
+        with pytest.raises(PlantDivergenceError, match="building 0"):
+            check_sane(out)

@@ -30,48 +30,59 @@ class TestSyntheticDay:
 
     def test_outdoor_sinusoid_pinned_points(self):
         # 28 + 6 sin(2 pi (h-9)/24): coolest 3:00, mean at 9:00, peak 15:00
-        assert synth_disturbances(3.0, self.D).d1 == pytest.approx(22.0, abs=1e-12)
-        assert synth_disturbances(9.0, self.D).d1 == pytest.approx(28.0, abs=1e-12)
-        assert synth_disturbances(15.0, self.D).d1 == pytest.approx(34.0, abs=1e-12)
+        assert synth_disturbances(3.0, self.D)[0] == pytest.approx(22.0, abs=1e-12)
+        assert synth_disturbances(9.0, self.D)[0] == pytest.approx(28.0, abs=1e-12)
+        assert synth_disturbances(15.0, self.D)[0] == pytest.approx(34.0, abs=1e-12)
 
     def test_solar_bell_zero_outside_daylight(self):
         for h in (0.0, 3.0, 5.99, 20.01, 23.0):
-            assert synth_disturbances(h, self.D).d2 == 0.0
+            assert synth_disturbances(h, self.D)[1] == 0.0
         # the window edges carry no energy either (sin of 0 and pi)
-        assert synth_disturbances(6.0, self.D).d2 == pytest.approx(0.0, abs=1e-30)
-        assert synth_disturbances(20.0, self.D).d2 == pytest.approx(0.0, abs=1e-30)
+        assert synth_disturbances(6.0, self.D)[1] == pytest.approx(0.0, abs=1e-30)
+        assert synth_disturbances(20.0, self.D)[1] == pytest.approx(0.0, abs=1e-30)
 
     def test_solar_bell_peaks_at_13(self):
-        assert synth_disturbances(13.0, self.D).d2 == pytest.approx(self.D.d2_peak)
+        assert synth_disturbances(13.0, self.D)[1] == pytest.approx(self.D.d2_peak)
         # strictly below the peak away from 13:00
-        assert synth_disturbances(10.0, self.D).d2 < self.D.d2_peak
+        assert synth_disturbances(10.0, self.D)[1] < self.D.d2_peak
 
     def test_solar_bell_symmetric_about_13(self):
         for off in (1.0, 2.5, 4.0):
-            left = synth_disturbances(13.0 - off, self.D).d2
-            right = synth_disturbances(13.0 + off, self.D).d2
+            left = synth_disturbances(13.0 - off, self.D)[1]
+            right = synth_disturbances(13.0 + off, self.D)[1]
             assert left == pytest.approx(right, rel=1e-12)
 
     def test_internal_gain_day_night_step(self):
-        assert synth_disturbances(8.0, self.D).d3 == self.D.d3_day
-        assert synth_disturbances(12.0, self.D).d3 == self.D.d3_day
-        assert synth_disturbances(18.0, self.D).d3 == self.D.d3_day
-        assert synth_disturbances(18.5, self.D).d3 == self.D.d3_night
-        assert synth_disturbances(3.0, self.D).d3 == self.D.d3_night
+        assert synth_disturbances(8.0, self.D)[2] == self.D.d3_day
+        assert synth_disturbances(12.0, self.D)[2] == self.D.d3_day
+        assert synth_disturbances(18.0, self.D)[2] == self.D.d3_day
+        assert synth_disturbances(18.5, self.D)[2] == self.D.d3_night
+        assert synth_disturbances(3.0, self.D)[2] == self.D.d3_night
 
     def test_everything_is_24h_periodic(self):
         for t in (0.0, 7.3, 13.0, 21.9):
             a = synth_disturbances(t, self.D)
             b = synth_disturbances(t + 24.0, self.D)
-            assert (a.d1, a.d2, a.d3) == pytest.approx((b.d1, b.d2, b.d3), rel=1e-12)
+            assert a == pytest.approx(b, rel=1e-12)
             assert synth_pv(t, 12.0) == pytest.approx(synth_pv(t + 48.0, 12.0), rel=1e-12)
 
     def test_pv_shares_the_solar_shape(self):
         assert synth_pv(13.0, 12.0) == pytest.approx(12.0)
         assert synth_pv(3.0, 12.0) == 0.0
         assert synth_pv(9.0, 12.0) / 12.0 == pytest.approx(
-            synth_disturbances(9.0, self.D).d2 / self.D.d2_peak, rel=1e-12
+            synth_disturbances(9.0, self.D)[1] / self.D.d2_peak, rel=1e-12
         )
+
+    def test_a_column_of_times_matches_one_time_at_a_time(self):
+        # a run evaluates the whole grid in one call; every row must be what
+        # the same time gives on its own, bit for bit
+        t = np.arange(433) * (1.0 / 6.0)
+        table = synth_disturbances(t, self.D)
+        pv = synth_pv(t, 12.0)
+        assert table.shape == (433, 3) and pv.shape == (433,)
+        for k in range(0, 433, 7):
+            assert table[k].tolist() == synth_disturbances(t[k], self.D).tolist()
+            assert pv[k] == synth_pv(t[k], 12.0)
 
     def test_pv_peak_validation(self):
         with pytest.raises(ConfigurationError):
@@ -103,6 +114,15 @@ class TestProfile:
             prof.value_at(-0.01)
         with pytest.raises(ProfileError):
             prof.value_at(1.01)
+        # an array is checked once, and the message names its first stray time
+        with pytest.raises(ProfileError, match=r"t = 1\.5 h outside the profile span \[0\.0, 1\.0\]"):
+            prof.value_at(np.array([0.0, 0.5, 1.5, 2.0]))
+
+    def test_array_query_interpolates_every_time(self):
+        prof = Profile(np.array([0.0, 0.5, 1.0]), np.array([0.0, 6.0, 12.0]))
+        np.testing.assert_array_equal(
+            prof.value_at(np.array([0.0, 0.25, 0.75, 1.0])), [0.0, 3.0, 9.0, 12.0]
+        )
 
     def test_needs_two_rows(self):
         with pytest.raises(ProfileError):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import pvflock.simulate
 from pvflock import (
     FleetConfig,
     PlantDivergenceError,
@@ -17,10 +19,12 @@ from pvflock import (
     build_fleet,
     compute_metrics,
     read_trace,
+    rk4_fleet,
     run_simulation,
     trace_header,
     write_trace,
 )
+from pvflock.cli import main
 from pvflock.scenario import DisturbanceParams
 
 
@@ -109,6 +113,23 @@ class TestRunSimulation:
         with pytest.raises(PlantDivergenceError):
             run_simulation(cfg)
 
+    def test_short_pv_profile_fails_before_any_step(self, tmp_path, monkeypatch):
+        # a 24 h profile under the 72 h default day: the whole time grid is
+        # checked against the profile's span before the plant moves once
+        profile = tmp_path / "pv.csv"
+        assert main(["gen-profile", "pv", str(profile), "--horizon", "24"]) == 0
+        calls = []
+
+        def counting_rk4_fleet(*args):
+            calls.append(args[0].shape)
+            return rk4_fleet(*args)
+
+        monkeypatch.setattr(pvflock.simulate, "rk4_fleet", counting_rk4_fleet)
+        cfg = ScenarioConfig(pv=PvSourceConfig(kind="csv", csv_path=str(profile)))
+        with pytest.raises(ProfileError, match=r"outside the profile span \[0\.0, 24\.0\] h"):
+            run_simulation(cfg)
+        assert calls == []
+
 
 class TestBuildFleet:
     def test_initial_conditions_follow_the_contract(self):
@@ -185,8 +206,11 @@ class TestTraceSerialization:
     def test_empty_trace_round_trips(self, tmp_path):
         path = tmp_path / "trace.csv"
         write_trace(run_simulation(small_cfg(horizon=0.0)), path)
-        back = read_trace(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a header-only file is no warning
+            back = read_trace(path)
         assert back.n_steps == 0 and back.n_buildings == 3
+        assert back.t1.shape == (0, 3) and back.clamped.dtype == bool
 
     def test_read_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "junk.csv"
@@ -199,6 +223,27 @@ class TestTraceSerialization:
         path.write_text(trace_header(1) + "\n0,0,0,0,0,0,23\n")
         with pytest.raises(ProfileError, match="fields"):
             read_trace(path)
+
+    def test_read_names_the_file_line_of_a_bad_row(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        good = ",".join(["1"] * 12)
+        # lines 2 and 4 are fine, line 3 is blank, line 5 has a word in it
+        path.write_text(f"{trace_header(1)}\n{good}\n\n{good}\n1,2,x{good[5:]}\n")
+        with pytest.raises(ProfileError, match=r"trace\.csv:5: non-numeric field"):
+            read_trace(path)
+        path.write_text(f"{trace_header(1)}\n{good}\n\n{good},1\n")
+        with pytest.raises(ProfileError, match=r"trace\.csv:4: expected 12 fields"):
+            read_trace(path)
+
+    def test_read_is_exact_on_the_written_digits(self, tmp_path):
+        # the vectorized parse gives the same doubles as float() on each cell
+        path = tmp_path / "trace.csv"
+        write_trace(run_simulation(small_cfg()), path)
+        back = read_trace(path)
+        rows = [[float(x) for x in line.split(",")] for line in path.read_text().splitlines()[1:]]
+        cells = np.array(rows)
+        assert np.array_equal(back.t, cells[:, 0]) and np.array_equal(back.pv, cells[:, 1])
+        assert np.array_equal(back.t1, cells[:, 6::6]) and np.array_equal(back.p, cells[:, 10::6])
 
 
 # ---------------------------------------------------------------------------
