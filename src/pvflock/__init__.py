@@ -5,25 +5,21 @@ drift estimator (control), a three-state RC building model (plant), a
 band-splitting fleet coordinator (coordinator), synthetic or CSV scenario
 inputs (scenario) and an array-based simulation/trace/metrics engine with a
 CLI (simulate, cli).
+
+The names below are the run surface: the settings, which are checked when
+they are built or loaded, and the calls that run, save and summarize a
+simulation.  The per-period kernels stay in their modules; they trust the
+settings they are handed.
 """
 
-from .control import estimate_f, ip_control, reference
-from .coordinator import FleetConfig, building_bounds, clamp_to_bounds
+from .coordinator import FleetConfig
 from .errors import (
     ConfigurationError,
     PlantDivergenceError,
     ProfileError,
     PvflockError,
 )
-from .plant import (
-    BuildingParams,
-    build_matrices,
-    check_sane,
-    equilibrium,
-    plant_derivative,
-    rk4_fleet,
-    rk4_fleet_reference,
-)
+from .plant import BuildingParams
 from .scenario import (
     DisturbanceParams,
     Profile,
@@ -32,18 +28,13 @@ from .scenario import (
     load_config,
     load_profile_csv,
     parse_config_text,
-    scenario_building_defaults,
-    synth_disturbances,
-    synth_pv,
 )
 from .simulate import (
     MetricsReport,
     SimulationTrace,
-    build_fleet,
     compute_metrics,
     read_trace,
     run_simulation,
-    trace_header,
     write_trace,
 )
 
@@ -62,27 +53,11 @@ __all__ = [
     "PvflockError",
     "ScenarioConfig",
     "SimulationTrace",
-    "build_fleet",
-    "building_bounds",
-    "build_matrices",
-    "clamp_to_bounds",
-    "check_sane",
     "compute_metrics",
-    "equilibrium",
-    "estimate_f",
-    "ip_control",
     "load_config",
     "load_profile_csv",
     "parse_config_text",
-    "plant_derivative",
     "read_trace",
-    "reference",
-    "rk4_fleet",
-    "rk4_fleet_reference",
     "run_simulation",
-    "scenario_building_defaults",
-    "synth_disturbances",
-    "synth_pv",
-    "trace_header",
     "write_trace",
 ]

@@ -13,15 +13,18 @@ stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 
+from .coordinator import FleetConfig
 from .errors import PvflockError
 from .scenario import (
     DisturbanceParams,
+    PvSourceConfig,
     ScenarioConfig,
     load_config,
     synth_disturbances,
@@ -94,28 +97,41 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    low, high = args.comfort_low, args.comfort_high
+    if not (math.isfinite(low) and math.isfinite(high) and low < high):
+        raise PvflockError("need finite --comfort-low < --comfort-high")
+    if not (args.epsilon > 0 and math.isfinite(args.epsilon)):
+        raise PvflockError("--epsilon must be positive and finite")
+    if not (args.transient_hours >= 0 and math.isfinite(args.transient_hours)):
+        raise PvflockError("--transient-hours must be >= 0 and finite")
     trace = read_trace(args.trace)
+    # the setpoint plays no part in the metrics; the band's midpoint only
+    # satisfies ScenarioConfig's comfort_low < setpoint < comfort_high
     cfg = ScenarioConfig(
-        comfort_low=args.comfort_low,
-        comfort_high=args.comfort_high,
+        fleet=FleetConfig(epsilon=args.epsilon),
+        setpoint=low / 2 + high / 2,
+        comfort_low=low,
+        comfort_high=high,
         transient_hours=args.transient_hours,
     )
-    cfg = replace(cfg, fleet=replace(cfg.fleet, epsilon=args.epsilon))
     for line in compute_metrics(trace, cfg).lines():
         print(line)
     return 0
 
 
 def _cmd_gen_profile(args: argparse.Namespace) -> int:
-    if args.horizon <= 0:
-        raise PvflockError("--horizon must be positive")
-    dist = DisturbanceParams()
+    if not (args.horizon > 0 and math.isfinite(args.horizon)):
+        raise PvflockError("--horizon must be positive and finite")
+    # --peak is checked as the config keys pv.peak_kw and disturbance.d2_peak_kw are
+    pv, dist = PvSourceConfig(), DisturbanceParams()
+    if args.kind == "pv" and args.peak is not None:
+        pv = replace(pv, peak=args.peak)
     if args.kind == "solar" and args.peak is not None:
         dist = replace(dist, d2_peak=args.peak)
     dt = 1.0 / 6.0
     t = np.arange(round(args.horizon / dt) + 1) * dt
     if args.kind == "pv":
-        values = synth_pv(t, 12.0 if args.peak is None else args.peak)
+        values = synth_pv(t, pv.peak)
     else:
         values = synth_disturbances(t, dist)[:, ("outdoor", "solar", "internal").index(args.kind)]
     # times in full (repr of the Python float round-trips): at %.6g the grid

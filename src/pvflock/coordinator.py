@@ -23,6 +23,11 @@ control period.  The bounds are the same for every building, so the clamp
 is one array operation over the fleet per period.  The simulation clamps
 each period's raw iP controls, integrates the plant under the clamped
 values and keeps those applied values for the estimator.
+
+Neither function checks its inputs: FleetConfig checks its fields when it is
+built, the PV column comes from a checked source (a PvSourceConfig peak or
+a loaded CSV that rejects negative and non-finite rows), and the raw
+controls come from ip_control, which rejects non-finite results.
 """
 
 from __future__ import annotations
@@ -63,8 +68,6 @@ def building_bounds(pv, cfg: FleetConfig):
     the even split could not fit the HVAC range.
     """
     pv = np.asarray(pv, dtype=float)
-    if not np.all(np.isfinite(pv) & (pv >= 0)):
-        raise ConfigurationError("pv must be finite and >= 0")
     eps, hvac_max = cfg.epsilon, cfg.hvac_max
     active = pv > 0
     band_lo = np.where(active, np.maximum(0.0, pv - eps), 0.0)
@@ -90,8 +93,6 @@ def clamp_to_bounds(u_raw, lo, hi):
     Returns (p, u_applied, clamped) with p = -u_applied in [lo, hi].
     A positive u_raw (a heating wish) maps to the smallest admissible draw.
     """
-    if not np.all(np.isfinite(u_raw)):
-        raise ConfigurationError("u_raw must be finite")
     p_want = -u_raw
     p = np.minimum(np.maximum(p_want, lo), hi)
     return p, -p, p != p_want

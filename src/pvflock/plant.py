@@ -12,25 +12,29 @@ k4 and k5 (kW/degC) the dynamics are, in degC per second,
     dT3/dt = [ k5 * (T1 - T3) + k4 * (d1 - T3) ] / c3
 
 scaled by 3600 so the package-wide time base is hours.  The solar gain d2
-feeds both the air and the mass node.  Default constants are the
-literature set for a large office building; the scenario layer substitutes
-a residential-scale set for the fleet simulations (see scenario.py).
+feeds both the air and the mass node.  The default constants are a
+residential-scale realization of this structure, sized so that a 0..3 kW
+cooling unit has real authority over the air node (3600/c1 = 2.4 degC/h per
+kW, the same order as the controller gain alpha = 5) while interior mass
+and wall core filter the day on multi-hour scales.  Other sets, such as the
+literature constants of a large office building, are reachable through the
+`building.` config section.
 
 Integration is classical RK4 with zero-order-hold inputs over each control
 period, split into substeps so the fastest node stays well resolved.  The
 model is linear, so dx/dt = A x + B u + C w with the matrices returned by
-build_matrices(); the nonlinear-form derivative and the matrix form are
-kept as two separately written routines and cross-checked in the tests.
-Because the plant is linear and the inputs are held constant over the
-period, the whole substep loop collapses to a single affine update
-x+ = x + S (A x + f); S is computed, and cached with A, B and C, once per
-parameter set and period.  The plain per-substep loop is retained as
-rk4_fleet_reference() and the two are cross-checked in the tests as well.
+build_matrices().  Because the plant is linear and the inputs are held
+constant over the period, the whole substep loop collapses to a single
+affine update x+ = x + S (A x + f); S is computed, and cached with A, B and
+C, once per parameter set and period.  The tests cross-check this against a
+plain per-substep loop and a derivative written straight from the ODEs.
 
 Everything here takes plain arrays: one building's state is the length-3
 array (T1, T2, T3), a fleet is a (3, n) block with one column per building,
 and w is the length-3 disturbance held over the period.  A single building
-is simply a (3, 1) block.
+is simply a (3, 1) block.  rk4_fleet trusts its settings: BuildingParams
+checks the constants when it is built and ScenarioConfig checks the period
+and the substep count.  check_sane guards the computed states.
 """
 
 from __future__ import annotations
@@ -51,32 +55,18 @@ SANITY_RANGE = (-20.0, 60.0)
 class BuildingParams:
     """RC constants: capacitances in kJ/degC, conductances in kW/degC."""
 
-    c1: float = 9.356e5
-    c2: float = 2.970e6
-    c3: float = 6.695e5
-    k1: float = 16.48
-    k2: float = 108.5
-    k4: float = 30.5
-    k5: float = 23.04
+    c1: float = 1500.0
+    c2: float = 6000.0
+    c3: float = 4500.0
+    k1: float = 0.25
+    k2: float = 0.65
+    k4: float = 0.035
+    k5: float = 0.12
 
     def __post_init__(self) -> None:
         for name in ("c1", "c2", "c3", "k1", "k2", "k4", "k5"):
             if not (getattr(self, name) > 0 and math.isfinite(getattr(self, name))):
                 raise ConfigurationError(f"{name} must be positive and finite")
-
-
-def plant_derivative(x, u: float, w, p: BuildingParams) -> np.ndarray:
-    """Right-hand side in degC per hour, written straight from the ODEs.
-
-    x = (T1, T2, T3) and w = (d1, d2, d3) are length-3 sequences.
-    """
-    t1, t2, t3 = x
-    d1, d2, d3 = w
-    k12 = p.k1 + p.k2
-    dt1 = (k12 * (t2 - t1) + p.k5 * (t3 - t1) + u + d2 + d3) / p.c1
-    dt2 = (k12 * (t1 - t2) + d2) / p.c2
-    dt3 = (p.k5 * (t1 - t3) + p.k4 * (d1 - t3)) / p.c3
-    return 3600.0 * np.array([dt1, dt2, dt3])
 
 
 def build_matrices(p: BuildingParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -149,38 +139,9 @@ def rk4_fleet(
     d3); u is one control per building.  Returns a new array.  Evaluates the classical
     RK4 substep recursion through the precomputed transition map.
     """
-    if substeps < 1:
-        raise ConfigurationError("substeps must be >= 1")
     a, b, c, s = _transition_map(p, float(dt), int(substeps))
     forcing = (b[:, None] * u[None, :]) + (c @ w)[:, None]
     return states + s @ (a @ states + forcing)
-
-
-def rk4_fleet_reference(
-    states: np.ndarray, u: np.ndarray, w: np.ndarray, p: BuildingParams, dt: float, substeps: int
-) -> np.ndarray:
-    """Plain per-substep RK4 loop, kept as an independent route.
-
-    Same contract as rk4_fleet(); the tests check the two stay within
-    floating-point noise of each other.
-    """
-    if substeps < 1:
-        raise ConfigurationError("substeps must be >= 1")
-    a, b, c = build_matrices(p)
-    forcing = (b[:, None] * u[None, :]) + (c @ w)[:, None]
-
-    def deriv(x: np.ndarray) -> np.ndarray:
-        return a @ x + forcing
-
-    h = dt / substeps
-    x = states.astype(float, copy=True)
-    for _ in range(substeps):
-        k1 = deriv(x)
-        k2 = deriv(x + 0.5 * h * k1)
-        k3 = deriv(x + 0.5 * h * k2)
-        k4 = deriv(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
 
 
 def check_sane(states: np.ndarray, t: float | None = None) -> None:
@@ -195,9 +156,3 @@ def check_sane(states: np.ndarray, t: float | None = None) -> None:
         raise PlantDivergenceError(
             f"building {i} left the sane range{when} (T = {t1:.2f}, {t2:.2f}, {t3:.2f})"
         )
-
-
-def equilibrium(u: float, w, p: BuildingParams) -> np.ndarray:
-    """Steady state (T1, T2, T3) for constant inputs: x = -A^-1 (B u + C w)."""
-    a, b, c = build_matrices(p)
-    return np.linalg.solve(a, -(b * u + c @ w))

@@ -14,22 +14,17 @@ state, so a run evaluates each one once over its whole time grid: the
 synthetic functions and Profile.value_at take an array of times, and a
 profile that does not cover the grid fails before anything is simulated.
 
-The fleet's default building is a residential-scale realization of the RC
-structure in plant.py, sized so that a 0..3 kW cooling unit has real
-authority over the air node (3600/c1 = 2.4 degC/h per kW, the same order
-as the controller gain alpha = 5) while interior mass and wall core filter
-the day on multi-hour scales.  The literature office-scale constants remain
-available via the `building.` config section.
-
 Config files are flat "section.key = value" text; see CONFIG_KEYS for the
 schema.  Unknown keys are rejected so typos cannot silently fall back to
-defaults.
+defaults.  Every setting is checked once, here: by the config dataclasses
+when they are built and by the loaders as they read a file.  The functions
+that run during a simulation trust what these checks let through.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,19 +32,6 @@ import numpy as np
 from .coordinator import FleetConfig
 from .errors import ConfigurationError, ProfileError
 from .plant import BuildingParams
-
-
-def scenario_building_defaults() -> BuildingParams:
-    """Residential-scale RC constants used by the fleet simulations."""
-    return BuildingParams(
-        c1=1500.0,
-        c2=6000.0,
-        c3=4500.0,
-        k1=0.25,
-        k2=0.65,
-        k4=0.035,
-        k5=0.12,
-    )
 
 
 @dataclass(frozen=True)
@@ -91,8 +73,6 @@ def synth_disturbances(t, params: DisturbanceParams) -> np.ndarray:
 
 def synth_pv(t, peak: float):
     """Synthetic PV output (kW) at times t, same bell as the solar gain."""
-    if not (peak >= 0 and math.isfinite(peak)):
-        raise ConfigurationError("pv peak must be >= 0 and finite")
     return peak * _solar_shape(np.mod(t, 24.0))
 
 
@@ -134,7 +114,7 @@ def load_profile_csv(path: str | Path, *, non_negative: bool = False) -> Profile
     path = Path(path)
     try:
         raw = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProfileError(f"cannot read profile {path}: {exc}") from exc
     lines = [ln.strip() for ln in raw.splitlines() if ln.strip()]
     if not lines or lines[0].replace(" ", "") != "t_hours,value":
@@ -181,7 +161,7 @@ class ScenarioConfig:
     """Everything a simulation run needs; defaults describe the headline fleet day."""
 
     fleet: FleetConfig = field(default_factory=FleetConfig)
-    building: BuildingParams = field(default_factory=scenario_building_defaults)
+    building: BuildingParams = field(default_factory=BuildingParams)
     disturbance: DisturbanceParams = field(default_factory=DisturbanceParams)
     pv: PvSourceConfig = field(default_factory=PvSourceConfig)
     horizon: float = 72.0
@@ -203,14 +183,18 @@ class ScenarioConfig:
         if self.horizon < 0 or not math.isfinite(self.horizon):
             raise ConfigurationError("horizon must be >= 0")
         steps = self.horizon / self.fleet.sample_dt
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-            raise ConfigurationError("horizon must be a multiple of the sampling interval")
+        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+            raise ConfigurationError("horizon must be a finite multiple of the sampling interval")
         if not self.comfort_low < self.setpoint < self.comfort_high:
             raise ConfigurationError("need comfort_low < setpoint < comfort_high")
+        if not (math.isfinite(self.initial_t1_low) and math.isfinite(self.initial_t1_high)):
+            raise ConfigurationError("initial temperatures must be finite")
         if self.initial_t1_low > self.initial_t1_high:
             raise ConfigurationError("initial temperature range is inverted")
-        if self.transient_hours < 0:
-            raise ConfigurationError("transient_hours must be >= 0")
+        if not (self.transient_hours >= 0 and math.isfinite(self.transient_hours)):
+            raise ConfigurationError("transient_hours must be >= 0 and finite")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         if self.substeps < 1:
             raise ConfigurationError("substeps must be >= 1")
         if self.window_capacity < 3 or self.window_capacity % 2 == 0:
@@ -219,8 +203,8 @@ class ScenarioConfig:
             raise ConfigurationError("alpha must be nonzero and finite")
         if not (self.kp > 0 and math.isfinite(self.kp)):
             raise ConfigurationError("kp must be positive (closed-loop stability)")
-        if not self.ramp_hours >= 0:
-            raise ConfigurationError("ramp_hours must be >= 0")
+        if not (self.ramp_hours >= 0 and math.isfinite(self.ramp_hours)):
+            raise ConfigurationError("ramp_hours must be >= 0 and finite")
 
     @property
     def n_steps(self) -> int:
@@ -298,10 +282,10 @@ def parse_config_text(text: str, origin: str = "<config>") -> ScenarioConfig:
         else:
             top[attr] = value
     try:
-        fleet = replace(FleetConfig(), **nested["fleet"])
-        building = replace(scenario_building_defaults(), **nested["building"])
-        disturbance = replace(DisturbanceParams(), **nested["disturbance"])
-        pv = replace(PvSourceConfig(), **nested["pv"])
+        fleet = FleetConfig(**nested["fleet"])
+        building = BuildingParams(**nested["building"])
+        disturbance = DisturbanceParams(**nested["disturbance"])
+        pv = PvSourceConfig(**nested["pv"])
         return ScenarioConfig(
             fleet=fleet, building=building, disturbance=disturbance, pv=pv, **top
         )
@@ -316,6 +300,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text, origin=str(path))

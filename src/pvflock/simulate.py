@@ -164,17 +164,13 @@ class MetricsReport:
         ]
 
 
-def compute_metrics(
-    trace: SimulationTrace, cfg: ScenarioConfig, transient_hours: float | None = None
-) -> MetricsReport:
+def compute_metrics(trace: SimulationTrace, cfg: ScenarioConfig) -> MetricsReport:
     """Summarize comfort and tracking over a trace.
 
     Comfort counts building-steps with T1 outside [comfort_low, comfort_high]
     after the start-up transient.  Tracking statistics cover PV-active steps
     only and are reported as not-applicable when PV never produced.
     """
-    if transient_hours is None:
-        transient_hours = cfg.transient_hours
     if trace.n_steps == 0:
         return MetricsReport(
             empty=True,
@@ -186,7 +182,7 @@ def compute_metrics(
             infeasible_steps=0,
         )
 
-    settled = trace.t >= transient_hours
+    settled = trace.t >= cfg.transient_hours
     t1 = trace.t1[settled]
     below = np.maximum(cfg.comfort_low - t1, 0.0)
     above = np.maximum(t1 - cfg.comfort_high, 0.0)
@@ -254,9 +250,11 @@ def read_trace(path: str | Path) -> SimulationTrace:
                     # a header-only trace is empty, which loadtxt warns about
                     warnings.simplefilter("ignore", UserWarning)
                     data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except UnicodeDecodeError:  # a ValueError, but no row is at fault
+                raise
             except ValueError:
                 data = None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProfileError(f"cannot read trace {path}: {exc}") from exc
     if header == [""]:
         raise ProfileError(f"{path}: empty file, not a trace")

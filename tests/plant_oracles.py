@@ -1,0 +1,63 @@
+"""Independent routes through the plant model, for checking pvflock.plant.
+
+plant_derivative is written straight from the ODEs in pvflock.plant's
+docstring, not from build_matrices; rk4_fleet_reference is the literal
+per-substep RK4 loop that rk4_fleet collapses into one affine update.
+OFFICE is the literature constant set for a large office building, on
+which the pinned derivative and equilibrium values are computed.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from pvflock.plant import BuildingParams, build_matrices
+
+OFFICE = BuildingParams(
+    c1=9.356e5, c2=2.970e6, c3=6.695e5, k1=16.48, k2=108.5, k4=30.5, k5=23.04
+)
+
+
+def plant_derivative(x, u: float, w, p: BuildingParams) -> np.ndarray:
+    """Right-hand side in degC per hour, written straight from the ODEs.
+
+    x = (T1, T2, T3) and w = (d1, d2, d3) are length-3 sequences.
+    """
+    t1, t2, t3 = x
+    d1, d2, d3 = w
+    k12 = p.k1 + p.k2
+    dt1 = (k12 * (t2 - t1) + p.k5 * (t3 - t1) + u + d2 + d3) / p.c1
+    dt2 = (k12 * (t1 - t2) + d2) / p.c2
+    dt3 = (p.k5 * (t1 - t3) + p.k4 * (d1 - t3)) / p.c3
+    return 3600.0 * np.array([dt1, dt2, dt3])
+
+
+def rk4_fleet_reference(
+    states: np.ndarray, u: np.ndarray, w: np.ndarray, p: BuildingParams, dt: float, substeps: int
+) -> np.ndarray:
+    """Plain per-substep RK4 loop, kept as an independent route.
+
+    Same contract as rk4_fleet(); the tests check the two stay within
+    floating-point noise of each other.
+    """
+    a, b, c = build_matrices(p)
+    forcing = (b[:, None] * u[None, :]) + (c @ w)[:, None]
+
+    def deriv(x: np.ndarray) -> np.ndarray:
+        return a @ x + forcing
+
+    h = dt / substeps
+    x = states.astype(float, copy=True)
+    for _ in range(substeps):
+        k1 = deriv(x)
+        k2 = deriv(x + 0.5 * h * k1)
+        k3 = deriv(x + 0.5 * h * k2)
+        k4 = deriv(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
+def equilibrium(u: float, w, p: BuildingParams) -> np.ndarray:
+    """Steady state (T1, T2, T3) for constant inputs: x = -A^-1 (B u + C w)."""
+    a, b, c = build_matrices(p)
+    return np.linalg.solve(a, -(b * u + c @ w))

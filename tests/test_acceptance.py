@@ -13,23 +13,17 @@ from dataclasses import replace
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from plant_oracles import OFFICE, equilibrium, plant_derivative
 from pvflock import (
-    BuildingParams,
     FleetConfig,
     PvSourceConfig,
     ScenarioConfig,
-    build_matrices,
-    building_bounds,
-    check_sane,
-    clamp_to_bounds,
     compute_metrics,
-    equilibrium,
-    estimate_f,
-    ip_control,
-    plant_derivative,
-    rk4_fleet,
     run_simulation,
 )
+from pvflock.control import estimate_f, ip_control
+from pvflock.coordinator import building_bounds, clamp_to_bounds
+from pvflock.plant import build_matrices, check_sane, rk4_fleet
 
 DT = 1.0 / 6.0
 
@@ -173,7 +167,7 @@ def test_criterion_6_plant_integration_matches_adaptive_reference():
     """24 h of chained rk4_fleet periods on one building stays within 1e-6
     degC of a 1e-10 adaptive reference, and the uniform state (T_out, T_out,
     T_out) with the HVAC off and no gains is a bitwise-exact fixed point."""
-    p = BuildingParams()  # literature constants
+    p = OFFICE  # literature constants
     w = np.array([30.0, 0.1, 1.0])  # (d1, d2, d3)
     x0 = np.array([24.0, 23.0, 26.0])  # (T1, T2, T3)
     a, b, c = build_matrices(p)

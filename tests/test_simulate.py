@@ -16,16 +16,15 @@ from pvflock import (
     PvSourceConfig,
     ScenarioConfig,
     SimulationTrace,
-    build_fleet,
     compute_metrics,
     read_trace,
-    rk4_fleet,
     run_simulation,
-    trace_header,
     write_trace,
 )
 from pvflock.cli import main
+from pvflock.plant import rk4_fleet
 from pvflock.scenario import DisturbanceParams
+from pvflock.simulate import build_fleet, trace_header
 
 
 def small_cfg(**kw) -> ScenarioConfig:
@@ -301,9 +300,9 @@ class TestMetrics:
         assert "tracking_rms_kw=n/a" in report.lines()
         assert "tracking_within_eps_pct=n/a" in report.lines()
 
-    def test_transient_override_argument(self):
+    def test_zero_transient_counts_every_step(self):
         trace = manual_trace(t=[0.0, 6.0], pv=[0.0, 0.0], sum_p=[0.0, 0.0], t1=[20.0, 23.0])
-        strict = compute_metrics(trace, self.cfg(), transient_hours=0.0)
+        strict = compute_metrics(trace, replace(self.cfg(), transient_hours=0.0))
         assert strict.comfort_violation_steps == 1
         assert strict.comfort_max_depth == pytest.approx(2.0)
 
