@@ -43,9 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="simulate a scenario and write the trace")
-    run.add_argument("config", nargs="?", help="scenario config file")
-    run.add_argument("--config", dest="config_flag", metavar="PATH",
-                     help="alternative way to pass the config file")
+    run.add_argument("config", help="scenario config file")
     run.add_argument("--out", metavar="PATH", help="trace output path (default from config)")
     run.add_argument("--seed", type=int, help="override the scenario seed")
     run.add_argument("--quiet", action="store_true", help="suppress the metrics summary")
@@ -79,10 +77,7 @@ def _resolve_seed(flag_seed: int | None) -> int | None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    paths = [p for p in (args.config, args.config_flag) if p]
-    if len(paths) != 1:
-        raise PvflockError("run needs exactly one config file (positional or --config)")
-    cfg = load_config(paths[0])
+    cfg = load_config(args.config)
     seed = _resolve_seed(args.seed)
     if seed is not None:
         cfg = replace(cfg, seed=seed)

@@ -24,6 +24,8 @@ that run during a simulation trust what these checks let through.
 from __future__ import annotations
 
 import math
+import warnings
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -111,32 +113,78 @@ class Profile:
 
 def load_profile_csv(path: str | Path, *, non_negative: bool = False) -> Profile:
     """Read a "t_hours,value" CSV; optionally reject negative values (PV)."""
+    table, lines = read_csv_table(
+        path, "profile",
+        lambda fields: None if fields == ["t_hours", "value"]
+        else "first line must be the header 't_hours,value'",
+    )
+    bad = ~np.isfinite(table).all(axis=1) | (non_negative & (table[:, 1] < 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        kind = "non-finite or negative" if non_negative else "non-finite"
+        raise ProfileError(f"{path}:{lines[i]}: {kind} row {table[i].tolist()}")
+    return Profile(table[:, 0], table[:, 1])
+
+
+def read_csv_table(
+    path: str | Path, what: str, header_error: Callable[[list[str]], str | None]
+) -> tuple[np.ndarray, list[int]]:
+    """Read a numeric CSV: a header line, then rows of one number per header field.
+
+    Blank lines are skipped, whitespace around a cell or a header field is
+    ignored and '#' is not a comment.  header_error(fields) sees the header
+    before any row is parsed and returns why it is rejected, or None.
+    Returns the (rows, fields) table and each row's file line; errors name
+    the file line.
+    """
     path = Path(path)
+    lines: list[int] = []
     try:
-        raw = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ProfileError(f"cannot read profile {path}: {exc}") from exc
-    lines = [ln.strip() for ln in raw.splitlines() if ln.strip()]
-    if not lines or lines[0].replace(" ", "") != "t_hours,value":
-        raise ProfileError(f"{path}: first line must be the header 't_hours,value'")
-    times: list[float] = []
-    values: list[float] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ProfileError(f"{path}:{lineno}: expected 't,value', got {line!r}")
-        try:
-            t = float(parts[0])
-            v = float(parts[1])
-        except ValueError as exc:
-            raise ProfileError(f"{path}:{lineno}: non-numeric row {line!r}") from exc
-        if not (math.isfinite(t) and math.isfinite(v)):
-            raise ProfileError(f"{path}:{lineno}: non-finite row {line!r}")
-        if non_negative and v < 0:
-            raise ProfileError(f"{path}:{lineno}: negative value {v} not allowed here")
-        times.append(t)
-        values.append(v)
-    return Profile(np.array(times), np.array(values))
+        with open(path) as fh:
+            rows = _nonblank(fh, lines)
+            fields = "".join(next(rows, "").split()).split(",")
+            reason = header_error(fields)
+            if reason:
+                raise ProfileError(f"{path}: {reason}")
+            with warnings.catch_warnings():
+                # a header-only file is empty, which loadtxt warns about
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except (OSError, UnicodeDecodeError) as exc:  # a ValueError, but no row is at fault
+        raise ProfileError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError:
+        table = None
+    if table is None or (table.size and table.shape[1] != len(fields)):
+        raise ProfileError(_first_bad_row(path, len(fields)))
+    return table.reshape(-1, len(fields)), lines[1:]  # a header-only file reads as (0, 1)
+
+
+def _nonblank(fh, lines: list[int]) -> Iterator[str]:
+    """The lines of fh that are not blank; appends each one's file line to lines."""
+    for lineno, line in enumerate(fh, start=1):
+        if line.strip():
+            lines.append(lineno)
+            yield line
+
+
+def _first_bad_row(path: Path, width: int) -> str:
+    """Name the first row of a CSV that is not `width` numbers.
+
+    Only runs once the whole-file parse has failed, and parses each row the
+    same way; loadtxt's own messages do not count the lines of the file.
+    """
+    lines: list[int] = []
+    with open(path) as fh:
+        rows = _nonblank(fh, lines)
+        next(rows)  # the header
+        for row in rows:
+            if len(row.split(",")) != width:
+                return f"{path}:{lines[-1]}: expected {width} fields"
+            try:
+                np.loadtxt([row], delimiter=",", comments=None)
+            except ValueError as exc:
+                return f"{path}:{lines[-1]}: non-numeric field: {str(exc).partition(' at row')[0]}"
+    return f"{path}: unreadable"
 
 
 @dataclass(frozen=True)

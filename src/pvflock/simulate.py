@@ -22,17 +22,15 @@ A (config, seed) pair fully determines every byte of the trace.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .control import estimate_f, ip_control, reference
 from .coordinator import building_bounds, clamp_to_bounds
-from .errors import ProfileError
 from .plant import check_sane, rk4_fleet
-from .scenario import ScenarioConfig, load_profile_csv, synth_disturbances, synth_pv
+from .scenario import ScenarioConfig, load_profile_csv, read_csv_table, synth_disturbances, synth_pv
 
 
 @dataclass
@@ -69,14 +67,12 @@ def build_fleet(cfg: ScenarioConfig) -> np.ndarray:
     return np.stack([t1, t1, t1 + 1.0])
 
 
-def run_simulation(cfg: ScenarioConfig, seed: int | None = None) -> SimulationTrace:
-    """Run the configured scenario; an explicit seed overrides the config's.
+def run_simulation(cfg: ScenarioConfig) -> SimulationTrace:
+    """Run the configured scenario.
 
     Raises PlantDivergenceError naming the first building whose state leaves
     the sane temperature range.
     """
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
     n, steps, dt = cfg.fleet.n_buildings, cfg.n_steps, cfg.fleet.sample_dt
     c = cfg.window_capacity
     t = np.arange(steps) * dt
@@ -147,10 +143,10 @@ class MetricsReport:
         def fmt(value) -> str:
             if value is None:
                 return "n/a"
-            if isinstance(value, (bool, np.bool_)):
-                return str(bool(value)).lower()
-            if isinstance(value, (int, np.integer)):
-                return str(int(value))
+            if isinstance(value, bool):
+                return str(value).lower()
+            if isinstance(value, int):
+                return str(value)
             return f"{value:.6g}"
 
         return [
@@ -232,74 +228,27 @@ def write_trace(trace: SimulationTrace, path: str | Path) -> None:
         table[:, j] = col
     for j, col in enumerate((trace.t1, trace.t2, trace.t3, trace.u, trace.p, trace.clamped)):
         table[:, 6 + j::6] = col
-    row_format = ",".join(["%.6g"] * 5 + ["%d"] + (["%.6g"] * 5 + ["%d"]) * n)
+    fmt = (["%.6g"] * 5 + ["%d"]) * (n + 1)
     with open(path, "w", newline="\n") as fh:
-        fh.write(trace_header(n) + "\n")
-        for row in table:
-            fh.write(row_format % tuple(row) + "\n")
+        np.savetxt(fh, table, fmt=fmt, delimiter=",", header=trace_header(n), comments="")
+
+
+def _trace_header_error(fields: list[str]) -> str | None:
+    if fields == [""]:
+        return "empty file, not a trace"
+    if fields[:6] != trace_header(0).split(","):
+        return "unrecognized trace header"
+    if len(fields) % 6:
+        return "trace header has a partial building group"
+    return None
 
 
 def read_trace(path: str | Path) -> SimulationTrace:
     """Load a trace CSV back into arrays (used by the metrics subcommand)."""
-    path = Path(path)
-    try:
-        with open(path) as fh:
-            header = fh.readline().rstrip("\n").split(",")
-            try:
-                with warnings.catch_warnings():
-                    # a header-only trace is empty, which loadtxt warns about
-                    warnings.simplefilter("ignore", UserWarning)
-                    data = np.loadtxt(fh, delimiter=",", ndmin=2)
-            except UnicodeDecodeError:  # a ValueError, but no row is at fault
-                raise
-            except ValueError:
-                data = None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ProfileError(f"cannot read trace {path}: {exc}") from exc
-    if header == [""]:
-        raise ProfileError(f"{path}: empty file, not a trace")
-    if header[:6] != ["t_hours", "pv_kw", "sum_p_kw", "band_lo_kw", "band_hi_kw", "infeasible"]:
-        raise ProfileError(f"{path}: unrecognized trace header")
-    per_building = len(header) - 6
-    if per_building % 6 != 0:
-        raise ProfileError(f"{path}: trace header has a partial building group")
-    if data is None or (data.size and data.shape[1] != len(header)):
-        raise ProfileError(_first_bad_row(path, len(header)))
-    data = data.reshape(-1, len(header))  # a header-only trace reads as (0, 1)
-    n = per_building // 6
-    group = data[:, 6:].reshape(len(data), n, 6)
-    return SimulationTrace(
-        n_buildings=n,
-        t=data[:, 0],
-        pv=data[:, 1],
-        sum_p=data[:, 2],
-        band_lo=data[:, 3],
-        band_hi=data[:, 4],
-        infeasible=data[:, 5] != 0,
-        t1=group[:, :, 0],
-        t2=group[:, :, 1],
-        t3=group[:, :, 2],
-        u=group[:, :, 3],
-        p=group[:, :, 4],
-        clamped=group[:, :, 5] != 0,
-    )
-
-
-def _first_bad_row(path: Path, width: int) -> str:
-    """Name the first data line of a trace that is not `width` numbers.
-
-    Only runs once parsing has failed.  loadtxt's own messages count rows
-    without the header and, for a bad number, without blank lines.
-    """
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if lineno == 1 or not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != width:
-                return f"{path}:{lineno}: expected {width} fields"
-            try:
-                [float(x) for x in parts]
-            except ValueError as exc:
-                return f"{path}:{lineno}: non-numeric field: {exc}"
-    return f"{path}: unreadable trace"
+    data, _ = read_csv_table(path, "trace", _trace_header_error)
+    n = data.shape[1] // 6 - 1
+    # file order: the six fleet columns, then six per building
+    t, pv, sum_p, band_lo, band_hi, infeasible = data[:, :6].T
+    t1, t2, t3, u, p, clamped = np.moveaxis(data[:, 6:].reshape(len(data), n, 6), -1, 0)
+    return SimulationTrace(n, t, pv, sum_p, band_lo, band_hi, infeasible != 0,
+                           t1, t2, t3, u, p, clamped != 0)

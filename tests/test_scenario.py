@@ -148,6 +148,12 @@ class TestProfile:
         path.write_text("t_hours,value\n0,0\n0.5,6\n1,12\n")
         prof = load_profile_csv(path)
         assert prof.value_at(0.25) == pytest.approx(3.0)
+        # blank lines (before the header too), CRLF endings and spaces
+        # around cells and header fields do not change what is read
+        path.write_bytes(b"\r\n t_hours , value \r\n 0 ,0\r\n  \r\n0.5, 6 \r\n\t1,12\r\n\r\n")
+        prof = load_profile_csv(path)
+        np.testing.assert_array_equal(prof.t, [0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(prof.values, [0.0, 6.0, 12.0])
 
     def test_csv_missing_file(self, tmp_path):
         with pytest.raises(ProfileError, match="cannot read"):
@@ -163,6 +169,10 @@ class TestProfile:
         path = tmp_path / "bad.csv"
         path.write_text("t_hours,value\n0,0\nnot,a,row\n")
         with pytest.raises(ProfileError, match=":3:"):
+            load_profile_csv(path)
+        # a blank line counts: the bad row is the file's fifth line
+        path.write_text("t_hours,value\n0,0\n\n1,1\n2,oops\n")
+        with pytest.raises(ProfileError, match=":5:"):
             load_profile_csv(path)
 
     def test_csv_non_numeric_row(self, tmp_path):
