@@ -1,0 +1,68 @@
+"""End-to-end runs and one micro-benchmark per layer of a control period."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from pvflock import run_simulation
+from pvflock.control import estimate_f, estimator_kernel, ip_control
+from pvflock.coordinator import clamp_to_bounds
+from pvflock.plant import check_sane, rk4_fleet, transition_map
+from pvflock.simulate import build_fleet
+
+
+@pytest.mark.parametrize("n, horizon_h, csv", [
+    (13, 672.0, True),  # the long_horizon_csv workload
+    (130, 72.0, False),  # the fleet_day workload
+    (1300, 72.0, False),
+], ids=["13x672h_csv", "130x72h", "1300x72h"])
+def test_run_simulation(benchmark, scenario_config, n, horizon_h, csv):
+    cfg = scenario_config(n, horizon_h, csv)
+    trace = benchmark(run_simulation, cfg)
+    assert trace.t1.shape == (cfg.n_steps, n)
+
+
+@pytest.fixture(params=[13, 1300], ids=["n13", "n1300"])
+def period(request, scenario_config):
+    """One control period's inputs for a fleet of n buildings, mid-run."""
+    cfg = scenario_config(request.param, 72.0)
+    c, dt = cfg.window_capacity, cfg.fleet.sample_dt
+    rng = np.random.default_rng(0)
+    t = np.arange(cfg.n_steps) * dt
+    ky, ku = estimator_kernel(t, c, cfg.alpha, dt)
+    return {
+        "cfg": cfg,
+        "kernel": (ky[100], ku[100]),
+        "t1": rng.uniform(22.0, 25.0, (c, request.param)),
+        "u": rng.uniform(-3.0, 0.0, (c, request.param)),
+        "states": build_fleet(cfg),
+        "tm": transition_map(cfg.building, dt, cfg.substeps),
+        "w": np.array([28.0, 0.02, 0.1]),
+    }
+
+
+def test_estimator(benchmark, period):
+    ky, ku = period["kernel"]
+    cfg = period["cfg"]
+    benchmark(estimate_f, ky, ku, period["t1"], period["u"], cfg.fleet.sample_dt)
+
+
+def test_ip_law_and_clamp(benchmark, period):
+    cfg = period["cfg"]
+    e = period["states"][0] - cfg.setpoint
+
+    def law_and_clamp():
+        return clamp_to_bounds(ip_control(0.5, 0.0, e, cfg.alpha, cfg.kp), 0.0, cfg.fleet.hvac_max)
+
+    benchmark(law_and_clamp)
+
+
+def test_plant_step(benchmark, period):
+    tm, states = period["tm"], period["states"]
+    u = np.full(states.shape[1], -1.0)
+    benchmark(rk4_fleet, states, u, tm.c @ period["w"], tm)
+
+
+def test_sanity_check(benchmark, period):
+    benchmark(check_sane, period["states"], 12.0)

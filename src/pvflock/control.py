@@ -24,16 +24,23 @@ the estimate is exact.  The integral is evaluated with composite Simpson
 weights on the uniform sample grid, which is why windows hold an odd number
 of samples.  Until c samples exist the simulation uses F_hat = 0.
 
-Every function works on one building (floats) or on a whole fleet at once
-(arrays with one entry, or one column, per building).  Times are in hours,
+The kernel's coefficients depend only on the sample times, alpha and dt,
+so estimator_kernel computes them once per run, for every window of the
+time grid, with the Simpson weights folded in.  A control period then only
+multiplies its window's samples by one row of those tables and sums them
+(estimate_f).
+
+The iP law and the reference work on one building (floats) or on a whole
+fleet at once (arrays with one entry per building); the estimator takes
+(c, n) blocks with one column per building, (c, 1) for one.  Times are in hours,
 temperatures in degC, controls in kW with the thermal sign convention
 (u <= 0 extracts heat).  The estimator reads the control that was actually
 applied after any clamping, so saturation cannot wind up the estimate.
 
-These functions run every control period and trust the settings they are
-given: alpha, kp and the window size were checked once, when the
-ScenarioConfig holding them was built.  The one check left guards a
-computed value, the control itself.
+These functions trust the settings they are given: alpha, kp and the
+window size were checked once, when the ScenarioConfig holding them was
+built.  The one check left guards a computed value, the control itself: a
+finite setting can still overflow it (kp = 1e308 or alpha = 1e-308).
 """
 
 from __future__ import annotations
@@ -59,32 +66,44 @@ def reference(t: float, y0, setpoint: float, ramp_hours: float):
 def ip_control(f_hat, y_ref_dot, e, alpha: float, kp: float):
     """Intelligent proportional law: u = -(f_hat - y_ref_dot + kp*e) / alpha."""
     u = -(f_hat - y_ref_dot + kp * e) / alpha
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise ConfigurationError("iP law inputs must be finite")
     return u
 
 
-def estimate_f(t: np.ndarray, y, u, alpha: float, dt: float):
-    """Annihilator-kernel estimate of F over a window of c uniformly spaced samples.
+def estimator_kernel(t: np.ndarray, c: int, alpha: float, dt: float):
+    """Kernel coefficients of every window of c consecutive samples of the time grid t.
 
-    t holds the c sample times (spaced by dt); y and u hold the matching
-    outputs and applied controls, one row per sample.  Integrates
-    (tau - 2s)*y + alpha*s*(tau - s)*u with s measured from the window
-    start, then scales by -6/tau^3.  Exact (up to rounding) whenever y is
-    affine in time and u constant across the window, which must hold an odd
-    number c >= 3 of samples.
+    Returns (ky, ku), each shaped (len(t) - c + 1, c): row j belongs to the
+    window of samples j .. j + c - 1 and holds the coefficients of y and u,
+    (tau - 2s) and alpha*s*(tau - s), each times its composite Simpson
+    weight.  c must be odd and at least 3.
     """
-    c = len(t)
+    i = np.arange(c)
+    times = t[np.arange(max(len(t) - c + 1, 0))[:, None] + i]
+    # s from the sample times, as the integral is written; the Simpson
+    # weights are powers of two, so folding them in rounds nothing
+    sigma = times - times[:, :1]
     tau = (c - 1) * dt
+    simpson = np.where(i % 2, 4.0, 2.0)
+    simpson[[0, -1]] = 1.0
+    return (tau - 2.0 * sigma) * simpson, alpha * sigma * (tau - sigma) * simpson
 
-    def integrand(i: int):
-        sigma = t[i] - t[0]
-        return (tau - 2.0 * sigma) * y[i] + alpha * sigma * (tau - sigma) * u[i]
 
-    # composite Simpson accumulated in sample order, with s from the sample
-    # times: a precomputed-weight dot product rounds differently and moves
-    # trace digits
-    acc = integrand(0) + integrand(c - 1)
-    for i in range(1, c - 1):
-        acc = acc + integrand(i) * (4.0 if i % 2 else 2.0)
+def estimate_f(ky: np.ndarray, ku: np.ndarray, y: np.ndarray, u: np.ndarray, dt: float):
+    """Annihilator-kernel estimate of F over one window, one entry per building.
+
+    ky and ku are the window's row of the estimator_kernel tables; y and u
+    are (c, n) blocks of its outputs and applied controls, one row per
+    sample.  Exact (up to rounding) whenever y is affine in time and u
+    constant across the window.
+    """
+    tau = (len(ky) - 1) * dt
+    terms = ky[:, None] * y + ku[:, None] * u
+    # summed row after row, end points first, as the composite Simpson sum
+    # is written: np.add.reduce sums a (c, 1) block pairwise once c > 8, and
+    # np.add.accumulate is several times slower on wide fleets
+    acc = terms[0] + terms[-1]
+    for term in terms[1:-1]:
+        acc += term
     return -(6.0 / tau**3) * (acc * dt / 3.0)

@@ -25,23 +25,27 @@ period, split into substeps so the fastest node stays well resolved.  The
 model is linear, so dx/dt = A x + B u + C w with the matrices returned by
 build_matrices().  Because the plant is linear and the inputs are held
 constant over the period, the whole substep loop collapses to a single
-affine update x+ = x + S (A x + f); S is computed, and cached with A, B and
-C, once per parameter set and period.  The tests cross-check this against a
-plain per-substep loop and a derivative written straight from the ODEs.
+affine update x+ = x + S (A x + f).  transition_map computes A, B, C and S
+once per run; a run also computes the disturbance forcing C w of every
+period in one product before its loop.  A period then only evaluates the
+state-dependent part: the forcing B u + C w and the update.  The tests
+cross-check this against a plain per-substep loop and a derivative written
+straight from the ODEs.
 
 Everything here takes plain arrays: one building's state is the length-3
 array (T1, T2, T3), a fleet is a (3, n) block with one column per building,
-and w is the length-3 disturbance held over the period.  A single building
-is simply a (3, 1) block.  rk4_fleet trusts its settings: BuildingParams
-checks the constants when it is built and ScenarioConfig checks the period
-and the substep count.  check_sane guards the computed states.
+and C w is the length-3 forcing of the disturbance held over the period.  A
+single building is simply a (3, 1) block.  rk4_fleet trusts its settings:
+BuildingParams checks the constants when it is built and ScenarioConfig
+checks the period and the substep count.  check_sane guards the computed
+states, with one min and one max test per period.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,10 +97,16 @@ def build_matrices(p: BuildingParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return 3600.0 * a, 3600.0 * b, 3600.0 * c
 
 
-@lru_cache(maxsize=16)
-def _transition_map(
-    p: BuildingParams, dt: float, substeps: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+class TransitionMap(NamedTuple):
+    """One control period of the plant: A, B, C and the RK4 update S."""
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    s: np.ndarray
+
+
+def transition_map(p: BuildingParams, dt: float, substeps: int) -> TransitionMap:
     """Matrices A, B, C and the precomputed RK4 update S over one control
     period, in increment form.
 
@@ -125,22 +135,19 @@ def _transition_map(
     s = np.zeros((3, 3))
     for _ in range(substeps):
         s = phi @ s + gamma
-    for m in (a, b, c, s):
-        m.setflags(write=False)
-    return a, b, c, s
+    return TransitionMap(a, b, c, s)
 
 
-def rk4_fleet(
-    states: np.ndarray, u: np.ndarray, w: np.ndarray, p: BuildingParams, dt: float, substeps: int
-) -> np.ndarray:
-    """Advance a (3, n) block of building states by dt hours under ZOH inputs.
+def rk4_fleet(states: np.ndarray, u: np.ndarray, cw: np.ndarray, tm: TransitionMap) -> np.ndarray:
+    """Advance a (3, n) block of building states by one control period under ZOH inputs.
 
-    All buildings share the parameter set and the disturbance w = (d1, d2,
-    d3); u is one control per building.  Returns a new array.  Evaluates the classical
-    RK4 substep recursion through the precomputed transition map.
+    u is one control per building; cw = tm.c @ w is the forcing of the
+    disturbance w = (d1, d2, d3) that every building shares over the period.
+    Returns a new array.  Evaluates the classical RK4 substep recursion
+    through the transition map tm.
     """
-    a, b, c, s = _transition_map(p, float(dt), int(substeps))
-    forcing = (b[:, None] * u[None, :]) + (c @ w)[:, None]
+    a, b, _, s = tm
+    forcing = (b[:, None] * u[None, :]) + cw[:, None]
     return states + s @ (a @ states + forcing)
 
 
@@ -148,11 +155,13 @@ def check_sane(states: np.ndarray, t: float | None = None) -> None:
     """Raise PlantDivergenceError naming the first building of a (3, n) state
     block that left SANITY_RANGE (reached at time t, if given)."""
     lo, hi = SANITY_RANGE
+    # NaN fails both comparisons, so it takes the naming path too
+    if lo <= states.min() and states.max() <= hi:
+        return
     bad = ~np.all((states >= lo) & (states <= hi), axis=0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        t1, t2, t3 = states[:, i]
-        when = "" if t is None else f" at t = {t:.4f} h"
-        raise PlantDivergenceError(
-            f"building {i} left the sane range{when} (T = {t1:.2f}, {t2:.2f}, {t3:.2f})"
-        )
+    i = int(np.argmax(bad))
+    t1, t2, t3 = states[:, i]
+    when = "" if t is None else f" at t = {t:.4f} h"
+    raise PlantDivergenceError(
+        f"building {i} left the sane range{when} (T = {t1:.2f}, {t2:.2f}, {t3:.2f})"
+    )

@@ -1,12 +1,14 @@
 """Fleet simulation driver, trace serialization and scenario metrics.
 
-A run first computes every input that does not depend on the fleet's state,
-one column each over the whole time grid: the times, the PV output, the
-aggregate band with the per-building bounds, and the (steps, 3) disturbance
-table.  It then marches N identical buildings at the control rate, one array
-step per control period: the iP law on every building's air temperature,
-one clamp onto that period's bounds and one RK4 update of the (3, N) state
-block.
+A run first computes everything that depends only on the time grid and the
+settings: the times, the PV output, the aggregate band with the
+per-building bounds, the (steps, 3) disturbance forcing C w, the plant's
+transition map and the estimator's kernel tables.  It then marches N
+identical buildings at the control rate, and a control period does only the
+arithmetic that needs the fleet's state: the estimate over the trace's last
+c rows, the iP law on every building's air temperature, one clamp onto that
+period's bounds, one RK4 update of the (3, N) state block and one range
+check of it.
 Initial air temperatures are drawn uniformly from the configured range with
 a seeded generator; interior mass starts at the air temperature and the wall
 core one degree above, so a hot start really is a hot building.
@@ -27,9 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import estimate_f, ip_control, reference
+from .control import estimate_f, estimator_kernel, ip_control, reference
 from .coordinator import building_bounds, clamp_to_bounds
-from .plant import check_sane, rk4_fleet
+from .plant import check_sane, rk4_fleet, transition_map
 from .scenario import ScenarioConfig, load_profile_csv, read_csv_table, synth_disturbances, synth_pv
 
 
@@ -74,7 +76,7 @@ def run_simulation(cfg: ScenarioConfig) -> SimulationTrace:
     the sane temperature range.
     """
     n, steps, dt = cfg.fleet.n_buildings, cfg.n_steps, cfg.fleet.sample_dt
-    c = cfg.window_capacity
+    c, alpha, kp = cfg.window_capacity, cfg.alpha, cfg.kp
     t = np.arange(steps) * dt
     if cfg.pv.kind == "csv":
         pv = load_profile_csv(cfg.pv.csv_path, non_negative=True).value_at(t)
@@ -83,7 +85,8 @@ def run_simulation(cfg: ScenarioConfig) -> SimulationTrace:
     else:
         pv = np.zeros(steps)
     band_lo, band_hi, lo, hi, infeasible = building_bounds(pv, cfg.fleet)
-    w = synth_disturbances(t, cfg.disturbance)
+    tm = transition_map(cfg.building, dt, cfg.substeps)
+    cw = synth_disturbances(t, cfg.disturbance) @ tm.c.T
     tr = SimulationTrace(
         n_buildings=n,
         t=t,
@@ -101,22 +104,43 @@ def run_simulation(cfg: ScenarioConfig) -> SimulationTrace:
     )
     states = build_fleet(cfg)
     y0 = states[0]
-    for k in range(steps):
-        y_ref, y_ref_dot = reference(t[k], y0, cfg.setpoint, cfg.ramp_hours)
-        # the estimator window is the last c rows of the measured T1 and applied u
-        f_hat = (
-            estimate_f(t[k - c:k], tr.t1[k - c:k], tr.u[k - c:k], cfg.alpha, dt)
-            if k >= c else 0.0
-        )
-        u_raw = ip_control(f_hat, y_ref_dot, states[0] - y_ref, cfg.alpha, cfg.kp)
-        tr.p[k], tr.u[k], tr.clamped[k] = clamp_to_bounds(u_raw, lo[k], hi[k])
-        tr.t1[k], tr.t2[k], tr.t3[k] = states
-        states = rk4_fleet(states, tr.u[k], w[k], cfg.building, dt, cfg.substeps)
-        check_sane(states, t[k] + dt)
-    # summed left to right, building by building: numpy's pairwise sum can
-    # differ in the last bit, which %.6g occasionally shows
-    tr.sum_p[:] = np.cumsum(tr.p, axis=1)[:, -1]
+    # a finite setting can overflow the iP law (kp = 1e308); ip_control and
+    # check_sane test every control and state, so numpy's warnings would
+    # only repeat their one error
+    with np.errstate(over="ignore", invalid="ignore"):
+        ky, ku = estimator_kernel(t, c, alpha, dt)
+        for k in range(steps):
+            y_ref, y_ref_dot = reference(t[k], y0, cfg.setpoint, cfg.ramp_hours)
+            # the estimator window is the last c rows of the measured T1 and applied u
+            f_hat = (
+                estimate_f(ky[k - c], ku[k - c], tr.t1[k - c:k], tr.u[k - c:k], dt)
+                if k >= c else 0.0
+            )
+            u_raw = ip_control(f_hat, y_ref_dot, states[0] - y_ref, alpha, kp)
+            tr.p[k], tr.u[k], tr.clamped[k] = clamp_to_bounds(u_raw, lo[k], hi[k])
+            tr.t1[k], tr.t2[k], tr.t3[k] = states
+            states = rk4_fleet(states, tr.u[k], cw[k], tm)
+            check_sane(states, t[k] + dt)
+    tr.sum_p = sum_rows(tr.p)
     return tr
+
+
+#: elements in one block of sum_rows' running sums (512 KiB of doubles)
+_SUM_BLOCK = 1 << 16
+
+
+def sum_rows(p: np.ndarray) -> np.ndarray:
+    """Row sums of a (steps, n) array, each added left to right, building by building.
+
+    numpy's pairwise sum can differ in the last bit, which %.6g occasionally
+    shows.  The running sums are taken over blocks of rows, so no (steps, n)
+    temporary is built.
+    """
+    out = np.empty(len(p))
+    block = max(1, _SUM_BLOCK // p.shape[1])
+    for i in range(0, len(p), block):
+        out[i:i + block] = np.cumsum(p[i:i + block], axis=1)[:, -1]
+    return out
 
 
 # ---------------------------------------------------------------------------

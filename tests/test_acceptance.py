@@ -21,9 +21,9 @@ from pvflock import (
     compute_metrics,
     run_simulation,
 )
-from pvflock.control import estimate_f, ip_control
+from pvflock.control import estimate_f, estimator_kernel, ip_control
 from pvflock.coordinator import building_bounds, clamp_to_bounds
-from pvflock.plant import build_matrices, check_sane, rk4_fleet
+from pvflock.plant import build_matrices, check_sane, rk4_fleet, transition_map
 
 DT = 1.0 / 6.0
 
@@ -112,8 +112,9 @@ def test_criterion_4_estimators_settle_within_three_window_spans():
             ys.append(y)
             us.append(u)
             if k - filled_at == spans_to_settle:
-                window = np.array(ts[-capacity:]), ys[-capacity:], us[-capacity:]
-                err = abs(estimate_f(*window, alpha, DT) - f0)
+                ky, ku = estimator_kernel(np.array(ts[-capacity:]), capacity, alpha, DT)
+                window = np.array(ys[-capacity:])[:, None], np.array(us[-capacity:])[:, None]
+                err = abs(estimate_f(ky[0], ku[0], *window, DT)[0] - f0)
                 assert err < 1e-3
                 worst = max(worst, err)
             y += (f0 + alpha * u) * DT  # exact ZOH integration of dy/dt = F + alpha u
@@ -131,8 +132,9 @@ def test_criterion_4_estimators_settle_within_three_window_spans():
     for y0, slope, u, alpha_c, t0 in affine_cases:
         sigma = np.arange(capacity) * DT
         t = t0 + sigma
-        err = abs(estimate_f(t, y0 + slope * sigma, np.full(capacity, u), alpha_c, DT)
-                  - (slope - alpha_c * u))
+        ky, ku = estimator_kernel(t, capacity, alpha_c, DT)
+        y, uu = (y0 + slope * sigma)[:, None], np.full((capacity, 1), u)
+        err = abs(estimate_f(ky[0], ku[0], y, uu, DT)[0] - (slope - alpha_c * u))
         assert err < 1e-9
         worst_affine = max(worst_affine, err)
     print(
@@ -176,9 +178,10 @@ def test_criterion_6_plant_integration_matches_adaptive_reference():
         lambda t, x: a @ x + forcing, (0.0, 24.0), x0,
         rtol=1e-10, atol=1e-10,
     )
+    tm = transition_map(p, DT, 10)
     state = x0[:, None]  # one building is a (3, 1) block
     for _ in range(144):
-        state = rk4_fleet(state, np.array([-2.0]), w, p, DT, 10)
+        state = rk4_fleet(state, np.array([-2.0]), tm.c @ w, tm)
         check_sane(state)
     diff = float(np.max(np.abs(state[:, 0] - sol.y[:, -1])))
     assert diff < 1e-6
@@ -189,7 +192,7 @@ def test_criterion_6_plant_integration_matches_adaptive_reference():
     calm = np.array([t_out, 0.0, 0.0])
     uniform = np.full((3, 1), t_out)
     for _ in range(144):
-        uniform = rk4_fleet(uniform, np.array([0.0]), calm, p, DT, 10)
+        uniform = rk4_fleet(uniform, np.array([0.0]), tm.c @ calm, tm)
         check_sane(uniform)
     assert uniform[:, 0].tolist() == [t_out, t_out, t_out]
 

@@ -18,6 +18,20 @@ PINNED_TRACE_SHA256 = {
     "fleet14": "95b4812ed62433a786fb80ce9dd0b397f0f59749311309d91d419e2ed1a4544b",
     "regulation_only": "341b938dfa7685c7ff7c7d1d6820e2f3ac1f9704eebcb2151427d581d8deeb3c",
 }
+#: sha256 of the trace of configs/default.cfg with these lines added, at seed
+#: 1: settings no shipped config reaches
+PINNED_VARIANT_TRACE_SHA256 = {
+    "controller.window_capacity = 5": "e7e30f3065eeab619c986227144048800af9e53e521c05d2c4fe64f66a98c7fc",
+    "controller.window_capacity = 7": "0364080a4087f3183da79c6b4943ee28b01d18686c943733221da68e44c2b407",
+    "scenario.ramp_hours = 3": "9def74782130aa8854c80a00018b55184a53c738d9b6f70d3b36f277910d5290",
+    "fleet.n_buildings = 1": "7fad904cf02f2cee64313ec6ab09838682e864e70e2facac301bbf748d7dff1d",
+    "fleet.n_buildings = 1\ncontroller.window_capacity = 9":
+        "725ec54b0ffb63fbf024a7a9b08b459df4af3891438d8ef45226f5d49152492d",
+}
+#: sha256 of `pvflock gen-profile pv <out> --horizon 672`, and of the trace of
+#: configs/default.cfg over those 672 h with PV read from it
+PINNED_PV_672_SHA256 = "ec4a812ffcd336049ffb681c6fb49bf91b0cef75917a4ab56696791eb92ac99d"
+PINNED_CSV_PV_672_TRACE_SHA256 = "51e05a780ea7e0a3af20d4707d3bed9bea30296dc65a2dd9845924a9a873f466"
 #: sha256 of `pvflock gen-profile pv <out>` with default flags
 PINNED_PV_PROFILE_SHA256 = "64f672b0ba6cbf5601d029107750c2b927e7f194360e33da082c506fb8c8b990"
 #: sha256 of the trace of configs/default.cfg at seed 1 with PV read from that profile
@@ -137,6 +151,33 @@ class TestRun:
         out = tmp_path / "trace.csv"
         assert main(["run", str(cfg), "--out", str(out), "--seed", "1", "--quiet"]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CSV_PV_TRACE_SHA256
+
+    @pytest.mark.parametrize("lines", list(PINNED_VARIANT_TRACE_SHA256))
+    def test_variant_trace_bytes_are_pinned(self, lines, config_file, tmp_path):
+        cfg = config_file((CONFIGS / "default.cfg").read_text() + f"\n{lines}\n")
+        out = tmp_path / "trace.csv"
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_VARIANT_TRACE_SHA256[lines]
+
+    def test_four_week_csv_pv_trace_bytes_are_pinned(self, config_file, tmp_path):
+        profile = tmp_path / "pv.csv"
+        assert main(["gen-profile", "pv", str(profile), "--horizon", "672"]) == 0
+        assert hashlib.sha256(profile.read_bytes()).hexdigest() == PINNED_PV_672_SHA256
+        text = (CONFIGS / "default.cfg").read_text()
+        cfg = config_file(
+            text + f"\nscenario.horizon_hours = 672\npv.source = csv\npv.csv_path = {profile}\n"
+        )
+        out = tmp_path / "trace.csv"
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CSV_PV_672_TRACE_SHA256
+
+    @pytest.mark.parametrize("line", ["controller.alpha = 1e-308", "controller.kp = 1e308"])
+    def test_overflowing_ip_law_prints_one_error(self, line, config_file, tmp_path, capsys):
+        # finite settings whose iP law overflows: the guard stops the run,
+        # and numpy's overflow warning is not printed ahead of its error
+        out = tmp_path / "trace.csv"
+        assert main(["run", str(config_file(SMALL + line + "\n")), "--out", str(out)]) == 1
+        assert one_error_line(capsys) == "error: iP law inputs must be finite\n"
 
 
 class TestSeedResolution:

@@ -17,7 +17,7 @@ from pvflock import (
     ScenarioConfig,
     run_simulation,
 )
-from pvflock.control import estimate_f, ip_control, reference
+from pvflock.control import estimate_f, estimator_kernel, ip_control, reference
 
 DT = 1.0 / 6.0
 
@@ -27,6 +27,14 @@ def window(capacity: int, dt: float, y_of, u_of, t0: float = 0.0):
     t = t0 + np.arange(capacity) * dt
     sigma = t - t0
     return t, np.array([y_of(s) for s in sigma]), np.array([u_of(s) for s in sigma])
+
+
+def estimate(t, y, u, alpha: float, dt: float):
+    """estimate_f on the one window of samples at times t; y and u are (c,) or (c, n)."""
+    ky, ku = estimator_kernel(np.asarray(t), len(t), alpha, dt)
+    y, u = np.asarray(y, dtype=float), np.asarray(u, dtype=float)
+    f = estimate_f(ky[0], ku[0], y.reshape(len(t), -1), u.reshape(len(t), -1), dt)
+    return f if y.ndim == 2 else f[0]
 
 
 def small_run(**kw):
@@ -50,7 +58,7 @@ class TestSampleWindow:
             checked = 0
             for k in range(capacity, tr.n_steps):
                 rows = slice(k - capacity, k)
-                f_hat = estimate_f(tr.t[rows], tr.t1[rows], tr.u[rows], cfg.alpha, DT)
+                f_hat = estimate(tr.t[rows], tr.t1[rows], tr.u[rows], cfg.alpha, DT)
                 u = ip_control(f_hat, 0.0, tr.t1[k] - cfg.setpoint, cfg.alpha, cfg.kp)
                 free = ~tr.clamped[k]
                 assert np.array_equal(tr.u[k][free], u[free])
@@ -59,7 +67,7 @@ class TestSampleWindow:
 
     @pytest.mark.parametrize("capacity", [0, 1, 2, 4, 6])
     def test_capacity_must_be_odd_and_at_least_three(self, capacity):
-        # checked once, by the config; estimate_f trusts the window it is given
+        # checked once, by the config; the estimator trusts the window it is given
         with pytest.raises(ConfigurationError):
             ScenarioConfig(window_capacity=capacity)
 
@@ -108,31 +116,45 @@ class TestIpLaw:
 class TestAlgebraicEstimator:
     def test_exact_for_pure_drift(self):
         t, y, u = window(3, DT, y_of=lambda s: 2.0 * s, u_of=lambda s: 0.0)
-        assert estimate_f(t, y, u, 5.0, DT) == pytest.approx(2.0, abs=1e-9)
+        assert estimate(t, y, u, 5.0, DT) == pytest.approx(2.0, abs=1e-9)
 
     def test_exact_for_affine_output_constant_control(self):
         # dy/dt = 3 with alpha*u = 2.5 leaves F = 0.5
         t, y, u = window(3, DT, y_of=lambda s: 1.0 + 3.0 * s, u_of=lambda s: 0.5, t0=10.0)
-        assert estimate_f(t, y, u, 5.0, DT) == pytest.approx(0.5, abs=1e-9)
+        assert estimate(t, y, u, 5.0, DT) == pytest.approx(0.5, abs=1e-9)
 
     def test_constant_output_no_control_gives_zero(self):
         t, y, u = window(5, 0.25, y_of=lambda s: 7.0, u_of=lambda s: 0.0)
-        assert estimate_f(t, y, u, 2.0, 0.25) == pytest.approx(0.0, abs=1e-9)
+        assert estimate(t, y, u, 2.0, 0.25) == pytest.approx(0.0, abs=1e-9)
 
     def test_kernel_ignores_output_offset(self):
         base = window(3, DT, y_of=lambda s: 2.0 * s, u_of=lambda s: -0.3)
         shifted = window(3, DT, y_of=lambda s: 50.0 + 2.0 * s, u_of=lambda s: -0.3)
-        assert estimate_f(*base, 5.0, DT) == pytest.approx(estimate_f(*shifted, 5.0, DT), abs=1e-9)
+        assert estimate(*base, 5.0, DT) == pytest.approx(estimate(*shifted, 5.0, DT), abs=1e-9)
 
     def test_fleet_columns_match_single_buildings(self):
-        # one column per building gives each building's own estimate, bitwise
+        # one column per building gives each building's own estimate,
+        # bitwise, also past the 8 rows where numpy starts summing one
+        # column pairwise
         rng = np.random.default_rng(3)
-        t = 5.0 + np.arange(5) * DT
-        y = rng.uniform(20, 27, size=(5, 4))
-        u = rng.uniform(-3, 0, size=(5, 4))
-        fleet = estimate_f(t, y, u, 5.0, DT)
-        for i in range(4):
-            assert fleet[i] == estimate_f(t, y[:, i], u[:, i], 5.0, DT)
+        for capacity in (5, 9, 11):
+            t = 5.0 + np.arange(capacity) * DT
+            y = rng.uniform(20, 27, size=(capacity, 4))
+            u = rng.uniform(-3, 0, size=(capacity, 4))
+            fleet = estimate(t, y, u, 5.0, DT)
+            for i in range(4):
+                assert fleet[i] == estimate(t, y[:, i], u[:, i], 5.0, DT)
+
+    def test_kernel_rows_match_single_windows(self):
+        # the run's tables, built once over the whole time grid, hold the
+        # same coefficients as a table built from each window's own times
+        t = np.arange(40) * DT
+        ky, ku = estimator_kernel(t, 5, 5.0, DT)
+        assert ky.shape == ku.shape == (36, 5)
+        for j in range(36):
+            wy, wu = estimator_kernel(t[j:j + 5], 5, 5.0, DT)
+            assert np.array_equal(ky[j], wy[0]) and np.array_equal(ku[j], wu[0])
+        assert estimator_kernel(t[:4], 5, 5.0, DT)[0].shape == (0, 5)
 
     @settings(max_examples=200)
     @given(
@@ -150,7 +172,7 @@ class TestAlgebraicEstimator:
         slope = f0 + alpha * u
         t, y, uu = window(capacity, dt, y_of=lambda s: y0 + slope * s, u_of=lambda s: u, t0=t0)
         scale = max(1.0, abs(f0), abs(y0) / dt)
-        assert estimate_f(t, y, uu, alpha, dt) == pytest.approx(f0, abs=1e-6 * scale)
+        assert estimate(t, y, uu, alpha, dt) == pytest.approx(f0, abs=1e-6 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +246,7 @@ class TestIpController:
         hits = 0
         for k in range(3, tr.n_steps):
             after_clamp = tr.clamped[k - 3:k].any(axis=0) & ~tr.clamped[k]
-            f_hat = estimate_f(tr.t[k - 3:k], tr.t1[k - 3:k], tr.u[k - 3:k], cfg.alpha, DT)
+            f_hat = estimate(tr.t[k - 3:k], tr.t1[k - 3:k], tr.u[k - 3:k], cfg.alpha, DT)
             u = ip_control(f_hat, 0.0, tr.t1[k] - cfg.setpoint, cfg.alpha, cfg.kp)
             assert np.array_equal(tr.u[k][after_clamp], u[after_clamp])
             hits += int(after_clamp.sum())
@@ -240,7 +262,7 @@ class TestIpController:
         f_hat = 0.0
         for k in range(120):
             if k >= capacity:
-                f_hat = estimate_f(np.array(t[-capacity:]), y[-capacity:], u[-capacity:], alpha, DT)
+                f_hat = estimate(t[-capacity:], y[-capacity:], u[-capacity:], alpha, DT)
             t.append(k * DT)
             y.append(plant.y)
             u.append(ip_control(f_hat, 0.0, plant.y - 23.0, alpha, kp))

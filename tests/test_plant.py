@@ -25,7 +25,7 @@ from pvflock import (
     PlantDivergenceError,
     parse_config_text,
 )
-from pvflock.plant import SANITY_RANGE, build_matrices, check_sane, rk4_fleet
+from pvflock.plant import SANITY_RANGE, build_matrices, check_sane, rk4_fleet, transition_map
 
 RESIDENTIAL = BuildingParams()
 W0 = np.array([30.0, 0.1, 1.0])  # (d1, d2, d3)
@@ -120,11 +120,12 @@ class TestIntegrator:
         # rounding on both parameter sets
         rng = np.random.default_rng(0)
         for p in (OFFICE, RESIDENTIAL):
+            tm = transition_map(p, 1 / 6, 10)
             for _ in range(30):
                 x = rng.uniform(15, 35, size=(3, 4))
                 u = rng.uniform(-3, 0, size=4)
                 w = rng.uniform([10, 0, 0], [40, 1, 1])
-                fast = rk4_fleet(x, u, w, p, 1 / 6, 10)
+                fast = rk4_fleet(x, u, tm.c @ w, tm)
                 loop = rk4_fleet_reference(x, u, w, p, 1 / 6, 10)
                 np.testing.assert_allclose(fast, loop, rtol=0, atol=1e-11)
 
@@ -137,9 +138,10 @@ class TestIntegrator:
             lambda t, x: a @ x + forcing, (0.0, 24.0), X0,
             rtol=1e-10, atol=1e-10,
         )
+        tm = transition_map(p, 1 / 6, 10)
         x = X0[:, None]
         for _ in range(144):
-            x = rk4_fleet(x, np.array([-2.0]), W0, p, 1 / 6, 10)
+            x = rk4_fleet(x, np.array([-2.0]), tm.c @ W0, tm)
         assert np.max(np.abs(x[:, 0] - sol.y[:, -1])) < 1e-6
 
     def test_fourth_order_error_decay(self):
@@ -154,7 +156,8 @@ class TestIntegrator:
         )
         errs = {}
         for n in (8, 16, 32):
-            xn = rk4_fleet(X0[:, None], np.array([-2.0]), W0, p, dt, n)[:, 0]
+            tm = transition_map(p, dt, n)
+            xn = rk4_fleet(X0[:, None], np.array([-2.0]), tm.c @ W0, tm)[:, 0]
             errs[n] = np.max(np.abs(xn - exact))
         assert errs[32] > 1e-10  # still above rounding, the ratio is meaningful
         assert 14.0 < errs[8] / errs[16] < 20.0
@@ -164,10 +167,11 @@ class TestIntegrator:
         p = RESIDENTIAL
         states = np.array([[24.0, 26.0, 22.5], [24.0, 25.0, 22.5], [25.0, 27.0, 23.5]])
         u = np.array([-1.0, -3.0, 0.0])
-        batch = rk4_fleet(states, u, W0, p, 1 / 6, 10)
+        tm = transition_map(p, 1 / 6, 10)
+        batch = rk4_fleet(states, u, tm.c @ W0, tm)
         for i in range(3):
             # one building is a (3, 1) block
-            single = rk4_fleet(states[:, i:i + 1], u[i:i + 1], W0, p, 1 / 6, 10)
+            single = rk4_fleet(states[:, i:i + 1], u[i:i + 1], tm.c @ W0, tm)
             assert batch[:, i] == pytest.approx(single[:, 0], rel=1e-14)
 
     @settings(max_examples=50, deadline=None)
@@ -177,9 +181,9 @@ class TestIntegrator:
         d1=st.floats(-5, 45),
     )
     def test_one_period_stays_physical(self, t, u, d1):
+        tm = transition_map(RESIDENTIAL, 1 / 6, 10)
         out = rk4_fleet(
-            np.array([[t], [t], [t + 1.0]]), np.array([u]), np.array([d1, 0.2, 0.5]),
-            RESIDENTIAL, 1 / 6, 10,
+            np.array([[t], [t], [t + 1.0]]), np.array([u]), tm.c @ np.array([d1, 0.2, 0.5]), tm,
         )
         lo, hi = SANITY_RANGE
         assert np.all((lo <= out) & (out <= hi))
@@ -209,9 +213,10 @@ class TestEquilibrium:
     def test_integration_preserves_equilibrium(self):
         p = RESIDENTIAL
         eq = equilibrium(-1.0, W0, p)
+        tm = transition_map(p, 1 / 6, 10)
         x = eq[:, None]
         for _ in range(60):
-            x = rk4_fleet(x, np.array([-1.0]), W0, p, 1 / 6, 10)
+            x = rk4_fleet(x, np.array([-1.0]), tm.c @ W0, tm)
         assert x[:, 0] == pytest.approx(eq, abs=1e-9)
 
     def test_cooling_authority_on_residential_scale(self):
@@ -228,9 +233,21 @@ class TestEquilibrium:
                 check_sane(np.array(bad)[:, None])
         check_sane(np.array([[-20.0], [60.0], [0.0]]))  # closed interval
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 60.5, -20.5])
+    @pytest.mark.parametrize("node", [0, 1, 2])
+    def test_sanity_guard_names_the_first_bad_building(self, bad, node):
+        # one min and one max test pass a sane block; a failing one must
+        # still name the first bad column, here the middle of five
+        states = np.full((3, 5), 23.0)
+        states[node, 2] = bad
+        states[2 - node, 4] = 100.0
+        with pytest.raises(PlantDivergenceError, match=r"^building 2 left the sane range at t = 1\.5000 h"):
+            check_sane(states, 1.5)
+
     def test_diverging_period_is_flagged(self):
         hot = np.full((3, 1), 59.9)
         blazing = np.array([45.0, 2.0, 50.0])
-        out = rk4_fleet(hot, np.array([0.0]), blazing, RESIDENTIAL, 1 / 6, 10)
+        tm = transition_map(RESIDENTIAL, 1 / 6, 10)
+        out = rk4_fleet(hot, np.array([0.0]), tm.c @ blazing, tm)
         with pytest.raises(PlantDivergenceError, match="building 0"):
             check_sane(out)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -24,7 +25,7 @@ from pvflock import (
 from pvflock.cli import main
 from pvflock.plant import rk4_fleet
 from pvflock.scenario import DisturbanceParams
-from pvflock.simulate import build_fleet, trace_header
+from pvflock.simulate import build_fleet, sum_rows, trace_header
 
 
 def small_cfg(**kw) -> ScenarioConfig:
@@ -108,7 +109,9 @@ class TestRunSimulation:
             disturbance=DisturbanceParams(d3_day=50.0, d3_night=50.0),
             pv=PvSourceConfig(kind="off"),
         )
-        with pytest.raises(PlantDivergenceError):
+        with pytest.raises(PlantDivergenceError, match=re.escape(
+            "building 1 left the sane range at t = 0.5000 h (T = 60.68, 31.29, 28.16)"
+        )):
             run_simulation(cfg)
 
     def test_short_pv_profile_fails_before_any_step(self, tmp_path, monkeypatch):
@@ -127,6 +130,17 @@ class TestRunSimulation:
         with pytest.raises(ProfileError, match=r"outside the profile span \[0\.0, 24\.0\] h"):
             run_simulation(cfg)
         assert calls == []
+
+
+class TestSumRows:
+    def test_equals_the_left_to_right_cumsum(self):
+        # mixed magnitudes make every summation order round differently;
+        # 3 000 columns split the 300 rows into blocks of 21
+        rng = np.random.default_rng(11)
+        p = rng.standard_normal((300, 3000)) * 10.0 ** rng.integers(-8, 9, (300, 3000))
+        assert np.array_equal(sum_rows(p), np.cumsum(p, axis=1)[:, -1])
+        assert not np.array_equal(p.sum(axis=1), np.cumsum(p, axis=1)[:, -1])
+        assert sum_rows(p[:0]).shape == (0,)
 
 
 class TestBuildFleet:
