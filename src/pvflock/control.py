@@ -67,7 +67,9 @@ def ip_control(f_hat, y_ref_dot, e, alpha: float, kp: float):
     """Intelligent proportional law: u = -(f_hat - y_ref_dot + kp*e) / alpha."""
     u = -(f_hat - y_ref_dot + kp * e) / alpha
     if not np.isfinite(u).all():
-        raise ConfigurationError("iP law inputs must be finite")
+        raise ConfigurationError(
+            "computed iP control is not finite: controller.kp or controller.alpha overflows it"
+        )
     return u
 
 
@@ -79,8 +81,10 @@ def estimator_kernel(t: np.ndarray, c: int, alpha: float, dt: float):
     (tau - 2s) and alpha*s*(tau - s), each times its composite Simpson
     weight.  c must be odd and at least 3.
     """
+    if len(t) < c:  # no window fits: allocate nothing, however large c is
+        return np.empty((0, c)), np.empty((0, c))
     i = np.arange(c)
-    times = t[np.arange(max(len(t) - c + 1, 0))[:, None] + i]
+    times = t[np.arange(len(t) - c + 1)[:, None] + i]
     # s from the sample times, as the integral is written; the Simpson
     # weights are powers of two, so folding them in rounds nothing
     sigma = times - times[:, :1]

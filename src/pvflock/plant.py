@@ -151,9 +151,9 @@ def rk4_fleet(states: np.ndarray, u: np.ndarray, cw: np.ndarray, tm: TransitionM
     return states + s @ (a @ states + forcing)
 
 
-def check_sane(states: np.ndarray, t: float | None = None) -> None:
+def check_sane(states: np.ndarray, t: float) -> None:
     """Raise PlantDivergenceError naming the first building of a (3, n) state
-    block that left SANITY_RANGE (reached at time t, if given)."""
+    block that left SANITY_RANGE, reached at time t."""
     lo, hi = SANITY_RANGE
     # NaN fails both comparisons, so it takes the naming path too
     if lo <= states.min() and states.max() <= hi:
@@ -161,7 +161,6 @@ def check_sane(states: np.ndarray, t: float | None = None) -> None:
     bad = ~np.all((states >= lo) & (states <= hi), axis=0)
     i = int(np.argmax(bad))
     t1, t2, t3 = states[:, i]
-    when = "" if t is None else f" at t = {t:.4f} h"
     raise PlantDivergenceError(
-        f"building {i} left the sane range{when} (T = {t1:.2f}, {t2:.2f}, {t3:.2f})"
+        f"building {i} left the sane range at t = {t:.4f} h (T = {t1:.2f}, {t2:.2f}, {t3:.2f})"
     )

@@ -8,11 +8,12 @@ The synthetic day used by the fleet simulations:
     pv output      pv(h) = peak * max(0, sin(pi*(h - 6)/14))^2         for h in [6, 20]
 
 with h = t mod 24.  Real measurements can replace the PV shape through a
-two-column CSV (header "t_hours,value", uniform time grid, linear
-interpolation between rows).  None of these inputs depends on the fleet's
-state, so a run evaluates each one once over its whole time grid: the
-synthetic functions and Profile.value_at take an array of times, and a
-profile that does not cover the grid fails before anything is simulated.
+two-column CSV (header "t_hours,value", strictly increasing times, linear
+interpolation between rows, so a log with gaps loads as it is).  None of
+these inputs depends on the fleet's state, so a run evaluates each one once
+over its whole time grid: the synthetic functions and Profile.value_at take
+an array of times, and a profile that does not cover the grid fails before
+anything is simulated.
 
 Config files are flat "section.key = value" text; see CONFIG_KEYS for the
 schema.  Unknown keys are rejected so typos cannot silently fall back to
@@ -79,30 +80,19 @@ def synth_pv(t, peak: float):
 
 
 class Profile:
-    """Uniformly sampled scalar profile with linear interpolation."""
+    """Scalar profile at strictly increasing times, linearly interpolated."""
 
     def __init__(self, t: np.ndarray, values: np.ndarray):
         if len(t) < 2:
             raise ProfileError("profile needs at least two rows")
-        dt = np.diff(t)
-        if np.any(dt <= 0):
+        if np.any(np.diff(t) <= 0):
             raise ProfileError("profile times must be strictly increasing")
-        # 0.01% relative slack absorbs decimal rounding of the time column
-        # (e.g. a 10-minute grid written as 0.166667) without letting a
-        # genuinely irregular grid through
-        mean_dt = float(dt.mean())
-        if np.any(np.abs(dt - mean_dt) > 1e-4 * mean_dt):
-            raise ProfileError("profile times must be uniformly spaced")
         self.t = np.asarray(t, dtype=float)
         self.values = np.asarray(values, dtype=float)
 
-    @property
-    def span(self) -> tuple[float, float]:
-        return float(self.t[0]), float(self.t[-1])
-
     def value_at(self, t):
         """Interpolated values at times t (one time or an array of them)."""
-        lo, hi = self.span
+        lo, hi = float(self.t[0]), float(self.t[-1])
         t = np.asarray(t, dtype=float)
         outside = (t < lo) | (t > hi)
         if outside.any():
@@ -247,6 +237,8 @@ class ScenarioConfig:
             raise ConfigurationError("substeps must be >= 1")
         if self.window_capacity < 3 or self.window_capacity % 2 == 0:
             raise ConfigurationError("window_capacity must be odd and >= 3")
+        if 0 < self.n_steps <= self.window_capacity:
+            raise ConfigurationError(f"window_capacity must be under the run's {self.n_steps} steps")
         if self.alpha == 0 or not math.isfinite(self.alpha):
             raise ConfigurationError("alpha must be nonzero and finite")
         if not (self.kp > 0 and math.isfinite(self.kp)):
@@ -337,9 +329,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> ScenarioConfig:
         return ScenarioConfig(
             fleet=fleet, building=building, disturbance=disturbance, pv=pv, **top
         )
-    except ConfigurationError:
-        raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # a ConfigurationError passes through as it is
         raise ConfigurationError(f"{origin}: {exc}") from exc
 
 

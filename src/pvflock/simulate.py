@@ -191,17 +191,7 @@ def compute_metrics(trace: SimulationTrace, cfg: ScenarioConfig) -> MetricsRepor
     after the start-up transient.  Tracking statistics cover PV-active steps
     only and are reported as not-applicable when PV never produced.
     """
-    if trace.n_steps == 0:
-        return MetricsReport(
-            empty=True,
-            comfort_violation_steps=0,
-            comfort_max_depth=0.0,
-            tracking_rms=None,
-            tracking_within_eps_pct=None,
-            peak_sum_p=0.0,
-            infeasible_steps=0,
-        )
-
+    empty = trace.n_steps == 0
     settled = trace.t >= cfg.transient_hours
     t1 = trace.t1[settled]
     below = np.maximum(cfg.comfort_low - t1, 0.0)
@@ -222,12 +212,12 @@ def compute_metrics(trace: SimulationTrace, cfg: ScenarioConfig) -> MetricsRepor
         within = None
 
     return MetricsReport(
-        empty=False,
+        empty=empty,
         comfort_violation_steps=violation_steps,
         comfort_max_depth=max_depth,
         tracking_rms=rms,
         tracking_within_eps_pct=within,
-        peak_sum_p=float(trace.sum_p.max()),
+        peak_sum_p=0.0 if empty else float(trace.sum_p.max()),
         infeasible_steps=int(np.count_nonzero(trace.infeasible)),
     )
 

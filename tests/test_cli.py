@@ -116,6 +116,10 @@ class TestRun:
         "scenario.initial_t1_low_c = nan",
         "scenario.seed = -1",
         "scenario.transient_hours = nan",
+        # a window the horizon cannot fill: the run would never estimate F,
+        # and a huge one would not even fit in memory
+        "scenario.horizon_hours = 72\ncontroller.window_capacity = 433",
+        "controller.window_capacity = 1000000000001",
     ])
     def test_bad_setting_fails_before_the_run(self, line, config_file, tmp_path, capsys):
         out = tmp_path / "trace.csv"
@@ -177,7 +181,10 @@ class TestRun:
         # and numpy's overflow warning is not printed ahead of its error
         out = tmp_path / "trace.csv"
         assert main(["run", str(config_file(SMALL + line + "\n")), "--out", str(out)]) == 1
-        assert one_error_line(capsys) == "error: iP law inputs must be finite\n"
+        assert one_error_line(capsys) == (
+            "error: computed iP control is not finite:"
+            " controller.kp or controller.alpha overflows it\n"
+        )
 
 
 class TestSeedResolution:
@@ -185,34 +192,27 @@ class TestSeedResolution:
         assert main(["run", str(cfg), "--out", str(out), "--quiet", *extra]) == 0
         return out.read_bytes()
 
-    def test_flag_env_config_precedence(self, config_file, tmp_path, monkeypatch):
+    def test_flag_seed_beats_the_config_seed(self, config_file, tmp_path):
         cfg = config_file(SMALL + "scenario.seed = 1\n")
         by_flag = self.run_to(cfg, tmp_path / "flag.csv", ["--seed", "9"])
-        monkeypatch.setenv("PVFLOCK_SEED", "9")
-        by_env = self.run_to(cfg, tmp_path / "env.csv")
-        assert by_flag == by_env
-        # the flag wins over the environment
-        beats_env = self.run_to(cfg, tmp_path / "beats.csv", ["--seed", "3"])
-        monkeypatch.delenv("PVFLOCK_SEED")
-        plain_3 = self.run_to(cfg, tmp_path / "plain3.csv", ["--seed", "3"])
-        assert beats_env == plain_3
-        # without either, the config's seed is used
+        by_config_9 = self.run_to(config_file(SMALL + "scenario.seed = 9\n", name="nine.cfg"),
+                                  tmp_path / "config9.csv")
+        assert by_flag == by_config_9
+        # without the flag, the config's seed is used
         by_config = self.run_to(cfg, tmp_path / "config.csv")
         assert by_config != by_flag
 
-    def test_garbage_env_seed_is_an_error(self, config_file, tmp_path, monkeypatch, capsys):
+    def test_environment_does_not_set_the_seed(self, config_file, tmp_path, monkeypatch):
+        # the flag and scenario.seed are the only two ways to set the seed
         cfg = config_file(SMALL)
-        monkeypatch.setenv("PVFLOCK_SEED", "not-a-number")
-        assert main(["run", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
-        assert "PVFLOCK_SEED" in capsys.readouterr().err
+        plain = self.run_to(cfg, tmp_path / "plain.csv")
+        monkeypatch.setenv("PVFLOCK_SEED", "9")
+        assert self.run_to(cfg, tmp_path / "env.csv") == plain
 
-    def test_negative_seed_is_an_error(self, config_file, tmp_path, monkeypatch, capsys):
-        # flag and environment seeds pass through the config's own check
+    def test_negative_seed_is_an_error(self, config_file, tmp_path, capsys):
+        # a flag seed passes through the config's own check
         cfg, out = config_file(SMALL), tmp_path / "x.csv"
         assert main(["run", str(cfg), "--out", str(out), "--seed", "-1"]) == 1
-        assert "seed" in one_error_line(capsys)
-        monkeypatch.setenv("PVFLOCK_SEED", "-3")
-        assert main(["run", str(cfg), "--out", str(out)]) == 1
         assert "seed" in one_error_line(capsys)
         assert not out.exists()
 
@@ -280,13 +280,14 @@ class TestMetricsCommand:
 # gen-profile
 
 class TestGenProfile:
-    @pytest.mark.parametrize("kind", ["pv", "outdoor", "solar", "internal"])
+    @pytest.mark.parametrize("kind", ["pv"])  # every kind gen-profile writes
     def test_writes_a_loadable_profile(self, kind, tmp_path):
         out = tmp_path / f"{kind}.csv"
         assert main(["gen-profile", kind, str(out), "--horizon", "6"]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "t_hours,value"
         assert len(lines) == 1 + 6 * 6 + 1  # one row per 10 min plus the endpoint
+        assert len(load_profile_csv(out, non_negative=True).t) == 6 * 6 + 1
 
     def test_generated_pv_reproduces_the_synthetic_run(self, config_file, tmp_path):
         profile = tmp_path / "pv.csv"
@@ -301,12 +302,11 @@ class TestGenProfile:
         np.testing.assert_allclose(read_trace(b).pv, read_trace(a).pv, rtol=1e-5, atol=1e-5)
 
     def test_default_horizon_pv_profile_loads(self, tmp_path):
-        # from 10 h on the time column must keep enough digits for the
-        # loader to see a uniform grid
+        # the time column keeps every digit, so the loaded grid is the run's
         out = tmp_path / "pv.csv"
         assert main(["gen-profile", "pv", str(out), "--horizon", "72"]) == 0
         profile = load_profile_csv(out, non_negative=True)
-        assert profile.span == (0.0, 72.0)
+        np.testing.assert_array_equal(profile.t, np.arange(433) * (1.0 / 6.0))
         assert profile.value_at(13.0 + 48.0) == pytest.approx(12.0, rel=1e-5)
 
     def test_peak_scales_the_pv_kind(self, tmp_path):
@@ -322,13 +322,23 @@ class TestGenProfile:
     @pytest.mark.parametrize("horizon", ["nan", "inf"])
     def test_non_finite_horizon_is_one_error_line(self, horizon, tmp_path, capsys):
         out = tmp_path / "x.csv"
-        assert main(["gen-profile", "outdoor", str(out), "--horizon", horizon]) == 1
+        assert main(["gen-profile", "pv", str(out), "--horizon", horizon]) == 1
         assert "--horizon" in one_error_line(capsys)
         assert not out.exists()
 
     def test_unknown_kind_exits_via_argparse(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["gen-profile", "wind", str(tmp_path / "x.csv")])
+
+    @pytest.mark.parametrize("kind", ["outdoor", "solar", "internal"])
+    def test_disturbance_kinds_are_not_written(self, kind, tmp_path, capsys):
+        # no config key reads a disturbance CSV, so gen-profile writes none
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-profile", kind, str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_no_arguments_shows_usage():

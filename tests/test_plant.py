@@ -187,7 +187,7 @@ class TestIntegrator:
         )
         lo, hi = SANITY_RANGE
         assert np.all((lo <= out) & (out <= hi))
-        check_sane(out)
+        check_sane(out, 1 / 6)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +230,8 @@ class TestEquilibrium:
     def test_sanity_guard_raises_outside_range(self):
         for bad in ((100.0, 20.0, 20.0), (20.0, -40.0, 20.0), (20.0, 20.0, math.nan)):
             with pytest.raises(PlantDivergenceError):
-                check_sane(np.array(bad)[:, None])
-        check_sane(np.array([[-20.0], [60.0], [0.0]]))  # closed interval
+                check_sane(np.array(bad)[:, None], 0.0)
+        check_sane(np.array([[-20.0], [60.0], [0.0]]), 0.0)  # closed interval
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 60.5, -20.5])
     @pytest.mark.parametrize("node", [0, 1, 2])
@@ -249,5 +249,5 @@ class TestEquilibrium:
         blazing = np.array([45.0, 2.0, 50.0])
         tm = transition_map(RESIDENTIAL, 1 / 6, 10)
         out = rk4_fleet(hot, np.array([0.0]), tm.c @ blazing, tm)
-        with pytest.raises(PlantDivergenceError, match="building 0"):
-            check_sane(out)
+        with pytest.raises(PlantDivergenceError, match=r"^building 0 left the sane range at t = 0\.1667 h"):
+            check_sane(out, 1 / 6)

@@ -113,7 +113,6 @@ class TestProfile:
         assert prof.value_at(0.25) == pytest.approx(3.0)
         assert prof.value_at(0.0) == 0.0
         assert prof.value_at(1.0) == 12.0
-        assert prof.span == (0.0, 1.0)
 
     def test_out_of_span_query_raises(self):
         prof = Profile(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
@@ -139,9 +138,14 @@ class TestProfile:
         with pytest.raises(ProfileError):
             Profile(np.array([0.0, 1.0, 1.0]), np.zeros(3))
 
-    def test_rejects_non_uniform_spacing(self):
-        with pytest.raises(ProfileError):
-            Profile(np.array([0.0, 1.0, 3.0]), np.zeros(3))
+    def test_csv_with_a_gap_loads_and_interpolates(self, tmp_path):
+        # a PV log that lost two hours: np.interp only needs increasing times
+        path = tmp_path / "pv.csv"
+        path.write_text("t_hours,value\n0,0\n1,2\n3,6\n3.5,1\n")
+        prof = load_profile_csv(path, non_negative=True)
+        np.testing.assert_array_equal(
+            prof.value_at(np.array([0.5, 1.0, 2.0, 2.5, 3.25])), [1.0, 2.0, 4.0, 5.0, 3.5]
+        )
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "pv.csv"
@@ -289,6 +293,15 @@ class TestConfig:
     def test_window_capacity_must_be_odd(self):
         with pytest.raises(ConfigurationError):
             parse_config_text("controller.window_capacity = 4")
+
+    def test_window_capacity_must_leave_an_estimate(self):
+        # the 432-step default day estimates F from step c on, so c = 431
+        # estimates once and c = 433 never; an empty run needs no window
+        assert ScenarioConfig(window_capacity=431).n_steps == 432
+        for c in (433, 10**12 + 1):
+            with pytest.raises(ConfigurationError, match="window_capacity"):
+                ScenarioConfig(window_capacity=c)
+        assert ScenarioConfig(horizon=0.0, window_capacity=10**12 + 1).n_steps == 0
 
     def test_csv_pv_requires_a_path(self):
         with pytest.raises(ConfigurationError, match="csv_path"):

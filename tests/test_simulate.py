@@ -87,6 +87,9 @@ class TestRunSimulation:
     def test_zero_horizon_yields_an_empty_trace(self):
         trace = run_simulation(small_cfg(horizon=0.0))
         assert trace.n_steps == 0
+        # no window fits an empty run, however large the capacity
+        huge = run_simulation(small_cfg(horizon=0.0, window_capacity=10**12 + 1))
+        assert huge.n_steps == 0
         report = compute_metrics(trace, small_cfg(horizon=0.0))
         assert report.empty and report.comfort_violation_steps == 0
         assert "empty=true" in report.lines()[0]
