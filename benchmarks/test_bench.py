@@ -1,11 +1,11 @@
-"""End-to-end runs and one micro-benchmark per layer of a control period."""
+"""End-to-end runs, trace write and read, and one micro-benchmark per layer of a control period."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from pvflock import run_simulation
+from pvflock import read_trace, run_simulation, write_trace
 from pvflock.control import estimate_f, estimator_kernel, ip_control
 from pvflock.coordinator import clamp_to_bounds
 from pvflock.plant import check_sane, rk4_fleet, transition_map
@@ -21,6 +21,26 @@ def test_run_simulation(benchmark, scenario_config, n, horizon_h, csv):
     cfg = scenario_config(n, horizon_h, csv)
     trace = benchmark(run_simulation, cfg)
     assert trace.t1.shape == (cfg.n_steps, n)
+
+
+@pytest.fixture(params=[130, 1300], ids=["130x72h", "1300x72h"])
+def trace_file(request, scenario_config, tmp_path):
+    """A run of n buildings over 72 h and the trace file it wrote."""
+    trace = run_simulation(scenario_config(request.param, 72.0))
+    path = tmp_path / "trace.csv"
+    write_trace(trace, path)
+    return trace, path
+
+
+def test_write_trace(benchmark, trace_file):
+    trace, path = trace_file
+    benchmark(write_trace, trace, path)
+
+
+def test_read_trace(benchmark, trace_file):
+    trace, path = trace_file
+    back = benchmark(read_trace, path)
+    assert back.t1.shape == trace.t1.shape
 
 
 @pytest.fixture(params=[13, 1300], ids=["n13", "n1300"])

@@ -96,7 +96,7 @@ def _cmd_gen_profile(args: argparse.Namespace) -> int:
     # --peak is checked as the config key pv.peak_kw is
     peak = PvSourceConfig(peak=args.peak).peak
     dt = FleetConfig.sample_dt
-    t = np.arange(round(args.horizon / dt) + 1) * dt
+    t = np.arange(max(1, round(args.horizon / dt)) + 1) * dt  # a profile needs two rows
     values = synth_pv(t, peak)
     # times in full (repr of the Python float round-trips), so the loader reads
     # back exactly the grid a run samples

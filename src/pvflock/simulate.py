@@ -13,8 +13,9 @@ Initial air temperatures are drawn uniformly from the configured range with
 a seeded generator; interior mass starts at the air temperature and the wall
 core one degree above, so a hot start really is a hot building.
 
-The trace CSV layout (one row per control period, LF line endings, floats at
-6 significant digits):
+The trace CSV layout (one row per control period, LF line endings; each cell
+holds the bytes of "%.6g" % cell, "%d" for a flag, made in numpy, or by "%.6g"
+itself when within 1e-6 of a rounding tie, in exponent form or not finite):
 
     t_hours,pv_kw,sum_p_kw,band_lo_kw,band_hi_kw,infeasible,
     then per building i (1-based): T1_i,T2_i,T3_i,u_i_kw,p_i_kw,clamped_i
@@ -232,19 +233,78 @@ def trace_header(n_buildings: int) -> str:
     return ",".join(cols)
 
 
+_FORMAT_BLOCK = 1 << 12  # cells per formatted block, about 0.5 MB of temporaries
+#: a cell's field of five 4-byte words ("-ddd", "ddd.", "dddd", "dddd", "d," and two
+#: spare bytes): per word, its table and the place and count of its digits
+_WORDS = [(np.frombuffer("".join(f"{a}{i:0{w}d}{b}" for i in range(10**w)).encode(), np.uint32), p, w)
+          for a, b, p, w in (("-", "", 12, 3), ("", ".", 9, 3), ("", "", 5, 4), ("", "", 1, 4),
+                             ("", ",\0\0", 0, 1))]
+_TRAILING_ZEROS = np.array([3 - len(f"{i:03d}".rstrip("0")) for i in range(1000)])
+_POW10 = 10 ** np.arange(10)
+
+
+def _keep_table() -> np.ndarray:
+    """Field bytes %.6g keeps, by (e + 4) * 14 + trailing zeros * 2 + sign; last: the separator."""
+    e, zeros, neg = np.mgrid[-4:6, :7, :2].reshape(3, -1, 1)
+    decimals, cols = np.maximum(5 - e - zeros, 0), np.arange(20)
+    keep = (cols >= 6 - np.maximum(e, 0)) & (cols <= 6 + decimals + (decimals > 0))
+    keep |= (cols == 0) & (neg == 1) | (cols == 17)
+    return np.vstack([keep, cols == 17]).view("V20").ravel()
+
+
+_KEEP = _keep_table()
+
+
+def _format_cells(x: np.ndarray, ncols: int) -> np.ndarray:
+    """The bytes of "%.6g" % v for each v of x, ncols to a comma-separated row.
+
+    The six digits of an |x| in [1e-4, 1e6) are rint(y), y = |x| 10^(5 - e) for
+    its decimal exponent e: one rounding, under 1.2e-10, so they are exact unless
+    y is within 1e-6 of a tie.  Such a cell, one whose e log10 got wrong (y leaves
+    [1e5, 1e6)), exponent form and non-finite values are formatted by "%.6g" itself.
+    """
+    ax = np.abs(x)
+    with np.errstate(invalid="ignore"):
+        e = np.clip(np.floor(np.log10(ax, out=np.zeros_like(ax), where=ax > 0)), -4, 5).astype(int)
+        y = ax * _POW10[5 - e]
+        q = np.rint(y)
+        fast = (y >= 1e5) & (y < 999999.5 - 1e-6) & (np.abs(y - q) < 0.5 - 1e-6) | (ax == 0)
+    q = np.where(fast, q, 0).astype(np.int64)
+    zeros = _TRAILING_ZEROS[q % 1000]
+    zeros += (zeros == 3) * _TRAILING_ZEROS[q // 1000]
+    keep = _KEEP[np.where(fast, (e + 4) * 14 + zeros * 2 + np.signbit(x), -1)].view(bool).reshape(-1, 20)
+    d = q * _POW10[e + 4]  # the digits as a 15-digit integer, six before the point
+    words = np.empty((len(x), 5), np.uint32)
+    for col, (table, place, width) in enumerate(_WORDS):
+        words[:, col] = table[d // 10**place - d // 10**(place + width) * 10**width]
+    field = words.view(np.uint8)
+    field[ncols - 1::ncols, 17] = ord("\n")
+    slow = np.flatnonzero(~fast)
+    text = np.array(["%.6g" % v for v in x[slow].tolist()], "S13").view(np.uint8).reshape(-1, 13)
+    field[slow, :13], keep[slow, :13] = text, text != 0
+    return field[keep]
+
+
 def write_trace(trace: SimulationTrace, path: str | Path) -> None:
-    """Serialize a trace; floats at 6 significant digits, flags as 0/1, LF."""
-    n = trace.n_buildings
-    # one float table in file order; column j of building i is 6 + 6i + j
-    table = np.empty((trace.n_steps, 6 * (n + 1)))
-    for j, col in enumerate((trace.t, trace.pv, trace.sum_p, trace.band_lo, trace.band_hi,
-                             trace.infeasible)):
-        table[:, j] = col
-    for j, col in enumerate((trace.t1, trace.t2, trace.t3, trace.u, trace.p, trace.clamped)):
-        table[:, 6 + j::6] = col
-    fmt = (["%.6g"] * 5 + ["%d"]) * (n + 1)
-    with open(path, "w", newline="\n") as fh:
-        np.savetxt(fh, table, fmt=fmt, delimiter=",", header=trace_header(n), comments="")
+    """Serialize a trace; floats at 6 significant digits, flags as 0/1, LF.
+
+    Rows are formatted a block at a time; no (steps, 6(n + 1)) table is built.
+    """
+    n, ncols = trace.n_buildings, 6 * (trace.n_buildings + 1)
+    rows = max(1, _FORMAT_BLOCK // ncols)
+    with open(path, "wb") as fh:
+        fh.write(trace_header(n).encode() + b"\n")
+        for i in range(0, trace.n_steps, rows):
+            # the block's rows in file order; building i's column j is 6 + 6i + j
+            block = np.empty((min(rows, trace.n_steps - i), ncols))
+            for j, col in enumerate((trace.t, trace.pv, trace.sum_p, trace.band_lo, trace.band_hi,
+                                     trace.infeasible)):
+                block[:, j] = col[i:i + rows]
+            for j, col in enumerate((trace.t1, trace.t2, trace.t3, trace.u, trace.p, trace.clamped)):
+                block[:, 6 + j::6] = col[i:i + rows]
+            # held until the next block is formatted: else malloc trims the heap and refaults it
+            text = _format_cells(block.ravel(), ncols)
+            fh.write(text)
 
 
 def _trace_header_error(fields: list[str]) -> str | None:

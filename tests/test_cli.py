@@ -315,6 +315,17 @@ class TestGenProfile:
         values = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
         assert max(values) == pytest.approx(7.0, rel=1e-5)
 
+    @pytest.mark.parametrize("horizon", ["0.05", "0.08333333333333333"])
+    def test_horizon_under_half_a_step_writes_a_usable_profile(self, horizon, config_file,
+                                                               tmp_path):
+        # it used to write the one row at t = 0, which the loader rejects
+        out = tmp_path / "pv.csv"
+        assert main(["gen-profile", "pv", str(out), "--horizon", horizon]) == 0
+        np.testing.assert_array_equal(load_profile_csv(out, non_negative=True).t, [0.0, 1.0 / 6.0])
+        # and a run loads it as its PV source
+        cfg = config_file(f"scenario.horizon_hours = 0\npv.source = csv\npv.csv_path = {out}\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "trace.csv"), "--quiet"]) == 0
+
     def test_bad_horizon_is_an_error(self, tmp_path, capsys):
         assert main(["gen-profile", "pv", str(tmp_path / "x.csv"), "--horizon", "-1"]) == 1
         assert "error:" in capsys.readouterr().err

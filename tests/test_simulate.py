@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import pvflock.simulate
 from pvflock import (
@@ -25,7 +27,7 @@ from pvflock import (
 from pvflock.cli import main
 from pvflock.plant import rk4_fleet
 from pvflock.scenario import DisturbanceParams
-from pvflock.simulate import build_fleet, sum_rows, trace_header
+from pvflock.simulate import _format_cells, build_fleet, sum_rows, trace_header
 
 
 def small_cfg(**kw) -> ScenarioConfig:
@@ -56,6 +58,20 @@ def manual_trace(t, pv, sum_p, t1, infeasible=None) -> SimulationTrace:
         p=zeros.copy(),
         clamped=np.zeros((steps, 1), dtype=bool),
     )
+
+
+def cell_by_cell(trace: SimulationTrace) -> str:
+    """The reference trace file: each cell formatted on its own, row by row, building by building."""
+    lines = [trace_header(trace.n_buildings)]
+    for k in range(trace.n_steps):
+        row = [f"{v:.6g}" for v in (trace.t[k], trace.pv[k], trace.sum_p[k],
+                                     trace.band_lo[k], trace.band_hi[k])]
+        row.append(str(int(trace.infeasible[k])))
+        for i in range(trace.n_buildings):
+            row += [f"{col[k, i]:.6g}" for col in (trace.t1, trace.t2, trace.t3, trace.u, trace.p)]
+            row.append(str(int(trace.clamped[k, i])))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -190,25 +206,35 @@ class TestTraceSerialization:
         assert np.array_equal(back.clamped, trace.clamped)
 
     def test_matches_a_cell_by_cell_writer(self, tmp_path):
-        # reference: format each cell on its own, row by row, building by building
         rng = np.random.default_rng(11)
         odd = manual_trace(t=[0.0, 1e-7, 123456.5], pv=[-0.0, 1e16, 2.5e-300],
                            sum_p=[1.0, 999999.5, -3.25], t1=[23.0, -0.0, 1.0 / 3.0])
         odd.u[:] = rng.normal(size=(3, 1)) * 1e5
         odd.clamped[1] = True
         for trace in (run_simulation(small_cfg()), odd):
-            lines = [trace_header(trace.n_buildings)]
-            for k in range(trace.n_steps):
-                row = [f"{v:.6g}" for v in (trace.t[k], trace.pv[k], trace.sum_p[k],
-                                             trace.band_lo[k], trace.band_hi[k])]
-                row.append(str(int(trace.infeasible[k])))
-                for i in range(trace.n_buildings):
-                    row += [f"{col[k, i]:.6g}" for col in (trace.t1, trace.t2, trace.t3, trace.u, trace.p)]
-                    row.append(str(int(trace.clamped[k, i])))
-                lines.append(",".join(row))
             path = tmp_path / "trace.csv"
             write_trace(trace, path)
-            assert path.read_text() == "\n".join(lines) + "\n"
+            assert path.read_text() == cell_by_cell(trace)
+
+    def test_a_trace_of_many_blocks_matches_the_cell_by_cell_writer(self, tmp_path):
+        trace = run_simulation(small_cfg(horizon=48.0))
+        assert trace.n_steps * 6 * (trace.n_buildings + 1) > pvflock.simulate._FORMAT_BLOCK
+        path = tmp_path / "trace.csv"
+        write_trace(trace, path)
+        assert path.read_text() == cell_by_cell(trace)
+
+    def test_fallback_rows_at_the_edges_of_a_block(self, tmp_path, monkeypatch):
+        # four rows a block, the last one short: rows 0, 3, 4, 7 and 9 hold
+        # cells that "%.6g" itself formats, the rest none
+        monkeypatch.setattr(pvflock.simulate, "_FORMAT_BLOCK", 4 * 12)
+        t1 = np.linspace(20.0, 25.0, 10)
+        t1[[0, 3, 4, 7, 9]] = [1e-7, 0.1666665, np.inf, -np.nan, 1234565.0]
+        trace = manual_trace(t=np.arange(10) / 6, pv=np.full(10, 2.5), sum_p=np.zeros(10),
+                             t1=t1, infeasible=[True, False] * 5)
+        trace.u[[0, 9]] = -999999.5
+        path = tmp_path / "trace.csv"
+        write_trace(trace, path)
+        assert path.read_text() == cell_by_cell(trace)
 
     def test_lf_line_endings_and_flag_format(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -220,7 +246,9 @@ class TestTraceSerialization:
 
     def test_empty_trace_round_trips(self, tmp_path):
         path = tmp_path / "trace.csv"
-        write_trace(run_simulation(small_cfg(horizon=0.0)), path)
+        trace = run_simulation(small_cfg(horizon=0.0))
+        write_trace(trace, path)
+        assert path.read_text() == cell_by_cell(trace) == trace_header(3) + "\n"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a header-only file is no warning
             back = read_trace(path)
@@ -267,6 +295,36 @@ class TestTraceSerialization:
             assert np.array_equal(col, cells[:, j])
         for j, col in enumerate((back.t1, back.t2, back.t3, back.u, back.p, back.clamped)):
             assert np.array_equal(col, cells[:, 6 + j::6])
+
+
+#: values at the edges of the vectorised %.6g: exponent 5 or -4 after rounding,
+#: ties (6732.655 lies below its tie and 5600.225 above, yet both scale to an
+#: exact .5), exponent form, the smallest subnormal, a near-overflow, zero and
+#: the non-finite values
+EDGE_VALUES = [9.999995e-5, 1e-4, 1e-5, 99999.95, 999999.5, 1e6, 0.1666665, 2.5, 1234565.0,
+               5e-324, 1.7e308, 0.0, 999999.4999999, 0.000123456, 123456.0, 100000.0,
+               6732.655, 5600.225, np.inf, np.nan]
+
+
+class TestCellFormat:
+    @given(st.floats())
+    def test_a_float_is_written_as_percent_g_writes_it(self, v):
+        assert _format_cells(np.array([v]), 1).tobytes() == f"{'%.6g' % v}\n".encode()
+
+    @given(st.lists(st.floats(), min_size=1, max_size=40), st.integers(1, 40))
+    def test_rows_of_floats_are_written_as_percent_g_writes_them(self, values, ncols):
+        values = values * ncols  # a whole number of rows
+        cells = ["%.6g" % v + ("\n" if (k + 1) % ncols == 0 else ",") for k, v in enumerate(values)]
+        assert _format_cells(np.array(values), ncols).tobytes() == "".join(cells).encode()
+
+    @pytest.mark.parametrize("v", EDGE_VALUES + [-v for v in EDGE_VALUES])
+    def test_edge_values(self, v):
+        assert _format_cells(np.array([v]), 1).tobytes() == f"{'%.6g' % v}\n".encode()
+
+    def test_flags_are_written_as_percent_d_writes_them(self):
+        flags = np.array([False, True, True, False])
+        expected = "".join("%d," % f for f in flags[:3]) + "%d\n" % flags[3]
+        assert _format_cells(flags.astype(float), 4).tobytes() == expected.encode()
 
 
 # ---------------------------------------------------------------------------
