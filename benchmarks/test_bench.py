@@ -1,14 +1,16 @@
-"""End-to-end runs, trace write and read, and one micro-benchmark per layer of a control period."""
+"""End-to-end runs, trace write and read, the run-constant and metrics stages, and one
+micro-benchmark per layer of a control period."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from pvflock import read_trace, run_simulation, write_trace
+from pvflock import compute_metrics, load_profile_csv, read_trace, run_simulation, write_trace
 from pvflock.control import estimate_f, estimator_kernel, ip_control
-from pvflock.coordinator import clamp_to_bounds
+from pvflock.coordinator import building_bounds, clamp_to_bounds
 from pvflock.plant import check_sane, rk4_fleet, transition_map
+from pvflock.scenario import synth_disturbances
 from pvflock.simulate import build_fleet
 
 
@@ -41,6 +43,36 @@ def test_read_trace(benchmark, trace_file):
     trace, path = trace_file
     back = benchmark(read_trace, path)
     assert back.t1.shape == trace.t1.shape
+
+
+@pytest.fixture(params=[130, 1300], ids=["130x72h", "1300x72h"])
+def day(request, scenario_config):
+    """The time grid and loaded config of n buildings over 72 h, PV from a cloudy CSV."""
+    cfg = scenario_config(request.param, 72.0, csv=True)
+    return cfg, np.arange(cfg.n_steps) * cfg.fleet.sample_dt
+
+
+def test_building_bounds(benchmark, day):
+    cfg, t = day
+    pv = load_profile_csv(cfg.pv.csv_path, non_negative=True).value_at(t)
+    benchmark(building_bounds, pv, cfg.fleet)
+
+
+def test_disturbance_and_pv_lookup(benchmark, day):
+    cfg, t = day
+    profile = load_profile_csv(cfg.pv.csv_path, non_negative=True)
+
+    def lookup():
+        return synth_disturbances(t, cfg.disturbance), profile.value_at(t)
+
+    benchmark(lookup)
+
+
+def test_compute_metrics(benchmark, day):
+    cfg, _ = day
+    trace = run_simulation(cfg)
+    report = benchmark(compute_metrics, trace, cfg)
+    assert not report.empty
 
 
 @pytest.fixture(params=[13, 1300], ids=["n13", "n1300"])

@@ -96,7 +96,14 @@ def _cmd_gen_profile(args: argparse.Namespace) -> int:
     # --peak is checked as the config key pv.peak_kw is
     peak = PvSourceConfig(peak=args.peak).peak
     dt = FleetConfig.sample_dt
-    t = np.arange(max(1, round(args.horizon / dt)) + 1) * dt  # a profile needs two rows
+    # the fewest grid steps whose last time reaches the horizon, and at least
+    # one, as a profile needs two rows; horizon / dt may round across a grid time
+    steps = max(1, math.ceil(args.horizon / dt))
+    if steps * dt < args.horizon:
+        steps += 1
+    elif steps > 1 and (steps - 1) * dt >= args.horizon:
+        steps -= 1
+    t = np.arange(steps + 1) * dt
     values = synth_pv(t, peak)
     # times in full (repr of the Python float round-trips), so the loader reads
     # back exactly the grid a run samples

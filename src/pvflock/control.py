@@ -41,6 +41,9 @@ These functions trust the settings they are given: alpha, kp and the
 window size were checked once, when the ScenarioConfig holding them was
 built.  The one check left guards a computed value, the control itself: a
 finite setting can still overflow it (kp = 1e308 or alpha = 1e-308).
+check_control is that guard.  ip_control runs it on the control it returns,
+except when it writes into out: run_simulation stores a block of periods'
+raw controls that way and checks the block at once, with its plant states.
 """
 
 from __future__ import annotations
@@ -63,14 +66,24 @@ def reference(t: float, y0, setpoint: float, ramp_hours: float):
     return setpoint, 0.0
 
 
-def ip_control(f_hat, y_ref_dot, e, alpha: float, kp: float):
-    """Intelligent proportional law: u = -(f_hat - y_ref_dot + kp*e) / alpha."""
-    u = -(f_hat - y_ref_dot + kp * e) / alpha
+def ip_control(f_hat, y_ref_dot, e, alpha, kp, out=None):
+    """Intelligent proportional law: u = -(f_hat - y_ref_dot + kp*e) / alpha.
+
+    Returns the checked control (check_control).  Given out, it writes the
+    law into out unchecked instead, and the caller checks what it stored.
+    """
+    u = np.divide(-(f_hat - y_ref_dot + kp * e), alpha, out=out)
+    if out is None:
+        check_control(u)
+    return u
+
+
+def check_control(u) -> None:
+    """Raise ConfigurationError unless every computed control in u is finite."""
     if not np.isfinite(u).all():
         raise ConfigurationError(
             "computed iP control is not finite: controller.kp or controller.alpha overflows it"
         )
-    return u
 
 
 def estimator_kernel(t: np.ndarray, c: int, alpha: float, dt: float):
@@ -108,6 +121,9 @@ def estimate_f(ky: np.ndarray, ku: np.ndarray, y: np.ndarray, u: np.ndarray, dt:
     # is written: np.add.reduce sums a (c, 1) block pairwise once c > 8, and
     # np.add.accumulate is several times slower on wide fleets
     acc = terms[0] + terms[-1]
-    for term in terms[1:-1]:
-        acc += term
-    return -(6.0 / tau**3) * (acc * dt / 3.0)
+    for i in range(1, len(terms) - 1):
+        acc += terms[i]
+    acc *= dt
+    acc /= 3.0
+    acc *= -(6.0 / tau**3)
+    return acc

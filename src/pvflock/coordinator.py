@@ -27,7 +27,8 @@ values and keeps those applied values for the estimator.
 Neither function checks its inputs: FleetConfig checks its fields when it is
 built, the PV column comes from a checked source (a PvSourceConfig peak or
 a loaded CSV that rejects negative and non-finite rows), and the raw
-controls come from ip_control, which rejects non-finite results.
+controls come from ip_control, whose finiteness guard (check_control) the
+run applies to a block of periods' raw controls once the block has run.
 """
 
 from __future__ import annotations
@@ -87,12 +88,14 @@ def building_bounds(pv, cfg: FleetConfig):
     return band_lo, band_hi, lo, hi, infeasible
 
 
-def clamp_to_bounds(u_raw, lo, hi):
+def clamp_to_bounds(u_raw, lo, hi, out=None):
     """Project raw thermal controls (one float or an array) onto the electrical bounds.
 
     Returns (p, u_applied, clamped) with p = -u_applied in [lo, hi].
     A positive u_raw (a heating wish) maps to the smallest admissible draw.
+    Given out, a triple of arrays shaped like u_raw, it writes them there.
     """
+    p_out, u_out, clamped_out = out or (None, None, None)
     p_want = -u_raw
-    p = np.minimum(np.maximum(p_want, lo), hi)
-    return p, -p, p != p_want
+    p = np.minimum(np.maximum(p_want, lo), hi, out=p_out)
+    return p, np.negative(p, out=u_out), np.not_equal(p, p_want, out=clamped_out)

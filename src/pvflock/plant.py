@@ -38,7 +38,8 @@ and C w is the length-3 forcing of the disturbance held over the period.  A
 single building is simply a (3, 1) block.  rk4_fleet trusts its settings:
 BuildingParams checks the constants when it is built and ScenarioConfig
 checks the period and the substep count.  check_sane guards the computed
-states, with one min and one max test per period.
+states with one min and one max test, over one period's (3, n) block or
+over a stack of them.
 """
 
 from __future__ import annotations
@@ -138,29 +139,36 @@ def transition_map(p: BuildingParams, dt: float, substeps: int) -> TransitionMap
     return TransitionMap(a, b, c, s)
 
 
-def rk4_fleet(states: np.ndarray, u: np.ndarray, cw: np.ndarray, tm: TransitionMap) -> np.ndarray:
+def rk4_fleet(states: np.ndarray, u: np.ndarray, cw: np.ndarray, tm: TransitionMap,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Advance a (3, n) block of building states by one control period under ZOH inputs.
 
     u is one control per building; cw = tm.c @ w is the forcing of the
     disturbance w = (d1, d2, d3) that every building shares over the period.
-    Returns a new array.  Evaluates the classical RK4 substep recursion
-    through the transition map tm.
+    Returns a new array, or writes into the (3, n) array out.  Evaluates the
+    classical RK4 substep recursion through the transition map tm.
     """
     a, b, _, s = tm
-    forcing = (b[:, None] * u[None, :]) + cw[:, None]
-    return states + s @ (a @ states + forcing)
+    forcing = b[:, None] * u + cw[:, None]
+    return np.add(states, s @ (a @ states + forcing), out=out)
 
 
-def check_sane(states: np.ndarray, t: float) -> None:
+def check_sane(states: np.ndarray, t) -> None:
     """Raise PlantDivergenceError naming the first building of a (3, n) state
-    block that left SANITY_RANGE, reached at time t."""
+    block that left SANITY_RANGE, reached at time t.
+
+    An (m, 3, n) stack of blocks reached at the m times t is checked with
+    the same one min and one max; the earliest bad block is named.
+    """
     lo, hi = SANITY_RANGE
     # NaN fails both comparisons, so it takes the naming path too
     if lo <= states.min() and states.max() <= hi:
         return
-    bad = ~np.all((states >= lo) & (states <= hi), axis=0)
-    i = int(np.argmax(bad))
-    t1, t2, t3 = states[:, i]
+    blocks = states.reshape(-1, 3, states.shape[-1])
+    ok = np.all((blocks >= lo) & (blocks <= hi), axis=1)
+    j, i = divmod(int(np.argmin(ok)), ok.shape[1])
+    t1, t2, t3 = blocks[j, :, i]
     raise PlantDivergenceError(
-        f"building {i} left the sane range at t = {t:.4f} h (T = {t1:.2f}, {t2:.2f}, {t3:.2f})"
+        f"building {i} left the sane range at t = {np.ravel(t)[j]:.4f} h "
+        f"(T = {t1:.2f}, {t2:.2f}, {t3:.2f})"
     )

@@ -3,12 +3,26 @@
 A run first computes everything that depends only on the time grid and the
 settings: the times, the PV output, the aggregate band with the
 per-building bounds, the (steps, 3) disturbance forcing C w, the plant's
-transition map and the estimator's kernel tables.  It then marches N
+transition map and the estimator's kernel tables.  The settings the loop
+multiplies by (alpha, kp, the setpoint) become 0-d arrays, which numpy
+combines with an array faster than a Python float.  It then marches N
 identical buildings at the control rate, and a control period does only the
-arithmetic that needs the fleet's state: the estimate over the trace's last
-c rows, the iP law on every building's air temperature, one clamp onto that
-period's bounds, one RK4 update of the (3, N) state block and one range
-check of it.
+arithmetic that needs the fleet's state, writing each result where the run
+keeps it:
+
+    estimate   F_hat over the trace's last c rows of T1 and applied u
+    iP law     the raw controls, into the current check block's row
+    clamp      onto the period's bounds, into the trace's p, u and clamped rows
+    plant      one RK4 update of the (3, N) state into the next state row
+
+The states live in one (steps + 1, 3, N) array, row k holding the fleet
+before period k, and the trace's t1, t2 and t3 are views of its first steps
+rows.  The iP finiteness guard and the sane-range check run once per block
+of _CHECK_BLOCK periods, over the block's raw controls and the states its
+plant steps reached.  Only a failing block is checked again period by
+period, so the run stops with the error of the first failing period, a
+period's control before its plant step, as a check after every period
+would.
 Initial air temperatures are drawn uniformly from the configured range with
 a seeded generator; interior mass starts at the air temperature and the wall
 core one degree above, so a hot start really is a hot building.
@@ -30,8 +44,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import estimate_f, estimator_kernel, ip_control, reference
+from .control import check_control, estimate_f, estimator_kernel, ip_control, reference
 from .coordinator import building_bounds, clamp_to_bounds
+from .errors import PvflockError
 from .plant import check_sane, rk4_fleet, transition_map
 from .scenario import ScenarioConfig, load_profile_csv, read_csv_table, synth_disturbances, synth_pv
 
@@ -41,7 +56,9 @@ class SimulationTrace:
     """Column-oriented record of a run; arrays are (steps,) or (steps, n).
 
     Temperatures in row k are the measurements at t[k] (before actuation);
-    u and p are the controls applied over [t[k], t[k] + dt).
+    u and p are the controls applied over [t[k], t[k] + dt).  In a trace
+    run_simulation returns, t1, t2 and t3 are strided views of the run's
+    one block of states, not arrays of their own.
     """
 
     n_buildings: int
@@ -70,14 +87,20 @@ def build_fleet(cfg: ScenarioConfig) -> np.ndarray:
     return np.stack([t1, t1, t1 + 1.0])
 
 
+#: periods whose controls and plant steps are checked together: one finiteness
+#: test and one min and max per block, not per period
+_CHECK_BLOCK = 64
+
+
 def run_simulation(cfg: ScenarioConfig) -> SimulationTrace:
     """Run the configured scenario.
 
-    Raises PlantDivergenceError naming the first building whose state leaves
-    the sane temperature range.
+    Raises ConfigurationError when a computed iP control is not finite, and
+    PlantDivergenceError naming the first building whose state leaves the
+    sane temperature range; the error raised is the first in period order.
     """
     n, steps, dt = cfg.fleet.n_buildings, cfg.n_steps, cfg.fleet.sample_dt
-    c, alpha, kp = cfg.window_capacity, cfg.alpha, cfg.kp
+    c = cfg.window_capacity
     t = np.arange(steps) * dt
     if cfg.pv.kind == "csv":
         pv = load_profile_csv(cfg.pv.csv_path, non_negative=True).value_at(t)
@@ -88,42 +111,50 @@ def run_simulation(cfg: ScenarioConfig) -> SimulationTrace:
     band_lo, band_hi, lo, hi, infeasible = building_bounds(pv, cfg.fleet)
     tm = transition_map(cfg.building, dt, cfg.substeps)
     cw = synth_disturbances(t, cfg.disturbance) @ tm.c.T
-    tr = SimulationTrace(
-        n_buildings=n,
-        t=t,
-        pv=pv,
-        sum_p=np.zeros(steps),
-        band_lo=band_lo,
-        band_hi=band_hi,
-        infeasible=infeasible,
-        t1=np.zeros((steps, n)),
-        t2=np.zeros((steps, n)),
-        t3=np.zeros((steps, n)),
-        u=np.zeros((steps, n)),
-        p=np.zeros((steps, n)),
-        clamped=np.zeros((steps, n), dtype=bool),
-    )
-    states = build_fleet(cfg)
-    y0 = states[0]
-    # a finite setting can overflow the iP law (kp = 1e308); ip_control and
+    # the fleet's (T1, T2, T3) before every period and after the last one
+    x = np.empty((steps + 1, 3, n))
+    x[0] = build_fleet(cfg)
+    y0, t1 = x[0, 0], x[:steps, 0]
+    u, p = np.empty((steps, n)), np.empty((steps, n))
+    clamped = np.empty((steps, n), dtype=bool)
+    u_raw = np.empty((_CHECK_BLOCK, n))  # a block's raw iP controls, checked with it
+    # numpy combines an array with a 0-d array, such as lo[k, ...], faster
+    # than with a Python float
+    alpha, kp, setpoint = (np.array(v) for v in (cfg.alpha, cfg.kp, cfg.setpoint))
+    # a finite setting can overflow the iP law (kp = 1e308); check_control and
     # check_sane test every control and state, so numpy's warnings would
     # only repeat their one error
     with np.errstate(over="ignore", invalid="ignore"):
-        ky, ku = estimator_kernel(t, c, alpha, dt)
-        for k in range(steps):
-            y_ref, y_ref_dot = reference(t[k], y0, cfg.setpoint, cfg.ramp_hours)
-            # the estimator window is the last c rows of the measured T1 and applied u
-            f_hat = (
-                estimate_f(ky[k - c], ku[k - c], tr.t1[k - c:k], tr.u[k - c:k], dt)
-                if k >= c else 0.0
-            )
-            u_raw = ip_control(f_hat, y_ref_dot, states[0] - y_ref, alpha, kp)
-            tr.p[k], tr.u[k], tr.clamped[k] = clamp_to_bounds(u_raw, lo[k], hi[k])
-            tr.t1[k], tr.t2[k], tr.t3[k] = states
-            states = rk4_fleet(states, tr.u[k], cw[k], tm)
-            check_sane(states, t[k] + dt)
-    tr.sum_p = sum_rows(tr.p)
-    return tr
+        ky, ku = estimator_kernel(t, c, cfg.alpha, dt)
+        for k0 in range(0, steps, _CHECK_BLOCK):
+            k1 = min(k0 + _CHECK_BLOCK, steps)
+            for k in range(k0, k1):
+                y_ref, y_ref_dot = reference(t[k], y0, setpoint, cfg.ramp_hours)
+                # the estimator window is the last c rows of the measured T1 and applied u
+                f_hat = estimate_f(ky[k - c], ku[k - c], t1[k - c:k], u[k - c:k], dt) if k >= c else 0.0
+                raw = ip_control(f_hat, y_ref_dot, t1[k] - y_ref, alpha, kp, out=u_raw[k - k0])
+                _, u_k, _ = clamp_to_bounds(raw, lo[k, ...], hi[k, ...], out=(p[k], u[k], clamped[k]))
+                rk4_fleet(x[k], u_k, cw[k], tm, out=x[k + 1])
+            _check_block(u_raw[:k1 - k0], x[k0 + 1:k1 + 1], t[k0:k1] + dt)
+    return SimulationTrace(n, t, pv, sum_rows(p), band_lo, band_hi, infeasible,
+                           t1, x[:steps, 1], x[:steps, 2], u, p, clamped)
+
+
+def _check_block(u_raw: np.ndarray, states: np.ndarray, t_next: np.ndarray) -> None:
+    """Check a block of periods: their raw controls, and the states their plant
+    steps reached at the times t_next.
+
+    Each check runs once over the whole block.  A failing block is checked again
+    period by period, so the error raised is the first failing period's.
+    """
+    try:
+        check_control(u_raw)
+        check_sane(states, t_next)
+    except PvflockError:
+        for u_k, x_k, t_k in zip(u_raw, states, t_next):
+            check_control(u_k)
+            check_sane(x_k, t_k)
+        raise  # not reached: a failing block holds a failing period
 
 
 #: elements in one block of sum_rows' running sums (512 KiB of doubles)

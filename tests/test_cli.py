@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pvflock import ScenarioConfig, compute_metrics, load_profile_csv, read_trace
+from pvflock import FleetConfig, ScenarioConfig, compute_metrics, load_profile_csv, read_trace
 from pvflock.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -325,6 +325,15 @@ class TestGenProfile:
         # and a run loads it as its PV source
         cfg = config_file(f"scenario.horizon_hours = 0\npv.source = csv\npv.csv_path = {out}\n")
         assert main(["run", str(cfg), "--out", str(tmp_path / "trace.csv"), "--quiet"]) == 0
+
+    @pytest.mark.parametrize("horizon", ["10.58", "10.5", "0.1", "0.17", "23.9999", "24", "71.95"])
+    def test_profile_ends_at_the_first_grid_time_past_the_horizon(self, horizon, tmp_path):
+        # it used to round to the nearest step: --horizon 10.58 ended at 10.5
+        out = tmp_path / "pv.csv"
+        assert main(["gen-profile", "pv", str(out), "--horizon", horizon]) == 0
+        t = load_profile_csv(out, non_negative=True).t
+        assert t[-1] >= float(horizon) > t[-2]
+        np.testing.assert_array_equal(t, np.arange(len(t)) * FleetConfig.sample_dt)
 
     def test_bad_horizon_is_an_error(self, tmp_path, capsys):
         assert main(["gen-profile", "pv", str(tmp_path / "x.csv"), "--horizon", "-1"]) == 1

@@ -244,6 +244,17 @@ class TestEquilibrium:
         with pytest.raises(PlantDivergenceError, match=r"^building 2 left the sane range at t = 1\.5000 h"):
             check_sane(states, 1.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, 60.5])
+    def test_sanity_guard_names_the_first_bad_block_of_a_stack(self, bad):
+        # a stack of four periods' states: periods 2 and 3 fail, and period
+        # 2's first bad building is named with period 2's time
+        states = np.full((4, 3, 5), 23.0)
+        states[2, 1, 3] = bad
+        states[3, 0, 0] = 100.0
+        check_sane(states[:2], np.array([0.5, 0.75]))
+        with pytest.raises(PlantDivergenceError, match=r"^building 3 left the sane range at t = 1\.0000 h"):
+            check_sane(states, np.array([0.5, 0.75, 1.0, 1.25]))
+
     def test_diverging_period_is_flagged(self):
         hot = np.full((3, 1), 59.9)
         blazing = np.array([45.0, 2.0, 50.0])

@@ -5,14 +5,17 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from loop_oracle import run_simulation_reference
 
 import pvflock.simulate
 from pvflock import (
+    ConfigurationError,
     FleetConfig,
     PlantDivergenceError,
     ProfileError,
@@ -20,14 +23,22 @@ from pvflock import (
     ScenarioConfig,
     SimulationTrace,
     compute_metrics,
+    load_config,
     read_trace,
     run_simulation,
     write_trace,
 )
 from pvflock.cli import main
+from pvflock.control import ip_control
 from pvflock.plant import rk4_fleet
 from pvflock.scenario import DisturbanceParams
 from pvflock.simulate import _format_cells, build_fleet, sum_rows, trace_header
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+#: every array of a SimulationTrace
+TRACE_ARRAYS = ("t", "pv", "sum_p", "band_lo", "band_hi", "infeasible",
+                "t1", "t2", "t3", "u", "p", "clamped")
 
 
 def small_cfg(**kw) -> ScenarioConfig:
@@ -140,15 +151,148 @@ class TestRunSimulation:
         assert main(["gen-profile", "pv", str(profile), "--horizon", "24"]) == 0
         calls = []
 
-        def counting_rk4_fleet(*args):
+        def counting_rk4_fleet(*args, **kwargs):
             calls.append(args[0].shape)
-            return rk4_fleet(*args)
+            return rk4_fleet(*args, **kwargs)
 
         monkeypatch.setattr(pvflock.simulate, "rk4_fleet", counting_rk4_fleet)
         cfg = ScenarioConfig(pv=PvSourceConfig(kind="csv", csv_path=str(profile)))
         with pytest.raises(ProfileError, match=r"outside the profile span \[0\.0, 24\.0\] h"):
             run_simulation(cfg)
         assert calls == []
+        # the counter sees the plant steps of a run the profile covers
+        run_simulation(replace(cfg, horizon=24.0))
+        assert calls == [(3, 13)] * 144
+
+
+def assert_bitwise_equal(a: SimulationTrace, b: SimulationTrace) -> None:
+    assert a.n_buildings == b.n_buildings
+    for name in TRACE_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+        assert x.tobytes() == y.tobytes(), name
+
+
+class TestAgainstThePerPeriodLoop:
+    """run_simulation against tests/loop_oracle.py, bit for bit.
+
+    The pinned CSV digests see only six significant digits of each cell.
+    """
+
+    @pytest.mark.parametrize("ramp", [0.0, 3.0])
+    @pytest.mark.parametrize("n", [1, 2, 13])
+    @pytest.mark.parametrize("capacity", [3, 5, 7, 9, 11])
+    def test_every_array_is_bitwise_equal(self, capacity, n, ramp):
+        # 24 h: two whole check blocks and a short one, one PV day
+        cfg = replace(ScenarioConfig(), fleet=FleetConfig(n_buildings=n), horizon=24.0,
+                      window_capacity=capacity, ramp_hours=ramp)
+        trace = run_simulation(cfg)
+        assert trace.clamped.any() and not trace.clamped.all()
+        assert_bitwise_equal(trace, run_simulation_reference(cfg))
+
+    @pytest.mark.parametrize("name", ["default", "fleet14", "regulation_only"])
+    def test_shipped_configs_are_bitwise_equal(self, name):
+        cfg = load_config(CONFIGS / f"{name}.cfg")
+        assert_bitwise_equal(run_simulation(cfg), run_simulation_reference(cfg))
+
+    @pytest.mark.parametrize("cfg", [
+        small_cfg(kp=1e308),
+        small_cfg(alpha=1e-308),
+        small_cfg(disturbance=DisturbanceParams(d3_day=50.0, d3_night=50.0),
+                  pv=PvSourceConfig(kind="off")),
+    ], ids=["kp_1e308", "alpha_1e-308", "divergent"])
+    def test_errors_carry_the_loops_text(self, cfg):
+        with pytest.raises((ConfigurationError, PlantDivergenceError)) as expected:
+            run_simulation_reference(cfg)
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            run_simulation(cfg)
+
+
+#: 25 h of 10 min periods: check blocks 0-63 and 64-127, then the short block 128-149
+BLOCKED = small_cfg(horizon=25.0)
+IP_ERROR = "computed iP control is not finite: controller.kp or controller.alpha overflows it"
+
+
+def inject(monkeypatch, overflow_at=None, diverge_at=None):
+    """Make the run's iP law overflow in period overflow_at, and building 1's
+    air temperature jump to 99 degC in period diverge_at's plant step.
+
+    Returns the text check_sane gives for that jump, as the per-period loop
+    raised it.
+    """
+    periods = {"ip": 0, "plant": 0}
+    text = []
+
+    def ip(*args, **kwargs):
+        u = ip_control(*args, **kwargs)
+        if periods["ip"] == overflow_at:
+            u[0] = np.inf
+        periods["ip"] += 1
+        return u
+
+    def plant(*args, **kwargs):
+        x = rk4_fleet(*args, **kwargs)
+        if periods["plant"] == diverge_at:
+            x[0, 1] = 99.0
+            t = diverge_at * BLOCKED.fleet.sample_dt + BLOCKED.fleet.sample_dt
+            text.append(f"building 1 left the sane range at t = {t:.4f} h "
+                        f"(T = 99.00, {x[1, 1]:.2f}, {x[2, 1]:.2f})")
+        periods["plant"] += 1
+        return x
+
+    monkeypatch.setattr(pvflock.simulate, "ip_control", ip)
+    monkeypatch.setattr(pvflock.simulate, "rk4_fleet", plant)
+    return text
+
+
+class TestBlockChecks:
+    """The iP guard and the range check run once per block of periods, and
+    still raise the error of the first failing period."""
+
+    def test_blocks_of_the_run(self):
+        assert pvflock.simulate._CHECK_BLOCK == 64 and BLOCKED.n_steps == 150
+
+    @pytest.mark.parametrize("period", [0, 64, 100, 127, 128, 140, 149])
+    def test_overflow_in_any_period(self, period, monkeypatch):
+        inject(monkeypatch, overflow_at=period)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(IP_ERROR)}$"):
+            run_simulation(BLOCKED)
+
+    @pytest.mark.parametrize("period", [0, 64, 100, 127, 128, 140, 149])
+    def test_divergence_in_any_period(self, period, monkeypatch):
+        text = inject(monkeypatch, diverge_at=period)
+        with pytest.raises(PlantDivergenceError) as err:
+            run_simulation(BLOCKED)
+        assert str(err.value) == text[0]
+        assert f"t = {(period + 1) / 6:.4f} h" in text[0]
+
+    @pytest.mark.parametrize("overflow_at, diverge_at", [(70, 90), (90, 70), (80, 80), (64, 127)])
+    def test_both_in_one_block_raise_the_earlier(self, overflow_at, diverge_at, monkeypatch):
+        # within a period the control is checked before the plant step
+        text = inject(monkeypatch, overflow_at=overflow_at, diverge_at=diverge_at)
+        if overflow_at <= diverge_at:
+            with pytest.raises(ConfigurationError, match=f"^{re.escape(IP_ERROR)}$"):
+                run_simulation(BLOCKED)
+        else:
+            with pytest.raises(PlantDivergenceError) as err:
+                run_simulation(BLOCKED)
+            assert str(err.value) == text[0]
+
+    def test_a_block_runs_to_its_end_before_it_is_checked(self, monkeypatch):
+        # a block is checked once its last period ran: the first block's
+        # plant steps all ran before the second block's overflow stops the run
+        steps = []
+        inject(monkeypatch, overflow_at=64)
+        real = pvflock.simulate.rk4_fleet
+
+        def counting(*args, **kwargs):
+            steps.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pvflock.simulate, "rk4_fleet", counting)
+        with pytest.raises(ConfigurationError):
+            run_simulation(BLOCKED)
+        assert len(steps) == 128
 
 
 class TestSumRows:
