@@ -1,5 +1,5 @@
-"""End-to-end runs, trace write and read, the run-constant and metrics stages, and one
-micro-benchmark per layer of a control period."""
+"""End-to-end runs, trace write and read, the run-constant and metrics stages, one
+micro-benchmark per layer of a control period, and the block check of the run's guards."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from pvflock.control import estimate_f, estimator_kernel, ip_control
 from pvflock.coordinator import building_bounds, clamp_to_bounds
 from pvflock.plant import check_sane, rk4_fleet, transition_map
 from pvflock.scenario import synth_disturbances
-from pvflock.simulate import build_fleet
+from pvflock.simulate import _CHECK_BLOCK, _check_block, build_fleet
 
 
 @pytest.mark.parametrize("n, horizon_h, csv", [
@@ -71,7 +71,8 @@ def test_disturbance_and_pv_lookup(benchmark, day):
 def test_compute_metrics(benchmark, day):
     cfg, _ = day
     trace = run_simulation(cfg)
-    report = benchmark(compute_metrics, trace, cfg)
+    report = benchmark(compute_metrics, trace, epsilon=cfg.fleet.epsilon, comfort_low=cfg.comfort_low,
+                       comfort_high=cfg.comfort_high, transient_hours=cfg.transient_hours)
     assert not report.empty
 
 
@@ -118,3 +119,13 @@ def test_plant_step(benchmark, period):
 
 def test_sanity_check(benchmark, period):
     benchmark(check_sane, period["states"], 12.0)
+
+
+def test_block_check(benchmark, period):
+    # one block's raw controls and reached states, all passing: the run's usual case
+    cfg, states = period["cfg"], period["states"]
+    n = states.shape[1]
+    u_raw = np.random.default_rng(1).uniform(-3.0, 0.0, (_CHECK_BLOCK, n))
+    reached = np.broadcast_to(states, (_CHECK_BLOCK, 3, n)).copy()
+    t_next = (np.arange(_CHECK_BLOCK) + 1) * cfg.fleet.sample_dt
+    benchmark(_check_block, u_raw, reached, t_next)

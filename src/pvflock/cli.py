@@ -61,7 +61,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out = args.out or cfg.output_path
     write_trace(trace, out)
     if not args.quiet:
-        for line in compute_metrics(trace, cfg).lines():
+        report = compute_metrics(trace, epsilon=cfg.fleet.epsilon, comfort_low=cfg.comfort_low,
+                                 comfort_high=cfg.comfort_high, transient_hours=cfg.transient_hours)
+        for line in report.lines():
             print(line)
         print(f"trace={out}")
     return 0
@@ -75,27 +77,20 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         raise PvflockError("--epsilon must be positive and finite")
     if not (args.transient_hours >= 0 and math.isfinite(args.transient_hours)):
         raise PvflockError("--transient-hours must be >= 0 and finite")
-    trace = read_trace(args.trace)
-    # the setpoint plays no part in the metrics; the band's midpoint only
-    # satisfies ScenarioConfig's comfort_low < setpoint < comfort_high
-    cfg = ScenarioConfig(
-        fleet=FleetConfig(epsilon=args.epsilon),
-        setpoint=low / 2 + high / 2,
-        comfort_low=low,
-        comfort_high=high,
-        transient_hours=args.transient_hours,
-    )
-    for line in compute_metrics(trace, cfg).lines():
+    report = compute_metrics(read_trace(args.trace), epsilon=args.epsilon, comfort_low=low,
+                             comfort_high=high, transient_hours=args.transient_hours)
+    for line in report.lines():
         print(line)
     return 0
 
 
 def _cmd_gen_profile(args: argparse.Namespace) -> int:
-    if not (args.horizon > 0 and math.isfinite(args.horizon)):
-        raise PvflockError("--horizon must be positive and finite")
+    dt = FleetConfig.sample_dt
+    # a horizon of finite hours can still be more grid steps than a float holds
+    if not (args.horizon > 0 and math.isfinite(args.horizon / dt)):
+        raise PvflockError("--horizon must be positive and finite in hours and in grid steps")
     # --peak is checked as the config key pv.peak_kw is
     peak = PvSourceConfig(peak=args.peak).peak
-    dt = FleetConfig.sample_dt
     # the fewest grid steps whose last time reaches the horizon, and at least
     # one, as a profile needs two rows; horizon / dt may round across a grid time
     steps = max(1, math.ceil(args.horizon / dt))
@@ -122,8 +117,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "metrics":
             return _cmd_metrics(args)
         return _cmd_gen_profile(args)
-    except (PvflockError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (PvflockError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation it could not make; a bare one says nothing
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -39,18 +39,15 @@ applied after any clamping, so saturation cannot wind up the estimate.
 
 These functions trust the settings they are given: alpha, kp and the
 window size were checked once, when the ScenarioConfig holding them was
-built.  The one check left guards a computed value, the control itself: a
-finite setting can still overflow it (kp = 1e308 or alpha = 1e-308).
-check_control is that guard.  ip_control runs it on the control it returns,
-except when it writes into out: run_simulation stores a block of periods'
-raw controls that way and checks the block at once, with its plant states.
+built.  They check no computed value either.  A finite setting can still
+overflow the control (kp = 1e308 or alpha = 1e-308); run_simulation keeps
+each block of periods' raw controls and checks them with the block's plant
+states.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import ConfigurationError
 
 
 def reference(t: float, y0, setpoint: float, ramp_hours: float):
@@ -69,21 +66,9 @@ def reference(t: float, y0, setpoint: float, ramp_hours: float):
 def ip_control(f_hat, y_ref_dot, e, alpha, kp, out=None):
     """Intelligent proportional law: u = -(f_hat - y_ref_dot + kp*e) / alpha.
 
-    Returns the checked control (check_control).  Given out, it writes the
-    law into out unchecked instead, and the caller checks what it stored.
+    Returns the control, or writes it into out when given.
     """
-    u = np.divide(-(f_hat - y_ref_dot + kp * e), alpha, out=out)
-    if out is None:
-        check_control(u)
-    return u
-
-
-def check_control(u) -> None:
-    """Raise ConfigurationError unless every computed control in u is finite."""
-    if not np.isfinite(u).all():
-        raise ConfigurationError(
-            "computed iP control is not finite: controller.kp or controller.alpha overflows it"
-        )
+    return np.divide(-(f_hat - y_ref_dot + kp * e), alpha, out=out)
 
 
 def estimator_kernel(t: np.ndarray, c: int, alpha: float, dt: float):

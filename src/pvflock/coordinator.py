@@ -27,8 +27,8 @@ values and keeps those applied values for the estimator.
 Neither function checks its inputs: FleetConfig checks its fields when it is
 built, the PV column comes from a checked source (a PvSourceConfig peak or
 a loaded CSV that rejects negative and non-finite rows), and the raw
-controls come from ip_control, whose finiteness guard (check_control) the
-run applies to a block of periods' raw controls once the block has run.
+controls come from ip_control unchecked: run_simulation checks a block of
+periods' raw controls for finiteness once the block has run.
 """
 
 from __future__ import annotations

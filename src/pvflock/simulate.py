@@ -17,12 +17,12 @@ keeps it:
 
 The states live in one (steps + 1, 3, N) array, row k holding the fleet
 before period k, and the trace's t1, t2 and t3 are views of its first steps
-rows.  The iP finiteness guard and the sane-range check run once per block
-of _CHECK_BLOCK periods, over the block's raw controls and the states its
-plant steps reached.  Only a failing block is checked again period by
-period, so the run stops with the error of the first failing period, a
-period's control before its plant step, as a check after every period
-would.
+rows.  The run's two guards, that every raw iP control is finite and that
+every state stays in the sane range, run once per block of _CHECK_BLOCK
+periods (_check_block), over the block's raw controls and the states its
+plant steps reached.  The run stops with the error of the first failing
+period, a period's control before its plant step, as a check after every
+period would.
 Initial air temperatures are drawn uniformly from the configured range with
 a seeded generator; interior mass starts at the air temperature and the wall
 core one degree above, so a hot start really is a hot building.
@@ -44,9 +44,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import check_control, estimate_f, estimator_kernel, ip_control, reference
+from .control import estimate_f, estimator_kernel, ip_control, reference
 from .coordinator import building_bounds, clamp_to_bounds
-from .errors import PvflockError
+from .errors import ConfigurationError
 from .plant import check_sane, rk4_fleet, transition_map
 from .scenario import ScenarioConfig, load_profile_csv, read_csv_table, synth_disturbances, synth_pv
 
@@ -121,9 +121,9 @@ def run_simulation(cfg: ScenarioConfig) -> SimulationTrace:
     # numpy combines an array with a 0-d array, such as lo[k, ...], faster
     # than with a Python float
     alpha, kp, setpoint = (np.array(v) for v in (cfg.alpha, cfg.kp, cfg.setpoint))
-    # a finite setting can overflow the iP law (kp = 1e308); check_control and
-    # check_sane test every control and state, so numpy's warnings would
-    # only repeat their one error
+    # a finite setting can overflow the iP law (kp = 1e308); _check_block
+    # tests every control and state, so numpy's warnings would only repeat
+    # its one error
     with np.errstate(over="ignore", invalid="ignore"):
         ky, ku = estimator_kernel(t, c, cfg.alpha, dt)
         for k0 in range(0, steps, _CHECK_BLOCK):
@@ -144,34 +144,31 @@ def _check_block(u_raw: np.ndarray, states: np.ndarray, t_next: np.ndarray) -> N
     """Check a block of periods: their raw controls, and the states their plant
     steps reached at the times t_next.
 
-    Each check runs once over the whole block.  A failing block is checked again
-    period by period, so the error raised is the first failing period's.
+    Raises the first failing period's error.  A period's control is checked
+    before its plant step, so the states are checked up to the first period
+    whose control is not finite, and that period's ConfigurationError is
+    raised only if none of them left the sane range.
     """
-    try:
-        check_control(u_raw)
-        check_sane(states, t_next)
-    except PvflockError:
-        for u_k, x_k, t_k in zip(u_raw, states, t_next):
-            check_control(u_k)
-            check_sane(x_k, t_k)
-        raise  # not reached: a failing block holds a failing period
-
-
-#: elements in one block of sum_rows' running sums (512 KiB of doubles)
-_SUM_BLOCK = 1 << 16
+    finite = np.isfinite(u_raw).all(axis=1)
+    k = len(finite) if finite.all() else int(np.argmin(finite))
+    if k:
+        check_sane(states[:k], t_next[:k])
+    if k < len(finite):
+        raise ConfigurationError(
+            "computed iP control is not finite: controller.kp or controller.alpha overflows it"
+        )
 
 
 def sum_rows(p: np.ndarray) -> np.ndarray:
     """Row sums of a (steps, n) array, each added left to right, building by building.
 
     numpy's pairwise sum can differ in the last bit, which %.6g occasionally
-    shows.  The running sums are taken over blocks of rows, so no (steps, n)
+    shows.  The sums are taken a column at a time, so no (steps, n)
     temporary is built.
     """
-    out = np.empty(len(p))
-    block = max(1, _SUM_BLOCK // p.shape[1])
-    for i in range(0, len(p), block):
-        out[i:i + block] = np.cumsum(p[i:i + block], axis=1)[:, -1]
+    out = p[:, 0].copy()
+    for col in p.T[1:]:
+        out += col
     return out
 
 
@@ -216,18 +213,22 @@ class MetricsReport:
         ]
 
 
-def compute_metrics(trace: SimulationTrace, cfg: ScenarioConfig) -> MetricsReport:
+def compute_metrics(trace: SimulationTrace, *, epsilon: float, comfort_low: float,
+                    comfort_high: float, transient_hours: float) -> MetricsReport:
     """Summarize comfort and tracking over a trace.
 
     Comfort counts building-steps with T1 outside [comfort_low, comfort_high]
-    after the start-up transient.  Tracking statistics cover PV-active steps
-    only and are reported as not-applicable when PV never produced.
+    after the first transient_hours.  Tracking statistics cover PV-active
+    steps only, counting a step within epsilon (kW) of PV, and are reported
+    as not-applicable when PV never produced.  The settings are trusted: a
+    run takes them from its checked ScenarioConfig, `pvflock metrics` checks
+    its flags.
     """
     empty = trace.n_steps == 0
-    settled = trace.t >= cfg.transient_hours
+    settled = trace.t >= transient_hours
     t1 = trace.t1[settled]
-    below = np.maximum(cfg.comfort_low - t1, 0.0)
-    above = np.maximum(t1 - cfg.comfort_high, 0.0)
+    below = np.maximum(comfort_low - t1, 0.0)
+    above = np.maximum(t1 - comfort_high, 0.0)
     depth = np.maximum(below, above)
     violation_steps = int(np.count_nonzero(depth > 0))
     max_depth = float(depth.max()) if depth.size else 0.0
@@ -236,9 +237,7 @@ def compute_metrics(trace: SimulationTrace, cfg: ScenarioConfig) -> MetricsRepor
     if np.any(active):
         err = trace.sum_p[active] - trace.pv[active]
         rms = float(np.sqrt(np.mean(err**2)))
-        within = float(
-            100.0 * np.mean(np.abs(err) <= cfg.fleet.epsilon + _EPS_SLACK)
-        )
+        within = float(100.0 * np.mean(np.abs(err) <= epsilon + _EPS_SLACK))
     else:
         rms = None
         within = None

@@ -28,6 +28,12 @@ from pvflock.plant import build_matrices, check_sane, rk4_fleet, transition_map
 DT = 1.0 / 6.0
 
 
+def scenario_metrics(trace, cfg: ScenarioConfig):
+    """The metrics `pvflock run` prints: cfg's epsilon, comfort band and transient."""
+    return compute_metrics(trace, epsilon=cfg.fleet.epsilon, comfort_low=cfg.comfort_low,
+                           comfort_high=cfg.comfort_high, transient_hours=cfg.transient_hours)
+
+
 def timed_run(cfg: ScenarioConfig):
     t0 = time.perf_counter()
     trace = run_simulation(cfg)
@@ -41,7 +47,7 @@ def test_criterion_1_regulation_comfort_and_runtime():
     for _ in range(2):  # two timings; the min discards scheduler hiccups
         trace, wall = timed_run(cfg)
         walls.append(wall)
-    report = compute_metrics(trace, cfg)
+    report = scenario_metrics(trace, cfg)
     assert report.comfort_violation_steps == 0
     assert report.comfort_max_depth == 0.0
     assert np.all(trace.p >= -1e-12) and np.all(trace.p <= 3.0 + 1e-12)
@@ -58,7 +64,7 @@ def test_criterion_2_pv_tracking_quality():
     comfort excursions no deeper than 0.5 degC."""
     cfg = ScenarioConfig()
     trace, _ = timed_run(cfg)
-    report = compute_metrics(trace, cfg)
+    report = scenario_metrics(trace, cfg)
     assert report.tracking_within_eps_pct is not None
     assert report.tracking_within_eps_pct >= 95.0
     assert report.tracking_rms is not None and report.tracking_rms <= 1.0
@@ -77,8 +83,8 @@ def test_criterion_3_extra_building_relieves_overcooling():
     fleet keeps meeting the PV-tracking quality bar."""
     cfg13 = ScenarioConfig()
     cfg14 = replace(cfg13, fleet=FleetConfig(n_buildings=14))
-    viol13 = compute_metrics(run_simulation(cfg13), cfg13).comfort_violation_steps
-    report14 = compute_metrics(run_simulation(cfg14), cfg14)
+    viol13 = scenario_metrics(run_simulation(cfg13), cfg13).comfort_violation_steps
+    report14 = scenario_metrics(run_simulation(cfg14), cfg14)
     viol14 = report14.comfort_violation_steps
     assert viol13 > 0  # the 13-building fleet really is overcooled at midday
     assert viol14 < viol13

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pvflock import FleetConfig, ScenarioConfig, compute_metrics, load_profile_csv, read_trace
+import pvflock.cli
+from pvflock import FleetConfig, compute_metrics, load_profile_csv, read_trace
 from pvflock.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -235,18 +236,18 @@ class TestMetricsCommand:
         assert main(["metrics", str(tmp_path / "absent.csv")]) == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("band", [(23.5, 26.0), (20.0, 22.5)])
+    # the scenario's setpoint plays no part: a band that leaves the default
+    # 23 degC setpoint outside is still a band to count against, and so is
+    # one too narrow to hold any setpoint between its ends
+    @pytest.mark.parametrize("band", [(23.5, 26.0), (20.0, 22.5), (23.0, 23.000000000000004)])
     def test_any_comfort_band_is_accepted(self, band, small_trace, capsys):
-        # the scenario's setpoint plays no part: a band that leaves the
-        # default 23 degC setpoint outside is still a band to count against
         low, high = band
         argv = ["metrics", str(small_trace), "--comfort-low", str(low),
                 "--comfort-high", str(high), "--transient-hours", "0.5"]
         assert main(argv) == 0
         printed = capsys.readouterr().out.splitlines()
-        cfg = ScenarioConfig(setpoint=(low + high) / 2, comfort_low=low, comfort_high=high,
-                             transient_hours=0.5)
-        report = compute_metrics(read_trace(small_trace), cfg)
+        report = compute_metrics(read_trace(small_trace), epsilon=FleetConfig.epsilon,
+                                 comfort_low=low, comfort_high=high, transient_hours=0.5)
         assert report.comfort_violation_steps > 0
         assert printed == report.lines()
 
@@ -339,7 +340,8 @@ class TestGenProfile:
         assert main(["gen-profile", "pv", str(tmp_path / "x.csv"), "--horizon", "-1"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("horizon", ["nan", "inf"])
+    # 1e308 h is finite, but its count of 10 min steps is not
+    @pytest.mark.parametrize("horizon", ["nan", "inf", "1e308"])
     def test_non_finite_horizon_is_one_error_line(self, horizon, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert main(["gen-profile", "pv", str(out), "--horizon", horizon]) == 1
@@ -359,6 +361,28 @@ class TestGenProfile:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
         assert not out.exists()
+
+
+#: what numpy's MemoryError says when a 1e13 h profile's time grid does not fit
+NUMPY_NO_MEMORY = "Unable to allocate 437. TiB for an array with shape (60000000000001,)"
+
+
+@pytest.mark.parametrize("command, call, message, printed", [
+    ("run", "run_simulation", "", "out of memory"),
+    ("gen-profile", "synth_pv", NUMPY_NO_MEMORY, NUMPY_NO_MEMORY),
+], ids=["run", "gen-profile"])
+def test_out_of_memory_is_one_error_line(command, call, message, printed, config_file, tmp_path,
+                                         monkeypatch, capsys):
+    # a horizon of 1e12 h or more asks numpy for tens of TiB; here the command's
+    # call raises as numpy would, so the test allocates nothing large
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(pvflock.cli, call, out_of_memory)
+    argv = {"run": ["run", str(config_file(SMALL)), "--out", str(tmp_path / "trace.csv")],
+            "gen-profile": ["gen-profile", "pv", str(tmp_path / "pv.csv")]}[command]
+    assert main(argv) == 1
+    assert one_error_line(capsys) == f"error: {printed}\n"
 
 
 def test_no_arguments_shows_usage():

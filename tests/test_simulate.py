@@ -117,7 +117,8 @@ class TestRunSimulation:
         # no window fits an empty run, however large the capacity
         huge = run_simulation(small_cfg(horizon=0.0, window_capacity=10**12 + 1))
         assert huge.n_steps == 0
-        report = compute_metrics(trace, small_cfg(horizon=0.0))
+        report = compute_metrics(trace, epsilon=1.0, comfort_low=22.0, comfort_high=24.0,
+                                 transient_hours=0.5)
         assert report.empty and report.comfort_violation_steps == 0
         assert "empty=true" in report.lines()[0]
 
@@ -213,9 +214,9 @@ BLOCKED = small_cfg(horizon=25.0)
 IP_ERROR = "computed iP control is not finite: controller.kp or controller.alpha overflows it"
 
 
-def inject(monkeypatch, overflow_at=None, diverge_at=None):
-    """Make the run's iP law overflow in period overflow_at, and building 1's
-    air temperature jump to 99 degC in period diverge_at's plant step.
+def inject(monkeypatch, overflow_at=None, diverge_at=None, value=np.inf):
+    """Make the run's iP law give building 0 value in period overflow_at, and
+    building 1's air temperature jump to 99 degC in period diverge_at's plant step.
 
     Returns the text check_sane gives for that jump, as the per-period loop
     raised it.
@@ -226,7 +227,7 @@ def inject(monkeypatch, overflow_at=None, diverge_at=None):
     def ip(*args, **kwargs):
         u = ip_control(*args, **kwargs)
         if periods["ip"] == overflow_at:
-            u[0] = np.inf
+            u[0] = value
         periods["ip"] += 1
         return u
 
@@ -245,6 +246,13 @@ def inject(monkeypatch, overflow_at=None, diverge_at=None):
     return text
 
 
+#: the control values the iP guard must stop, in every kind of period: +inf (what
+#: kp = 1e308 gives) under the period's plain id, -inf and NaN under the value's name
+OVERFLOWS = [pytest.param(value, period, id=f"{name}{period}")
+             for value, name in ((np.inf, ""), (-np.inf, "-inf-"), (np.nan, "nan-"))
+             for period in (0, 64, 100, 127, 128, 140, 149)]
+
+
 class TestBlockChecks:
     """The iP guard and the range check run once per block of periods, and
     still raise the error of the first failing period."""
@@ -252,9 +260,9 @@ class TestBlockChecks:
     def test_blocks_of_the_run(self):
         assert pvflock.simulate._CHECK_BLOCK == 64 and BLOCKED.n_steps == 150
 
-    @pytest.mark.parametrize("period", [0, 64, 100, 127, 128, 140, 149])
-    def test_overflow_in_any_period(self, period, monkeypatch):
-        inject(monkeypatch, overflow_at=period)
+    @pytest.mark.parametrize("value, period", OVERFLOWS)
+    def test_overflow_in_any_period(self, value, period, monkeypatch):
+        inject(monkeypatch, overflow_at=period, value=value)
         with pytest.raises(ConfigurationError, match=f"^{re.escape(IP_ERROR)}$"):
             run_simulation(BLOCKED)
 
@@ -475,8 +483,7 @@ class TestCellFormat:
 # metrics
 
 class TestMetrics:
-    def cfg(self) -> ScenarioConfig:
-        return ScenarioConfig(fleet=FleetConfig(n_buildings=1), transient_hours=6.0)
+    settings = dict(epsilon=1.0, comfort_low=22.0, comfort_high=24.0, transient_hours=6.0)
 
     def test_transient_steps_are_excluded_from_comfort(self):
         trace = manual_trace(
@@ -485,7 +492,7 @@ class TestMetrics:
             sum_p=[0.0, 0.0, 0.0],
             t1=[20.0, 21.5, 23.0],  # the 2.0-deep excursion is pre-transient
         )
-        report = compute_metrics(trace, self.cfg())
+        report = compute_metrics(trace, **self.settings)
         assert report.comfort_violation_steps == 1
         assert report.comfort_max_depth == pytest.approx(0.5)
 
@@ -493,7 +500,7 @@ class TestMetrics:
         trace = manual_trace(
             t=[6.0, 7.0], pv=[0.0, 0.0], sum_p=[0.0, 0.0], t1=[21.0, 25.5]
         )
-        report = compute_metrics(trace, self.cfg())
+        report = compute_metrics(trace, **self.settings)
         assert report.comfort_violation_steps == 2
         assert report.comfort_max_depth == pytest.approx(1.5)
 
@@ -505,7 +512,7 @@ class TestMetrics:
             t1=[23.0, 23.0, 23.0],
             infeasible=[False, True, False],
         )
-        report = compute_metrics(trace, self.cfg())
+        report = compute_metrics(trace, **self.settings)
         assert report.tracking_rms == pytest.approx(np.sqrt((0.25 + 4.0) / 2.0))
         assert report.tracking_within_eps_pct == pytest.approx(50.0)
         assert report.peak_sum_p == pytest.approx(9.5)
@@ -515,12 +522,12 @@ class TestMetrics:
         trace = manual_trace(
             t=[6.0], pv=[10.0], sum_p=[11.0], t1=[23.0]
         )
-        report = compute_metrics(trace, self.cfg())
+        report = compute_metrics(trace, **self.settings)
         assert report.tracking_within_eps_pct == 100.0
 
     def test_no_pv_reports_not_applicable(self):
         trace = manual_trace(t=[6.0], pv=[0.0], sum_p=[0.0], t1=[23.0])
-        report = compute_metrics(trace, self.cfg())
+        report = compute_metrics(trace, **self.settings)
         assert report.tracking_rms is None
         assert report.tracking_within_eps_pct is None
         assert "tracking_rms_kw=n/a" in report.lines()
@@ -528,18 +535,18 @@ class TestMetrics:
 
     def test_zero_transient_counts_every_step(self):
         trace = manual_trace(t=[0.0, 6.0], pv=[0.0, 0.0], sum_p=[0.0, 0.0], t1=[20.0, 23.0])
-        strict = compute_metrics(trace, replace(self.cfg(), transient_hours=0.0))
+        strict = compute_metrics(trace, **{**self.settings, "transient_hours": 0.0})
         assert strict.comfort_violation_steps == 1
         assert strict.comfort_max_depth == pytest.approx(2.0)
 
     def test_all_transient_is_quietly_clean(self):
         trace = manual_trace(t=[0.0, 1.0], pv=[0.0, 0.0], sum_p=[0.0, 0.0], t1=[10.0, 10.0])
-        report = compute_metrics(trace, self.cfg())
+        report = compute_metrics(trace, **self.settings)
         assert report.comfort_violation_steps == 0
         assert report.comfort_max_depth == 0.0
 
     def test_lines_are_key_value_formatted(self):
         trace = manual_trace(t=[6.0], pv=[10.0], sum_p=[10.0], t1=[23.0])
-        lines = compute_metrics(trace, self.cfg()).lines()
+        lines = compute_metrics(trace, **self.settings).lines()
         assert all("=" in line for line in lines)
         assert lines[1] == "comfort_violation_steps=0"
