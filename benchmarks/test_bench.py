@@ -1,5 +1,5 @@
-"""End-to-end runs, trace write and read, the run-constant and metrics stages, one
-micro-benchmark per layer of a control period, and the block check of the run's guards."""
+"""End-to-end runs, trace write and read, the run-constant and metrics stages, the
+iP law's tables, one fused control period, and the block check of the run's guards."""
 
 from __future__ import annotations
 
@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from pvflock import compute_metrics, load_profile_csv, read_trace, run_simulation, write_trace
-from pvflock.control import estimate_f, estimator_kernel, ip_control
-from pvflock.coordinator import building_bounds, clamp_to_bounds
-from pvflock.plant import check_sane, rk4_fleet, transition_map
+from pvflock.control import control_tables
+from pvflock.coordinator import building_bounds
+from pvflock.plant import check_sane, transition_map
 from pvflock.scenario import synth_disturbances
 from pvflock.simulate import _CHECK_BLOCK, _check_block, build_fleet
 
@@ -76,45 +76,60 @@ def test_compute_metrics(benchmark, day):
     assert not report.empty
 
 
+def test_run_tables(benchmark, day):
+    # the control table and the bias, built once per run before the loop
+    cfg, t = day
+    y0 = build_fleet(cfg)[0]
+    benchmark(control_tables, t, y0, cfg.window_capacity, cfg.alpha, cfg.kp, cfg.setpoint,
+              cfg.ramp_hours, cfg.fleet.sample_dt)
+
+
 @pytest.fixture(params=[13, 1300], ids=["n13", "n1300"])
 def period(request, scenario_config):
-    """One control period's inputs for a fleet of n buildings, mid-run."""
+    """One control period's tables and history for a fleet of n buildings, mid-run."""
     cfg = scenario_config(request.param, 72.0)
-    c, dt = cfg.window_capacity, cfg.fleet.sample_dt
+    c, dt, n = cfg.window_capacity, cfg.fleet.sample_dt, request.param
     rng = np.random.default_rng(0)
     t = np.arange(cfg.n_steps) * dt
-    ky, ku = estimator_kernel(t, c, cfg.alpha, dt)
+    states = build_fleet(cfg)
+    rows, bias = control_tables(t, states[0], c, cfg.alpha, cfg.kp, cfg.setpoint,
+                                cfg.ramp_hours, dt)
+    z = np.zeros((c + 2, 4, n))  # the window of period 100: c past entries and its own
+    z[:, :3] = states + rng.uniform(-1.0, 1.0, (c + 2, 1, n))
+    z[:c, 3] = rng.uniform(-3.0, 0.0, (c, n))
+    tm = transition_map(cfg.building, dt, cfg.substeps)
     return {
         "cfg": cfg,
-        "kernel": (ky[100], ku[100]),
-        "t1": rng.uniform(22.0, 25.0, (c, request.param)),
-        "u": rng.uniform(-3.0, 0.0, (c, request.param)),
-        "states": build_fleet(cfg),
-        "tm": transition_map(cfg.building, dt, cfg.substeps),
-        "w": np.array([28.0, 0.02, 0.1]),
+        "states": states,
+        "row": rows[100],
+        "bias": bias[100],
+        "z": z,
+        "u_bounds": (np.array(-cfg.fleet.hvac_max), np.array(-0.0)),
+        "ab": np.column_stack([tm.a, tm.b]),
+        "s": tm.s,
+        "cw": (tm.c @ np.array([28.0, 0.02, 0.1]))[:, None],
     }
 
 
-def test_estimator(benchmark, period):
-    ky, ku = period["kernel"]
-    cfg = period["cfg"]
-    benchmark(estimate_f, ky, ku, period["t1"], period["u"], cfg.fleet.sample_dt)
+def test_control_period(benchmark, period):
+    # the statements of one period of run_simulation's loop
+    row, bias, z, ab, s, cw = (period[k] for k in ("row", "bias", "z", "ab", "s", "cw"))
+    u_lo, u_hi = period["u_bounds"]
+    c, n = len(row) - 1, z.shape[2]
+    raw, f = np.empty(n), np.empty((3, n))
+    x, x_next = z[c], z[c + 1, :3]
 
+    def one_period():
+        np.einsum("ij,ijn->n", row, z[:c + 1, ::3], out=raw)
+        np.add(raw, bias, out=raw)
+        np.clip(raw, u_lo, u_hi, out=x[3])
+        np.einsum("ij,jn->in", ab, x, out=f)
+        np.add(f, cw, out=f)
+        np.einsum("ij,jn->in", s, f, out=x_next)
+        np.add(x_next, x[:3], out=x_next)
 
-def test_ip_law_and_clamp(benchmark, period):
-    cfg = period["cfg"]
-    e = period["states"][0] - cfg.setpoint
-
-    def law_and_clamp():
-        return clamp_to_bounds(ip_control(0.5, 0.0, e, cfg.alpha, cfg.kp), 0.0, cfg.fleet.hvac_max)
-
-    benchmark(law_and_clamp)
-
-
-def test_plant_step(benchmark, period):
-    tm, states = period["tm"], period["states"]
-    u = np.full(states.shape[1], -1.0)
-    benchmark(rk4_fleet, states, u, tm.c @ period["w"], tm)
+    benchmark(one_period)
+    assert np.all(np.isfinite(x_next)) and np.all((-3.0 <= x[3]) & (x[3] <= 0.0))
 
 
 def test_sanity_check(benchmark, period):

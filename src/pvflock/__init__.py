@@ -8,8 +8,8 @@ CLI (simulate, cli).
 
 The names below are the run surface: the settings, which are checked when
 they are built or loaded, and the calls that run, save and summarize a
-simulation.  The per-period kernels stay in their modules; they trust the
-settings they are handed.
+simulation.  The per-run table builders stay in their modules; they trust
+the settings they are handed.
 """
 
 from .coordinator import FleetConfig

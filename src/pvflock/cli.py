@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen-profile", help="write a synthetic PV profile CSV")
     gen.add_argument("kind", choices=["pv"])
     gen.add_argument("out", help="output CSV path")
-    gen.add_argument("--horizon", type=float, default=72.0, help="hours to cover")
+    gen.add_argument("--horizon", type=float, default=ScenarioConfig.horizon, help="hours to cover")
     gen.add_argument("--peak", type=float, default=PvSourceConfig.peak, help="peak output (kW)")
     return parser
 

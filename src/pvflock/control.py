@@ -1,4 +1,4 @@
-"""Model-free control core: ultra-local model, iP law and the F estimator.
+"""Model-free control core: the iP law and the F estimator, as tables over the history.
 
 Each building's room temperature y is treated as the scalar ultra-local model
 
@@ -11,7 +11,9 @@ an intelligent proportional (iP) law,
     u = -(F_hat - dy_ref/dt + kp * e) / alpha,        e = y - y_ref,
 
 which cancels the estimated F_hat and leaves first-order error dynamics
-de/dt + kp * e = 0, stable for any kp > 0.
+de/dt + kp * e = 0, stable for any kp > 0.  The reference y_ref is the
+setpoint; with ramp_hours > 0 it instead ramps linearly from each building's
+first measurement y0 to the setpoint over that horizon, then holds.
 
 F_hat is refreshed every control period by the algebraic (annihilator-kernel)
 estimator over the last c samples,
@@ -22,53 +24,27 @@ with s measured from the start of the window of span tau = (c - 1) dt.  The
 kernel annihilates any constant offset in y, so for affine y and constant u
 the estimate is exact.  The integral is evaluated with composite Simpson
 weights on the uniform sample grid, which is why windows hold an odd number
-of samples.  Until c samples exist the simulation uses F_hat = 0.
+of samples.  Until c samples exist F_hat = 0.
 
-The kernel's coefficients depend only on the sample times, alpha and dt,
-so estimator_kernel computes them once per run, for every window of the
-time grid, with the Simpson weights folded in.  A control period then only
-multiplies its window's samples by one row of those tables and sums them
-(estimate_f).
-
-The iP law and the reference work on one building (floats) or on a whole
-fleet at once (arrays with one entry per building); the estimator takes
-(c, n) blocks with one column per building, (c, 1) for one.  Times are in hours,
+The estimate and the law are both linear in the history of y and of the
+applied u, and their coefficients depend only on the time grid and the
+settings.  So control_tables writes period k's raw control as one row of
+coefficients on the c + 1 history entries k - c .. k of (y, u) plus a bias,
+for every period, once per run (estimator_kernel gives the window part);
+a control period is then one product and a sum.  Times are in hours,
 temperatures in degC, controls in kW with the thermal sign convention
-(u <= 0 extracts heat).  The estimator reads the control that was actually
+(u <= 0 extracts heat).  The window reads the control that was actually
 applied after any clamping, so saturation cannot wind up the estimate.
 
 These functions trust the settings they are given: alpha, kp and the
 window size were checked once, when the ScenarioConfig holding them was
-built.  They check no computed value either.  A finite setting can still
-overflow the control (kp = 1e308 or alpha = 1e-308); run_simulation keeps
-each block of periods' raw controls and checks them with the block's plant
-states.
+built.  A finite setting can still overflow a table (kp = 1e308 or
+alpha = 1e-308); run_simulation checks each block of periods' raw controls.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def reference(t: float, y0, setpoint: float, ramp_hours: float):
-    """Reference value and slope at time t, for first measurements y0 taken at t = 0.
-
-    The reference is the constant setpoint; if ramp_hours > 0 it instead
-    ramps linearly from y0 to the setpoint over that horizon (useful to
-    soften cold starts), after which it is constant.
-    """
-    if ramp_hours > 0 and t < ramp_hours:
-        slope = (setpoint - y0) / ramp_hours
-        return y0 + slope * t, slope
-    return setpoint, 0.0
-
-
-def ip_control(f_hat, y_ref_dot, e, alpha, kp, out=None):
-    """Intelligent proportional law: u = -(f_hat - y_ref_dot + kp*e) / alpha.
-
-    Returns the control, or writes it into out when given.
-    """
-    return np.divide(-(f_hat - y_ref_dot + kp * e), alpha, out=out)
 
 
 def estimator_kernel(t: np.ndarray, c: int, alpha: float, dt: float):
@@ -92,23 +68,25 @@ def estimator_kernel(t: np.ndarray, c: int, alpha: float, dt: float):
     return (tau - 2.0 * sigma) * simpson, alpha * sigma * (tau - sigma) * simpson
 
 
-def estimate_f(ky: np.ndarray, ku: np.ndarray, y: np.ndarray, u: np.ndarray, dt: float):
-    """Annihilator-kernel estimate of F over one window, one entry per building.
+def control_tables(t: np.ndarray, y0: np.ndarray, c: int, alpha: float, kp: float,
+                   setpoint: float, ramp_hours: float, dt: float):
+    """The iP law of every period of the time grid t as a linear map of the history.
 
-    ky and ku are the window's row of the estimator_kernel tables; y and u
-    are (c, n) blocks of its outputs and applied controls, one row per
-    sample.  Exact (up to rounding) whenever y is affine in time and u
-    constant across the window.
+    Returns (rows, bias): period k's raw control is the sum of rows[k] * (y, u)
+    over the history entries k - c .. k, the last one being period k's own,
+    plus bias[k].  rows is (len(t), c + 1, 2); its window part folds the
+    scale (6/tau^3) (dt/3) / alpha into the kernel and is zero until c samples
+    exist, and -kp/alpha weighs the current y.  bias is (len(t), 1), or one
+    column per first measurement y0 when a ramp runs.
     """
-    tau = (len(ky) - 1) * dt
-    terms = ky[:, None] * y + ku[:, None] * u
-    # summed row after row, end points first, as the composite Simpson sum
-    # is written: np.add.reduce sums a (c, 1) block pairwise once c > 8, and
-    # np.add.accumulate is several times slower on wide fleets
-    acc = terms[0] + terms[-1]
-    for i in range(1, len(terms) - 1):
-        acc += terms[i]
-    acc *= dt
-    acc /= 3.0
-    acc *= -(6.0 / tau**3)
-    return acc
+    rows = np.zeros((len(t), c + 1, 2))
+    if len(t) > c:  # the window fills in the run
+        ky, ku = estimator_kernel(t[:-1], c, alpha, dt)
+        rows[c:, :c] = np.stack([ky, ku], axis=-1) * (6.0 / ((c - 1) * dt) ** 3 * dt / 3.0 / alpha)
+    rows[:, c, 0] = -kp / alpha
+    bias = np.full((len(t), 1), kp * setpoint / alpha)
+    ramp = t < ramp_hours
+    if ramp.any():
+        slope = (setpoint - y0) / ramp_hours
+        bias = np.where(ramp[:, None], (slope + kp * (y0 + slope * t[:, None])) / alpha, bias)
+    return rows, bias

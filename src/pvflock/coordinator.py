@@ -19,16 +19,15 @@ infeasible.
 
 The band depends on the PV output alone, never on the fleet's state, so
 building_bounds() computes it for a whole run at once, one entry per
-control period.  The bounds are the same for every building, so the clamp
-is one array operation over the fleet per period.  The simulation clamps
-each period's raw iP controls, integrates the plant under the clamped
-values and keeps those applied values for the estimator.
+control period.  The bounds are the same for every building, so the run
+clamps a period's raw iP controls with one clip of u onto [-hi, -lo], the
+thermal image of [lo, hi], and keeps the clipped values for the plant and
+the estimator.
 
-Neither function checks its inputs: FleetConfig checks its fields when it is
-built, the PV column comes from a checked source (a PvSourceConfig peak or
-a loaded CSV that rejects negative and non-finite rows), and the raw
-controls come from ip_control unchecked: run_simulation checks a block of
-periods' raw controls for finiteness once the block has run.
+building_bounds does not check its inputs: FleetConfig checks its fields
+when it is built, and the PV column comes from a checked source (a
+PvSourceConfig peak or a loaded CSV that rejects negative and non-finite
+rows).
 """
 
 from __future__ import annotations
@@ -87,15 +86,3 @@ def building_bounds(pv, cfg: FleetConfig):
     lo, hi = np.where(infeasible, pinned, lo), np.where(infeasible, pinned, hi)
     return band_lo, band_hi, lo, hi, infeasible
 
-
-def clamp_to_bounds(u_raw, lo, hi, out=None):
-    """Project raw thermal controls (one float or an array) onto the electrical bounds.
-
-    Returns (p, u_applied, clamped) with p = -u_applied in [lo, hi].
-    A positive u_raw (a heating wish) maps to the smallest admissible draw.
-    Given out, a triple of arrays shaped like u_raw, it writes them there.
-    """
-    p_out, u_out, clamped_out = out or (None, None, None)
-    p_want = -u_raw
-    p = np.minimum(np.maximum(p_want, lo), hi, out=p_out)
-    return p, np.negative(p, out=u_out), np.not_equal(p, p_want, out=clamped_out)

@@ -25,21 +25,19 @@ period, split into substeps so the fastest node stays well resolved.  The
 model is linear, so dx/dt = A x + B u + C w with the matrices returned by
 build_matrices().  Because the plant is linear and the inputs are held
 constant over the period, the whole substep loop collapses to a single
-affine update x+ = x + S (A x + f).  transition_map computes A, B, C and S
-once per run; a run also computes the disturbance forcing C w of every
-period in one product before its loop.  A period then only evaluates the
-state-dependent part: the forcing B u + C w and the update.  The tests
-cross-check this against a plain per-substep loop and a derivative written
-straight from the ODEs.
+affine update x+ = x + S (A x + B u + C w), which transition_map computes
+once per run.  The run writes a period as that increment: one product of
+[A | B] with the state and control, the disturbance forcing C w of the
+period (computed for every period before the loop) added, and one product
+with S added to the state.  The tests cross-check this against a plain
+per-substep loop and a derivative written straight from the ODEs.
 
 Everything here takes plain arrays: one building's state is the length-3
-array (T1, T2, T3), a fleet is a (3, n) block with one column per building,
-and C w is the length-3 forcing of the disturbance held over the period.  A
-single building is simply a (3, 1) block.  rk4_fleet trusts its settings:
-BuildingParams checks the constants when it is built and ScenarioConfig
-checks the period and the substep count.  check_sane guards the computed
-states with one min and one max test, over one period's (3, n) block or
-over a stack of them.
+array (T1, T2, T3) and a fleet is a (3, n) block with one column per
+building.  transition_map trusts its settings: BuildingParams checks the
+constants when it is built and ScenarioConfig checks the period and the
+substep count.  check_sane guards the computed states with one min and one
+max test, over one period's (3, n) block or over a stack of them.
 """
 
 from __future__ import annotations
@@ -137,20 +135,6 @@ def transition_map(p: BuildingParams, dt: float, substeps: int) -> TransitionMap
     for _ in range(substeps):
         s = phi @ s + gamma
     return TransitionMap(a, b, c, s)
-
-
-def rk4_fleet(states: np.ndarray, u: np.ndarray, cw: np.ndarray, tm: TransitionMap,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """Advance a (3, n) block of building states by one control period under ZOH inputs.
-
-    u is one control per building; cw = tm.c @ w is the forcing of the
-    disturbance w = (d1, d2, d3) that every building shares over the period.
-    Returns a new array, or writes into the (3, n) array out.  Evaluates the
-    classical RK4 substep recursion through the transition map tm.
-    """
-    a, b, _, s = tm
-    forcing = b[:, None] * u + cw[:, None]
-    return np.add(states, s @ (a @ states + forcing), out=out)
 
 
 def check_sane(states: np.ndarray, t) -> None:

@@ -3,26 +3,25 @@
 A run first computes everything that depends only on the time grid and the
 settings: the times, the PV output, the aggregate band with the
 per-building bounds, the (steps, 3) disturbance forcing C w, the plant's
-transition map and the estimator's kernel tables.  The settings the loop
-multiplies by (alpha, kp, the setpoint) become 0-d arrays, which numpy
-combines with an array faster than a Python float.  It then marches N
-identical buildings at the control rate, and a control period does only the
-arithmetic that needs the fleet's state, writing each result where the run
-keeps it:
+transition map and the iP law's tables (control.control_tables).  The
+fleet's history lives in one (steps + c + 1, 4, N) array z: entry c + k
+holds the rows T1, T2, T3 and u of period k, and the first c entries are
+zeros, so period k's window z[k .. k + c] always exists.  A control period
+then writes three statements into the history:
 
-    estimate   F_hat over the trace's last c rows of T1 and applied u
-    iP law     the raw controls, into the current check block's row
-    clamp      onto the period's bounds, into the trace's p, u and clamped rows
-    plant      one RK4 update of the (3, N) state into the next state row
+    raw    one product of the period's row of coefficients with the window's
+           T1 and u rows, plus its bias: the estimate and the iP law at once
+    clamp  one clip of the raw controls onto [-hi, -lo], into u's row
+    plant  the increment x + S ([A | B] (x, u) + C w), in two products,
+           into the next entry's T1, T2 and T3 rows
 
-The states live in one (steps + 1, 3, N) array, row k holding the fleet
-before period k, and the trace's t1, t2 and t3 are views of its first steps
-rows.  The run's two guards, that every raw iP control is finite and that
-every state stays in the sane range, run once per block of _CHECK_BLOCK
-periods (_check_block), over the block's raw controls and the states its
-plant steps reached.  The run stops with the error of the first failing
-period, a period's control before its plant step, as a check after every
-period would.
+The trace's t1, t2, t3 and u are views of z; p = -u and the clamp flags
+(u != raw) follow after the loop.  The run's two guards, that every raw iP
+control is finite and that every state stays in the sane range, run once
+per block of _CHECK_BLOCK periods (_check_block), over the block's raw
+controls and the states its plant steps reached.  The run stops with the
+error of the first failing period, a period's control before its plant
+step, as a check after every period would.
 Initial air temperatures are drawn uniformly from the configured range with
 a seeded generator; interior mass starts at the air temperature and the wall
 core one degree above, so a hot start really is a hot building.
@@ -44,10 +43,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import estimate_f, estimator_kernel, ip_control, reference
-from .coordinator import building_bounds, clamp_to_bounds
+from .control import control_tables
+from .coordinator import building_bounds
 from .errors import ConfigurationError
-from .plant import check_sane, rk4_fleet, transition_map
+from .plant import check_sane, transition_map
 from .scenario import ScenarioConfig, load_profile_csv, read_csv_table, synth_disturbances, synth_pv
 
 
@@ -57,8 +56,8 @@ class SimulationTrace:
 
     Temperatures in row k are the measurements at t[k] (before actuation);
     u and p are the controls applied over [t[k], t[k] + dt).  In a trace
-    run_simulation returns, t1, t2 and t3 are strided views of the run's
-    one block of states, not arrays of their own.
+    run_simulation returns, t1, t2, t3 and u are strided views of the run's
+    one history array, not arrays of their own.
     """
 
     n_buildings: int
@@ -100,7 +99,7 @@ def run_simulation(cfg: ScenarioConfig) -> SimulationTrace:
     sane temperature range; the error raised is the first in period order.
     """
     n, steps, dt = cfg.fleet.n_buildings, cfg.n_steps, cfg.fleet.sample_dt
-    c = cfg.window_capacity
+    c = min(cfg.window_capacity, steps)  # a window longer than the run never fills
     t = np.arange(steps) * dt
     if cfg.pv.kind == "csv":
         pv = load_profile_csv(cfg.pv.csv_path, non_negative=True).value_at(t)
@@ -109,35 +108,37 @@ def run_simulation(cfg: ScenarioConfig) -> SimulationTrace:
     else:
         pv = np.zeros(steps)
     band_lo, band_hi, lo, hi, infeasible = building_bounds(pv, cfg.fleet)
+    u_lo, u_hi = -hi, -lo
     tm = transition_map(cfg.building, dt, cfg.substeps)
-    cw = synth_disturbances(t, cfg.disturbance) @ tm.c.T
-    # the fleet's (T1, T2, T3) before every period and after the last one
-    x = np.empty((steps + 1, 3, n))
-    x[0] = build_fleet(cfg)
-    y0, t1 = x[0, 0], x[:steps, 0]
-    u, p = np.empty((steps, n)), np.empty((steps, n))
-    clamped = np.empty((steps, n), dtype=bool)
-    u_raw = np.empty((_CHECK_BLOCK, n))  # a block's raw iP controls, checked with it
-    # numpy combines an array with a 0-d array, such as lo[k, ...], faster
-    # than with a Python float
-    alpha, kp, setpoint = (np.array(v) for v in (cfg.alpha, cfg.kp, cfg.setpoint))
+    ab, s = np.column_stack([tm.a, tm.b]), tm.s
+    cw = (synth_disturbances(t, cfg.disturbance) @ tm.c.T)[:, :, None]
+    z = np.zeros((steps + c + 1, 4, n))
+    z[c, :3] = build_fleet(cfg)
+    raw, f = np.empty((steps, n)), np.empty((3, n))
     # a finite setting can overflow the iP law (kp = 1e308); _check_block
     # tests every control and state, so numpy's warnings would only repeat
     # its one error
     with np.errstate(over="ignore", invalid="ignore"):
-        ky, ku = estimator_kernel(t, c, cfg.alpha, dt)
+        rows, bias = control_tables(t, z[c, 0], c, cfg.alpha, cfg.kp, cfg.setpoint,
+                                    cfg.ramp_hours, dt)
         for k0 in range(0, steps, _CHECK_BLOCK):
             k1 = min(k0 + _CHECK_BLOCK, steps)
             for k in range(k0, k1):
-                y_ref, y_ref_dot = reference(t[k], y0, setpoint, cfg.ramp_hours)
-                # the estimator window is the last c rows of the measured T1 and applied u
-                f_hat = estimate_f(ky[k - c], ku[k - c], t1[k - c:k], u[k - c:k], dt) if k >= c else 0.0
-                raw = ip_control(f_hat, y_ref_dot, t1[k] - y_ref, alpha, kp, out=u_raw[k - k0])
-                _, u_k, _ = clamp_to_bounds(raw, lo[k, ...], hi[k, ...], out=(p[k], u[k], clamped[k]))
-                rk4_fleet(x[k], u_k, cw[k], tm, out=x[k + 1])
-            _check_block(u_raw[:k1 - k0], x[k0 + 1:k1 + 1], t[k0:k1] + dt)
+                x, x_next, r = z[k + c], z[k + c + 1, :3], raw[k]
+                np.einsum("ij,ijn->n", rows[k], z[k:k + c + 1, ::3], out=r)
+                r += bias[k]
+                # [k, ...] is a 0-d array, which numpy combines faster than a float
+                np.clip(r, u_lo[k, ...], u_hi[k, ...], out=x[3])
+                np.einsum("ij,jn->in", ab, x, out=f)
+                f += cw[k]
+                np.einsum("ij,jn->in", s, f, out=x_next)
+                x_next += x[:3]
+            _check_block(raw[k0:k1], z[k0 + c + 1:k1 + c + 1, :3], t[k0:k1] + dt)
+    t1, t2, t3, u = z[c:steps + c].transpose(1, 0, 2)
+    clamped = u != raw
+    p = np.negative(u, out=raw)  # the raw controls are spent: their array takes p
     return SimulationTrace(n, t, pv, sum_rows(p), band_lo, band_hi, infeasible,
-                           t1, x[:steps, 1], x[:steps, 2], u, p, clamped)
+                           t1, t2, t3, u, p, clamped)
 
 
 def _check_block(u_raw: np.ndarray, states: np.ndarray, t_next: np.ndarray) -> None:

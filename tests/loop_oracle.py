@@ -5,9 +5,9 @@ each period's estimate, iP law, clamp, plant step and checks written out as
 separate array expressions in the order the model is stated, every error
 raised in the period that caused it.  It shares with run_simulation only the
 run constants (time grid, PV column, bounds, disturbance forcing, transition
-map, estimator kernel and initial states), so the two agree bit for bit only
-if every building-step does the same floating-point operations in the same
-order.
+map, estimator kernel and initial states).  The run folds the estimate and
+the law into one table and sums in another order, so the two agree to
+rounding, not bit for bit; the clamp flags and the errors agree exactly.
 """
 
 from __future__ import annotations

@@ -2,7 +2,9 @@
 
 plant_derivative is written straight from the ODEs in pvflock.plant's
 docstring, not from build_matrices; rk4_fleet_reference is the literal
-per-substep RK4 loop that rk4_fleet collapses into one affine update.
+per-substep RK4 loop that transition_map collapses into one affine update.
+plant_period is the other side of those checks: one period as
+run_simulation writes it.
 OFFICE is the literature constant set for a large office building, on
 which the pinned derivative and equilibrium values are computed.
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from pvflock.plant import BuildingParams, build_matrices
+from pvflock.plant import BuildingParams, TransitionMap, build_matrices
 
 OFFICE = BuildingParams(
     c1=9.356e5, c2=2.970e6, c3=6.695e5, k1=16.48, k2=108.5, k4=30.5, k5=23.04
@@ -37,7 +39,7 @@ def rk4_fleet_reference(
 ) -> np.ndarray:
     """Plain per-substep RK4 loop, kept as an independent route.
 
-    Same contract as rk4_fleet(); the tests check the two stay within
+    Same contract as plant_period(); the tests check the two stay within
     floating-point noise of each other.
     """
     a, b, c = build_matrices(p)
@@ -55,6 +57,18 @@ def rk4_fleet_reference(
         k4 = deriv(x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return x
+
+
+def plant_period(states: np.ndarray, u: np.ndarray, cw: np.ndarray,
+                 tm: TransitionMap) -> np.ndarray:
+    """Advance a (3, n) block of states by one period as run_simulation does.
+
+    The increment x + S ([A | B] (x, u) + C w) in the run's two einsum
+    products, for the controls u and the disturbance forcing cw = C w.
+    """
+    f = np.einsum("ij,jn->in", np.column_stack([tm.a, tm.b]), np.vstack([states, u[None]]))
+    f += cw[:, None]
+    return np.einsum("ij,jn->in", tm.s, f) + states
 
 
 def equilibrium(u: float, w, p: BuildingParams) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from plant_oracles import OFFICE, equilibrium, plant_derivative
+from plant_oracles import OFFICE, equilibrium, plant_derivative, plant_period
 from pvflock import (
     FleetConfig,
     PvSourceConfig,
@@ -21,11 +21,18 @@ from pvflock import (
     compute_metrics,
     run_simulation,
 )
-from pvflock.control import estimate_f, estimator_kernel, ip_control
-from pvflock.coordinator import building_bounds, clamp_to_bounds
-from pvflock.plant import build_matrices, check_sane, rk4_fleet, transition_map
+from pvflock.control import control_tables
+from pvflock.coordinator import building_bounds
+from pvflock.plant import build_matrices, check_sane, transition_map
 
 DT = 1.0 / 6.0
+
+
+def table_f_hat(rows, k: int, alpha: float, y, u) -> float:
+    """F_hat of period k's window of samples y, u as the run's control table
+    holds it: the row's window part is -F_hat / alpha."""
+    c = rows.shape[1] - 1
+    return -alpha * (rows[k, :c, 0] @ y + rows[k, :c, 1] @ u)
 
 
 def scenario_metrics(trace, cfg: ScenarioConfig):
@@ -102,25 +109,27 @@ def test_criterion_3_extra_building_relieves_overcooling():
 
 
 def test_criterion_4_estimators_settle_within_three_window_spans():
-    """The F estimator recovers a constant F to 1e-3 within 3 window spans
-    of the window filling, for F in {-2, 0, 3} (exact scalar loop)."""
+    """The F estimator, as the run's control table holds it, recovers a
+    constant F to 1e-3 within 3 window spans of the window filling, for F in
+    {-2, 0, 3} (exact scalar loop driven by the table's law with the true F)."""
     alpha, kp, setpoint = 5.0, 2.0, 23.0
     capacity = 3
     spans_to_settle = 3 * (capacity - 1)  # 3 window spans, in steps
+    rows, bias = control_tables(np.arange(41) * DT, np.zeros(1), capacity, alpha, kp, setpoint,
+                                0.0, DT)
     worst = 0.0
     for f0 in (-2.0, 0.0, 3.0):
         y = setpoint + 0.01
-        ts, ys, us = [], [], []
+        ys, us = [], []
         filled_at = capacity - 1  # the step whose sample fills the window
         for k in range(40):
-            u = ip_control(f0, 0.0, y - setpoint, alpha, kp)
-            ts.append(k * DT)
+            # the table's law with the true F in place of the window's estimate
+            u = rows[k, capacity, 0] * y + bias[k, 0] - f0 / alpha
             ys.append(y)
             us.append(u)
             if k - filled_at == spans_to_settle:
-                ky, ku = estimator_kernel(np.array(ts[-capacity:]), capacity, alpha, DT)
-                window = np.array(ys[-capacity:])[:, None], np.array(us[-capacity:])[:, None]
-                err = abs(estimate_f(ky[0], ku[0], *window, DT)[0] - f0)
+                # the window of samples k - c + 1 .. k is the next period's
+                err = abs(table_f_hat(rows, k + 1, alpha, ys[-capacity:], us[-capacity:]) - f0)
                 assert err < 1e-3
                 worst = max(worst, err)
             y += (f0 + alpha * u) * DT  # exact ZOH integration of dy/dt = F + alpha u
@@ -137,10 +146,10 @@ def test_criterion_4_estimators_settle_within_three_window_spans():
     ]
     for y0, slope, u, alpha_c, t0 in affine_cases:
         sigma = np.arange(capacity) * DT
-        t = t0 + sigma
-        ky, ku = estimator_kernel(t, capacity, alpha_c, DT)
-        y, uu = (y0 + slope * sigma)[:, None], np.full((capacity, 1), u)
-        err = abs(estimate_f(ky[0], ku[0], y, uu, DT)[0] - (slope - alpha_c * u))
+        t = t0 + np.arange(capacity + 1) * DT  # the window and the period it serves
+        table, _ = control_tables(t, np.zeros(1), capacity, alpha_c, kp, setpoint, 0.0, DT)
+        y, uu = y0 + slope * sigma, np.full(capacity, u)
+        err = abs(table_f_hat(table, capacity, alpha_c, y, uu) - (slope - alpha_c * u))
         assert err < 1e-9
         worst_affine = max(worst_affine, err)
     print(
@@ -151,14 +160,16 @@ def test_criterion_4_estimators_settle_within_three_window_spans():
 
 
 def test_criterion_5_error_contracts_at_two_thirds_per_period():
-    """With the true F supplied, e(k+1)/e(k) = 1 - kp*dt = 2/3 to 1e-6 for
-    10 consecutive periods."""
+    """With the true F supplied in place of the window's estimate, the run's
+    control table (its current-T1 coefficient and bias) gives
+    e(k+1)/e(k) = 1 - kp*dt = 2/3 to 1e-6 for 10 consecutive periods."""
     f0, alpha, kp, setpoint = 1.5, 5.0, 2.0, 23.0
+    rows, bias = control_tables(np.arange(10) * DT, np.zeros(1), 3, alpha, kp, setpoint, 0.0, DT)
     y = 24.0
     e = y - setpoint
     worst = 0.0
-    for _ in range(10):
-        u = ip_control(f0, 0.0, e, alpha, kp)
+    for k in range(10):
+        u = rows[k, -1, 0] * y + bias[k, 0] - f0 / alpha
         y += (f0 + alpha * u) * DT
         e_next = y - setpoint
         ratio = e_next / e
@@ -172,9 +183,10 @@ def test_criterion_5_error_contracts_at_two_thirds_per_period():
 
 
 def test_criterion_6_plant_integration_matches_adaptive_reference():
-    """24 h of chained rk4_fleet periods on one building stays within 1e-6
-    degC of a 1e-10 adaptive reference, and the uniform state (T_out, T_out,
-    T_out) with the HVAC off and no gains is a bitwise-exact fixed point."""
+    """24 h of chained plant periods in the run's increment form on one
+    building stay within 1e-6 degC of a 1e-10 adaptive reference, and the
+    uniform state (T_out, T_out, T_out) with the HVAC off and no gains is a
+    bitwise-exact fixed point, for one building and beside another."""
     p = OFFICE  # literature constants
     w = np.array([30.0, 0.1, 1.0])  # (d1, d2, d3)
     x0 = np.array([24.0, 23.0, 26.0])  # (T1, T2, T3)
@@ -187,7 +199,7 @@ def test_criterion_6_plant_integration_matches_adaptive_reference():
     tm = transition_map(p, DT, 10)
     state = x0[:, None]  # one building is a (3, 1) block
     for k in range(1, 145):
-        state = rk4_fleet(state, np.array([-2.0]), tm.c @ w, tm)
+        state = plant_period(state, np.array([-2.0]), tm.c @ w, tm)
         check_sane(state, k * DT)
     diff = float(np.max(np.abs(state[:, 0] - sol.y[:, -1])))
     assert diff < 1e-6
@@ -196,17 +208,18 @@ def test_criterion_6_plant_integration_matches_adaptive_reference():
     # must stay there exactly — 24 h of steps may not move a single bit
     t_out = 30.0
     calm = np.array([t_out, 0.0, 0.0])
-    uniform = np.full((3, 1), t_out)
-    for k in range(1, 145):
-        uniform = rk4_fleet(uniform, np.array([0.0]), tm.c @ calm, tm)
-        check_sane(uniform, k * DT)
-    assert uniform[:, 0].tolist() == [t_out, t_out, t_out]
+    for n in (1, 2):  # einsum sums a lone column in another order than a fleet's
+        uniform = np.full((3, n), t_out)
+        for k in range(1, 145):
+            uniform = plant_period(uniform, np.zeros(n), tm.c @ calm, tm)
+            check_sane(uniform, k * DT)
+        assert np.all(uniform == t_out)
 
     eq = equilibrium(-2.0, w, p)
     resid = float(np.max(np.abs(plant_derivative(eq, -2.0, w, p))))
     assert resid < 1e-9
     print(
-        f"\n[acceptance] criterion 6 PASS — 24 h of rk4_fleet off by "
+        f"\n[acceptance] criterion 6 PASS — 24 h of the run's plant periods off by "
         f"{diff:.2e} degC (< 1e-6) from the 1e-10 reference; uniform "
         f"equilibrium preserved bitwise; analytic equilibrium residual "
         f"{resid:.2e} degC/h"
@@ -214,10 +227,11 @@ def test_criterion_6_plant_integration_matches_adaptive_reference():
 
 
 def test_criterion_7_band_decomposition_over_random_cases():
-    """10^4 random (pv, epsilon, n, controls): per-building clamps always
-    land in [0, hvac_max], sums stay inside the aggregate band whenever the
-    split is feasible, and infeasibility is flagged exactly when the even
-    split cannot fit the HVAC range."""
+    """10^4 random (pv, epsilon, n, controls): the run's clip of the raw
+    controls onto [-hi, -lo] always draws p in [0, hvac_max], the n draws sum
+    inside the aggregate band whenever the split is feasible, and
+    infeasibility is flagged exactly when the even split cannot fit the HVAC
+    range."""
     rng = np.random.default_rng(2026)
     hvac_max = 3.0
     cases = 10_000
@@ -244,13 +258,10 @@ def test_criterion_7_band_decomposition_over_random_cases():
             infeasible_seen += 1
             continue
 
-        draws = rng.uniform(-6.0, 6.0, size=n)
-        total = 0.0
-        for u_raw in draws:
-            p_i, u_i, _ = clamp_to_bounds(float(u_raw), lo, hi)
-            assert -1e-12 <= p_i <= hvac_max + 1e-12
-            assert u_i == -p_i
-            total += p_i
+        u_raw = rng.uniform(-6.0, 6.0, size=n)
+        p = -np.clip(u_raw, -hi, -lo)  # as run_simulation clamps a period
+        assert np.all((-1e-12 <= p) & (p <= hvac_max + 1e-12))
+        total = sum(p.tolist())  # left to right, as the run's sum_p
         slack = 1e-9 * max(1.0, pv)
         assert band_lo - slack <= total <= band_hi + slack
     assert infeasible_seen > 0  # the random sweep exercised the flag path

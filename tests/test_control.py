@@ -1,4 +1,5 @@
-"""Unit and property tests for the iP law, the reference, the estimator window and F estimator."""
+"""Unit and property tests of the iP law and the F estimator as the run's tables
+hold them, the reference ramp, and the estimator window of a run."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pvflock.simulate
 from pvflock import (
     ConfigurationError,
     FleetConfig,
@@ -17,9 +19,12 @@ from pvflock import (
     ScenarioConfig,
     run_simulation,
 )
-from pvflock.control import estimate_f, estimator_kernel, ip_control, reference
+from pvflock.control import control_tables, estimator_kernel
+from pvflock.simulate import build_fleet
 
 DT = 1.0 / 6.0
+#: the largest difference between the run's controls and the formulas as written, in kW
+FORMULA_TOLERANCE = 1e-11
 
 
 def window(capacity: int, dt: float, y_of, u_of, t0: float = 0.0):
@@ -29,12 +34,43 @@ def window(capacity: int, dt: float, y_of, u_of, t0: float = 0.0):
     return t, np.array([y_of(s) for s in sigma]), np.array([u_of(s) for s in sigma])
 
 
-def estimate(t, y, u, alpha: float, dt: float):
-    """estimate_f on the one window of samples at times t; y and u are (c,) or (c, n)."""
+def ip_law(f_hat, y_ref_dot, e, alpha, kp):
+    """The iP law as written: u = -(f_hat - y_ref_dot + kp*e) / alpha."""
+    return -(f_hat - y_ref_dot + kp * e) / alpha
+
+
+def kernel_estimate(t, y, u, alpha: float, dt: float):
+    """F over the window at times t as the estimator's integral is written:
+    -(6/tau^3) (dt/3) times the kernel row's sum; y and u are (c,) or (c, n)."""
     ky, ku = estimator_kernel(np.asarray(t), len(t), alpha, dt)
-    y, u = np.asarray(y, dtype=float), np.asarray(u, dtype=float)
-    f = estimate_f(ky[0], ku[0], y.reshape(len(t), -1), u.reshape(len(t), -1), dt)
-    return f if y.ndim == 2 else f[0]
+    tau = (len(t) - 1) * dt
+    return -(6.0 / tau**3) * dt / 3.0 * (ky[0] @ np.asarray(y) + ku[0] @ np.asarray(u))
+
+
+def estimate(t, y, u, alpha: float, dt: float):
+    """F over the window at times t as the run's control table holds it: the
+    window part of the next period's row is -F_hat / alpha.  y and u are (c,) or (c, n)."""
+    c = len(t)
+    rows, _ = control_tables(np.append(t, t[-1] + dt), np.zeros(1), c, alpha, 1.0, 0.0, 0.0, dt)
+    return -alpha * (rows[c, :c, 0] @ np.asarray(y) + rows[c, :c, 1] @ np.asarray(u))
+
+
+def table_law(rows, bias, k: int, y, u) -> float:
+    """Period k's raw control of one building from the run's tables, given its
+    history y and applied u of periods 0 .. k (u[k] is not read)."""
+    c = rows.shape[1] - 1
+    hist = np.zeros((c + k + 1, 2))  # c zero entries in front, as the run keeps them
+    hist[c:, 0], hist[c:c + k, 1] = y[:k + 1], u[:k]
+    return float(np.sum(rows[k] * hist[k:]) + bias[k, 0])
+
+
+def law_after_window(y, u, y_now, alpha=5.0, kp=2.0, setpoint=23.0, ramp_hours=0.0, y0=None):
+    """The raw control the run's tables give one building at y_now after the window y, u."""
+    c = len(y)
+    t = np.arange(c + 1) * DT
+    y0 = np.array([y[0] if y0 is None else y0])
+    rows, bias = control_tables(t, y0, c, alpha, kp, setpoint, ramp_hours, DT)
+    return table_law(rows, bias, c, np.append(y, y_now), u)
 
 
 def small_run(**kw):
@@ -58,10 +94,10 @@ class TestSampleWindow:
             checked = 0
             for k in range(capacity, tr.n_steps):
                 rows = slice(k - capacity, k)
-                f_hat = estimate(tr.t[rows], tr.t1[rows], tr.u[rows], cfg.alpha, DT)
-                u = ip_control(f_hat, 0.0, tr.t1[k] - cfg.setpoint, cfg.alpha, cfg.kp)
+                f_hat = kernel_estimate(tr.t[rows], tr.t1[rows], tr.u[rows], cfg.alpha, DT)
+                u = ip_law(f_hat, 0.0, tr.t1[k] - cfg.setpoint, cfg.alpha, cfg.kp)
                 free = ~tr.clamped[k]
-                assert np.array_equal(tr.u[k][free], u[free])
+                np.testing.assert_allclose(tr.u[k][free], u[free], rtol=0, atol=FORMULA_TOLERANCE)
                 checked += int(free.sum())
             assert checked > 0
 
@@ -78,18 +114,23 @@ class TestSampleWindow:
 
 
 # ---------------------------------------------------------------------------
-# iP law
+# iP law: the run's control table after a window of known F
 
 class TestIpLaw:
     def test_pinned_value(self):
-        # u = -(f_hat - y_ref_dot + kp*e) / alpha = -(2 - 0 + 2*0.5)/5
-        assert ip_control(2.0, 0.0, 0.5, 5.0, 2.0) == pytest.approx(-0.6, abs=1e-15)
+        # F = 2 over the window, e = 0.5: u = -(2 - 0 + 2*0.5)/5
+        y = 23.0 + 2.0 * np.arange(3) * DT
+        assert law_after_window(y, np.zeros(3), 23.5) == pytest.approx(-0.6, abs=1e-13)
 
     def test_cancels_estimate_at_zero_error(self):
-        assert ip_control(1.5, 0.0, 0.0, 5.0, 2.0) == pytest.approx(-0.3)
+        y = 23.0 + 1.5 * np.arange(3) * DT
+        assert law_after_window(y, np.zeros(3), 23.0) == pytest.approx(-0.3, abs=1e-13)
 
     def test_reference_slope_feeds_through(self):
-        assert ip_control(0.0, 1.0, 0.0, 2.0, 2.0) == pytest.approx(0.5)
+        # F = 0 and e = 0 on a ramp of slope 1 degC/h: u = slope / alpha
+        u = law_after_window(np.full(3, 20.0), np.zeros(3), 13.5, alpha=2.0, kp=2.0,
+                             ramp_hours=10.0, y0=13.0)
+        assert u == pytest.approx(0.5, abs=1e-13)
 
     @given(
         f_hat=st.floats(-10, 10),
@@ -100,12 +141,13 @@ class TestIpLaw:
     def test_closed_loop_identity(self, f_hat, e, alpha, kp):
         # substituting the law into dy/dt = F + alpha*u with F = f_hat leaves
         # de/dt = -kp * e
-        u = ip_control(f_hat, 0.0, e, alpha, kp)
+        y = 23.0 + f_hat * np.arange(3) * DT
+        u = law_after_window(y, np.zeros(3), 23.0 + e, alpha=alpha, kp=kp)
         assert f_hat + alpha * u == pytest.approx(-kp * e, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
-# algebraic estimator
+# algebraic estimator, as the control table holds it
 
 class TestAlgebraicEstimator:
     def test_exact_for_pure_drift(self):
@@ -126,18 +168,30 @@ class TestAlgebraicEstimator:
         shifted = window(3, DT, y_of=lambda s: 50.0 + 2.0 * s, u_of=lambda s: -0.3)
         assert estimate(*base, 5.0, DT) == pytest.approx(estimate(*shifted, 5.0, DT), abs=1e-9)
 
-    def test_fleet_columns_match_single_buildings(self):
-        # one column per building gives each building's own estimate,
-        # bitwise, also past the 8 rows where numpy starts summing one
-        # column pairwise
-        rng = np.random.default_rng(3)
+    def test_fleet_columns_match_single_buildings(self, monkeypatch):
+        # a building's run does not depend on the fleet around it: beside any
+        # other building it is bitwise the same, as each einsum product sums
+        # every column on its own, also past the 8 rows where numpy starts
+        # summing one column pairwise; alone, einsum drops the fleet axis and
+        # sums in another order, so it agrees to rounding and in every flag.
+        # PV is off, so the bounds do not depend on the fleet's size.
         for capacity in (5, 9, 11):
-            t = 5.0 + np.arange(capacity) * DT
-            y = rng.uniform(20, 27, size=(capacity, 4))
-            u = rng.uniform(-3, 0, size=(capacity, 4))
-            fleet = estimate(t, y, u, 5.0, DT)
-            for i in range(4):
-                assert fleet[i] == estimate(t, y[:, i], u[:, i], 5.0, DT)
+            cfg = replace(ScenarioConfig(fleet=FleetConfig(n_buildings=4), horizon=12.0,
+                                         pv=PvSourceConfig(kind="off"), initial_t1_low=21.0),
+                          window_capacity=capacity)
+            fleet, states = run_simulation(cfg), build_fleet(cfg)
+            assert fleet.clamped.any() and not fleet.clamped.all()
+            for cols in ([3, 0], [1, 2], [2], [0]):
+                monkeypatch.setattr(pvflock.simulate, "build_fleet",
+                                    lambda _, cols=cols: states[:, cols])
+                part = run_simulation(replace(cfg, fleet=FleetConfig(n_buildings=len(cols))))
+                for name in ("t1", "t2", "t3", "u", "p", "clamped"):
+                    got, want = getattr(part, name), getattr(fleet, name)[:, cols]
+                    if len(cols) > 1 or name == "clamped":
+                        assert got.tobytes() == np.ascontiguousarray(want).tobytes(), name
+                    else:
+                        np.testing.assert_allclose(got, want, rtol=0, atol=FORMULA_TOLERANCE)
+            monkeypatch.undo()
 
     def test_kernel_rows_match_single_windows(self):
         # the run's tables, built once over the whole time grid, hold the
@@ -179,17 +233,19 @@ class TestIpController:
         # no samples yet -> f_hat = 0 -> u = -(kp * e)/alpha, before clamping
         cfg, tr = small_run(pv=PvSourceConfig(kind="off"))
         e = tr.t1[0] - cfg.setpoint
-        assert np.allclose(tr.p[0], np.clip(2.0 * e / 5.0, 0.0, cfg.fleet.hvac_max), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(tr.p[0], np.clip(2.0 * e / 5.0, 0.0, cfg.fleet.hvac_max), rtol=0,
+                                   atol=FORMULA_TOLERANCE)
 
     def test_default_f_hat_used_until_window_full(self):
         # the first c steps run on F_hat = 0, the step after on the estimate
         cfg, tr = small_run(window_capacity=5, pv=PvSourceConfig(kind="off"))
         for k in range(5):
-            u = ip_control(0.0, 0.0, tr.t1[k] - cfg.setpoint, cfg.alpha, cfg.kp)
+            u = ip_law(0.0, 0.0, tr.t1[k] - cfg.setpoint, cfg.alpha, cfg.kp)
             free = ~tr.clamped[k]
-            assert free.any() and np.array_equal(tr.u[k][free], u[free])
-        u_p = ip_control(0.0, 0.0, tr.t1[5] - cfg.setpoint, cfg.alpha, cfg.kp)
-        assert not np.array_equal(tr.u[5], u_p)
+            assert free.any()
+            np.testing.assert_allclose(tr.u[k][free], u[free], rtol=0, atol=FORMULA_TOLERANCE)
+        u_p = ip_law(0.0, 0.0, tr.t1[5] - cfg.setpoint, cfg.alpha, cfg.kp)
+        assert np.max(np.abs(tr.u[5] - u_p)) > 1e-6
 
     def test_constructor_validation(self):
         # the controller settings fail when the scenario is built, before any run
@@ -201,34 +257,39 @@ class TestIpController:
                 ScenarioConfig(**bad)
 
     def test_reference_constant_by_default(self):
-        y0 = np.array([27.0, 21.0])
-        assert reference(0.0, y0, 23.0, 0.0) == (23.0, 0.0)
-        assert reference(100.0, y0, 23.0, 0.0) == (23.0, 0.0)
+        # no ramp: every period's bias is kp * setpoint / alpha, shared by the fleet
+        t = np.arange(601) * DT
+        rows, bias = control_tables(t, np.array([27.0, 21.0]), 3, 5.0, 2.0, 23.0, 0.0, DT)
+        assert bias.shape == (601, 1) and np.all(bias == 2.0 * 23.0 / 5.0)
+        assert np.all(rows[:, 3, 0] == -2.0 / 5.0)
 
     def test_reference_ramp_from_first_measurement(self):
-        # ramp origin (0, 27), target 23 over 2 h
-        y_ref, slope = reference(1.0, 27.0, 23.0, 2.0)
-        assert y_ref == pytest.approx(25.0)
-        assert slope == pytest.approx(-2.0)
-        y_ref, slope = reference(5.0, 27.0, 23.0, 2.0)  # past the ramp
-        assert (y_ref, slope) == (23.0, 0.0)
+        # ramp origin (0, 27), target 23 over 2 h: at 1 h y_ref = 25 with slope
+        # -2, and the bias is (slope + kp * y_ref) / alpha; past the ramp, the setpoint's
+        t = np.arange(31) * DT
+        _, bias = control_tables(t, np.array([27.0]), 3, 5.0, 2.0, 23.0, 2.0, DT)
+        assert bias.shape == (31, 1)
+        assert bias[6, 0] == pytest.approx((-2.0 + 2.0 * 25.0) / 5.0, abs=1e-14)
+        assert bias[30, 0] == 2.0 * 23.0 / 5.0  # 5 h, past the ramp
         # the simulation ramps from each building's first measurement, so
         # its first control is the slope feed-forward alone
         cfg, tr = small_run(ramp_hours=2.0, pv=PvSourceConfig(kind="off"))
-        y_ref, slope = reference(0.0, tr.t1[0], cfg.setpoint, cfg.ramp_hours)
-        assert np.array_equal(y_ref, tr.t1[0])
-        u = ip_control(0.0, slope, 0.0, cfg.alpha, cfg.kp)
+        slope = (cfg.setpoint - tr.t1[0]) / cfg.ramp_hours
+        u = ip_law(0.0, slope, 0.0, cfg.alpha, cfg.kp)
         free = ~tr.clamped[0]
-        assert free.any() and np.array_equal(tr.u[0][free], u[free])
+        assert free.any()
+        np.testing.assert_allclose(tr.u[0][free], u[free], rtol=0, atol=FORMULA_TOLERANCE)
 
     def test_error_contracts_by_one_minus_kp_dt(self, scalar_plant):
-        # with the true F supplied, each period multiplies the error by
-        # (1 - kp*dt) = 2/3 exactly (exact ZOH plant, no estimation error)
+        # with the true F supplied in place of the window's estimate, the
+        # table's current-T1 coefficient and bias multiply the error by
+        # (1 - kp*dt) = 2/3 each period (exact ZOH plant, no estimation error)
         f0, alpha, kp = 1.5, 5.0, 2.0
+        rows, bias = control_tables(np.arange(11) * DT, np.zeros(1), 3, alpha, kp, 23.0, 0.0, DT)
         plant = scalar_plant(f0, alpha, y0=24.0)
         e = plant.y - 23.0
-        for _ in range(10):
-            u = ip_control(f0, 0.0, e, alpha, kp)
+        for k in range(10):
+            u = rows[k, -1, 0] * plant.y + bias[k, 0] - f0 / alpha
             e_next = plant.step(u, DT) - 23.0
             assert e_next / e == pytest.approx(2.0 / 3.0, abs=1e-6)
             e = e_next
@@ -240,26 +301,27 @@ class TestIpController:
         hits = 0
         for k in range(3, tr.n_steps):
             after_clamp = tr.clamped[k - 3:k].any(axis=0) & ~tr.clamped[k]
-            f_hat = estimate(tr.t[k - 3:k], tr.t1[k - 3:k], tr.u[k - 3:k], cfg.alpha, DT)
-            u = ip_control(f_hat, 0.0, tr.t1[k] - cfg.setpoint, cfg.alpha, cfg.kp)
-            assert np.array_equal(tr.u[k][after_clamp], u[after_clamp])
+            f_hat = kernel_estimate(tr.t[k - 3:k], tr.t1[k - 3:k], tr.u[k - 3:k], cfg.alpha, DT)
+            u = ip_law(f_hat, 0.0, tr.t1[k] - cfg.setpoint, cfg.alpha, cfg.kp)
+            np.testing.assert_allclose(tr.u[k][after_clamp], u[after_clamp], rtol=0,
+                                       atol=FORMULA_TOLERANCE)
             hits += int(after_clamp.sum())
         assert hits > 0
 
     def test_self_driven_loop_reaches_the_model_fixed_point(self, scalar_plant):
-        # capacity 5 here: the 3-point window self-excites on this idealized
-        # pure integrator, so the convergent steady-regime check uses the
-        # next odd capacity up
+        # the run's tables close the loop on the pure integrator.  Capacity 5
+        # here: the 3-point window self-excites on this idealized pure
+        # integrator, so the convergent steady-regime check uses the next odd
+        # capacity up
         f0, alpha, kp, capacity = 2.0, 5.0, 2.0, 5
+        t = np.arange(120) * DT
+        rows, bias = control_tables(t, np.array([23.1]), capacity, alpha, kp, 23.0, 0.0, DT)
         plant = scalar_plant(f0, alpha, y0=23.1)
-        t, y, u = [], [], []
-        f_hat = 0.0
+        y, u = [], []
         for k in range(120):
-            if k >= capacity:
-                f_hat = estimate(t[-capacity:], y[-capacity:], u[-capacity:], alpha, DT)
-            t.append(k * DT)
             y.append(plant.y)
-            u.append(ip_control(f_hat, 0.0, plant.y - 23.0, alpha, kp))
+            u.append(table_law(rows, bias, k, y, u))
             plant.step(u[-1], DT)
+        f_hat = estimate(t[-capacity:], y[-capacity:], u[-capacity:], alpha, DT)
         assert f_hat == pytest.approx(f0, abs=1e-6)
         assert u[-1] == pytest.approx(-f0 / alpha, abs=1e-6)

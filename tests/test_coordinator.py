@@ -19,7 +19,7 @@ from pvflock import (
     load_profile_csv,
     run_simulation,
 )
-from pvflock.coordinator import building_bounds, clamp_to_bounds
+from pvflock.coordinator import building_bounds
 from pvflock.plant import check_sane
 
 CFG = FleetConfig()  # 13 buildings, epsilon 1, hvac_max 3, dt 1/6
@@ -119,8 +119,9 @@ class TestPerBuildingBounds:
         band_lo, band_hi, lo, hi, infeasible = bounds_at(pv, FleetConfig(n_buildings=n, epsilon=epsilon))
         if infeasible:
             return
-        draws = (draws * n)[:n]
-        total = sum(clamp_to_bounds(-want, lo, hi)[0] for want in draws)
+        draws = np.array((draws * n)[:n])
+        # the run clips the raw thermal controls onto [-hi, -lo] and draws p = -u
+        total = sum((-np.clip(-draws, -hi, -lo)).tolist())
         slack = 1e-9 * max(1.0, pv)
         assert band_lo - slack <= total <= band_hi + slack
 
@@ -128,24 +129,35 @@ class TestPerBuildingBounds:
 # ---------------------------------------------------------------------------
 # clamping
 
+def first_control(t1: float, pv: PvSourceConfig = PvSourceConfig(kind="off"), n: int = 1):
+    """(p, u, clamped) of building 0 in period 0 of a run whose buildings start at t1.
+
+    With alpha = 4, kp = 2 and no window yet the raw control is exactly
+    -(t1 - 23) / 2, so the clamp alone decides what the run applies.
+    """
+    cfg = ScenarioConfig(fleet=FleetConfig(n_buildings=n), pv=pv, horizon=1.0, alpha=4.0, kp=2.0,
+                         initial_t1_low=t1, initial_t1_high=t1)
+    tr = run_simulation(cfg)
+    return tr.p[0, 0], tr.u[0, 0], tr.clamped[0, 0]
+
+
 class TestClampToBounds:
+    """The run's clamp of a raw control onto the period's bounds, in period 0."""
+
     def test_inside_passes_through(self):
-        p, u, clamped = clamp_to_bounds(-2.0, 0.0, 3.0)
-        assert (p, u, clamped) == (2.0, -2.0, False)
+        assert first_control(27.0) == (2.0, -2.0, False)  # raw -2
 
     def test_overdraw_clamps_to_upper(self):
-        p, u, clamped = clamp_to_bounds(-5.0, 0.0, 3.0)
-        assert (p, u, clamped) == (3.0, -3.0, True)
+        assert first_control(33.0) == (3.0, -3.0, True)  # raw -5
 
-    def test_heating_wish_maps_to_minimum_draw(self):
-        lo = 12.0 / 13.0
-        p, u, clamped = clamp_to_bounds(0.5, lo, 14.0 / 13.0)
-        assert p == pytest.approx(lo)
-        assert u == pytest.approx(-lo)
-        assert clamped
+    def test_heating_wish_maps_to_minimum_draw(self, tmp_path):
+        # raw +0.5 under a 12 kW band split over 13 buildings: the least draw, 11/13
+        lo = bounds_at(12.0)[2]
+        assert lo == pytest.approx(11.0 / 13.0)
+        assert first_control(22.0, constant_pv(tmp_path, 12.0), n=13) == (lo, -lo, True)
 
     def test_boundary_is_not_a_clamp(self):
-        p, u, clamped = clamp_to_bounds(-3.0, 0.0, 3.0)
+        p, _, clamped = first_control(29.0)  # raw -3, exactly hvac_max
         assert (p, clamped) == (3.0, False)
 
 

@@ -17,15 +17,19 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from plant_oracles import OFFICE, equilibrium, plant_derivative, rk4_fleet_reference
+from plant_oracles import OFFICE, equilibrium, plant_derivative, plant_period, rk4_fleet_reference
 from pvflock import (
     BuildingParams,
     ConfigurationError,
     DisturbanceParams,
+    FleetConfig,
     PlantDivergenceError,
+    ScenarioConfig,
     parse_config_text,
+    run_simulation,
 )
-from pvflock.plant import SANITY_RANGE, build_matrices, check_sane, rk4_fleet, transition_map
+from pvflock.plant import SANITY_RANGE, build_matrices, check_sane, transition_map
+from pvflock.scenario import synth_disturbances
 
 RESIDENTIAL = BuildingParams()
 W0 = np.array([30.0, 0.1, 1.0])  # (d1, d2, d3)
@@ -104,7 +108,7 @@ class TestValidation:
                 with pytest.raises(ConfigurationError):
                     DisturbanceParams(**{field: bad})
 
-    # rk4_fleet trusts its substep count, which the config checks once
+    # transition_map trusts its substep count, which the config checks once
     def test_substeps_must_be_positive(self):
         for line in ("scenario.substeps = 0", "scenario.substeps = -3"):
             with pytest.raises(ConfigurationError, match="substeps"):
@@ -125,7 +129,7 @@ class TestIntegrator:
                 x = rng.uniform(15, 35, size=(3, 4))
                 u = rng.uniform(-3, 0, size=4)
                 w = rng.uniform([10, 0, 0], [40, 1, 1])
-                fast = rk4_fleet(x, u, tm.c @ w, tm)
+                fast = plant_period(x, u, tm.c @ w, tm)
                 loop = rk4_fleet_reference(x, u, w, p, 1 / 6, 10)
                 np.testing.assert_allclose(fast, loop, rtol=0, atol=1e-11)
 
@@ -141,7 +145,7 @@ class TestIntegrator:
         tm = transition_map(p, 1 / 6, 10)
         x = X0[:, None]
         for _ in range(144):
-            x = rk4_fleet(x, np.array([-2.0]), tm.c @ W0, tm)
+            x = plant_period(x, np.array([-2.0]), tm.c @ W0, tm)
         assert np.max(np.abs(x[:, 0] - sol.y[:, -1])) < 1e-6
 
     def test_fourth_order_error_decay(self):
@@ -157,21 +161,33 @@ class TestIntegrator:
         errs = {}
         for n in (8, 16, 32):
             tm = transition_map(p, dt, n)
-            xn = rk4_fleet(X0[:, None], np.array([-2.0]), tm.c @ W0, tm)[:, 0]
+            xn = plant_period(X0[:, None], np.array([-2.0]), tm.c @ W0, tm)[:, 0]
             errs[n] = np.max(np.abs(xn - exact))
         assert errs[32] > 1e-10  # still above rounding, the ratio is meaningful
         assert 14.0 < errs[8] / errs[16] < 20.0
         assert 14.0 < errs[16] / errs[32] < 20.0
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_the_run_steps_its_plant_as_plant_period(self, n):
+        # plant_period is the run's own update: each state of a run's trace
+        # follows bitwise from the period before it, its control and its forcing
+        cfg = ScenarioConfig(fleet=FleetConfig(n_buildings=n), horizon=12.0)
+        tr = run_simulation(cfg)
+        tm = transition_map(cfg.building, cfg.fleet.sample_dt, cfg.substeps)
+        cw = synth_disturbances(tr.t, cfg.disturbance) @ tm.c.T
+        x = np.stack([tr.t1, tr.t2, tr.t3], axis=1)  # (steps, 3, n)
+        for k in range(tr.n_steps - 1):
+            assert plant_period(x[k], tr.u[k], cw[k], tm).tobytes() == x[k + 1].tobytes()
 
     def test_batch_matches_individual_buildings(self):
         p = RESIDENTIAL
         states = np.array([[24.0, 26.0, 22.5], [24.0, 25.0, 22.5], [25.0, 27.0, 23.5]])
         u = np.array([-1.0, -3.0, 0.0])
         tm = transition_map(p, 1 / 6, 10)
-        batch = rk4_fleet(states, u, tm.c @ W0, tm)
+        batch = plant_period(states, u, tm.c @ W0, tm)
         for i in range(3):
             # one building is a (3, 1) block
-            single = rk4_fleet(states[:, i:i + 1], u[i:i + 1], tm.c @ W0, tm)
+            single = plant_period(states[:, i:i + 1], u[i:i + 1], tm.c @ W0, tm)
             assert batch[:, i] == pytest.approx(single[:, 0], rel=1e-14)
 
     @settings(max_examples=50, deadline=None)
@@ -182,7 +198,7 @@ class TestIntegrator:
     )
     def test_one_period_stays_physical(self, t, u, d1):
         tm = transition_map(RESIDENTIAL, 1 / 6, 10)
-        out = rk4_fleet(
+        out = plant_period(
             np.array([[t], [t], [t + 1.0]]), np.array([u]), tm.c @ np.array([d1, 0.2, 0.5]), tm,
         )
         lo, hi = SANITY_RANGE
@@ -216,7 +232,7 @@ class TestEquilibrium:
         tm = transition_map(p, 1 / 6, 10)
         x = eq[:, None]
         for _ in range(60):
-            x = rk4_fleet(x, np.array([-1.0]), tm.c @ W0, tm)
+            x = plant_period(x, np.array([-1.0]), tm.c @ W0, tm)
         assert x[:, 0] == pytest.approx(eq, abs=1e-9)
 
     def test_cooling_authority_on_residential_scale(self):
@@ -259,6 +275,6 @@ class TestEquilibrium:
         hot = np.full((3, 1), 59.9)
         blazing = np.array([45.0, 2.0, 50.0])
         tm = transition_map(RESIDENTIAL, 1 / 6, 10)
-        out = rk4_fleet(hot, np.array([0.0]), tm.c @ blazing, tm)
+        out = plant_period(hot, np.array([0.0]), tm.c @ blazing, tm)
         with pytest.raises(PlantDivergenceError, match=r"^building 0 left the sane range at t = 0\.1667 h"):
             check_sane(out, 1 / 6)
