@@ -1,5 +1,6 @@
 """End-to-end runs, trace write and read, the run-constant and metrics stages, the
-iP law's tables, one fused control period, and the block check of the run's guards."""
+iP law's tables, the plant's period map, one fused control period, and the block
+check of the run's guards."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import pytest
 from pvflock import compute_metrics, load_profile_csv, read_trace, run_simulation, write_trace
 from pvflock.control import control_tables
 from pvflock.coordinator import building_bounds
-from pvflock.plant import check_sane, transition_map
+from pvflock.plant import BuildingParams, check_sane, transition_map
 from pvflock.scenario import synth_disturbances
 from pvflock.simulate import _CHECK_BLOCK, _check_block, build_fleet
 
@@ -84,6 +85,12 @@ def test_run_tables(benchmark, day):
               cfg.ramp_hours, cfg.fleet.sample_dt)
 
 
+def test_plant_map(benchmark):
+    # the exact period map of the default building, built once per run before the loop
+    tm = benchmark(transition_map, BuildingParams(), 1.0 / 6.0)
+    assert np.all(np.isfinite(tm.s))
+
+
 @pytest.fixture(params=[13, 1300], ids=["n13", "n1300"])
 def period(request, scenario_config):
     """One control period's tables and history for a fleet of n buildings, mid-run."""
@@ -97,7 +104,7 @@ def period(request, scenario_config):
     z = np.zeros((c + 2, 4, n))  # the window of period 100: c past entries and its own
     z[:, :3] = states + rng.uniform(-1.0, 1.0, (c + 2, 1, n))
     z[:c, 3] = rng.uniform(-3.0, 0.0, (c, n))
-    tm = transition_map(cfg.building, dt, cfg.substeps)
+    tm = transition_map(cfg.building, dt)
     return {
         "cfg": cfg,
         "states": states,

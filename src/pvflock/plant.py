@@ -20,24 +20,23 @@ and wall core filter the day on multi-hour scales.  Other sets, such as the
 literature constants of a large office building, are reachable through the
 `building.` config section.
 
-Integration is classical RK4 with zero-order-hold inputs over each control
-period, split into substeps so the fastest node stays well resolved.  The
-model is linear, so dx/dt = A x + B u + C w with the matrices returned by
-build_matrices().  Because the plant is linear and the inputs are held
-constant over the period, the whole substep loop collapses to a single
-affine update x+ = x + S (A x + B u + C w), which transition_map computes
-once per run.  The run writes a period as that increment: one product of
-[A | B] with the state and control, the disturbance forcing C w of the
-period (computed for every period before the loop) added, and one product
-with S added to the state.  The tests cross-check this against a plain
-per-substep loop and a derivative written straight from the ODEs.
+The model is linear, so dx/dt = A x + B u + C w with the matrices returned
+by build_matrices().  With the inputs held over each control period (zero-
+order hold), the period's exact solution is the affine update
+x+ = x + S (A x + B u + C w) with S = A^-1 (e^(A dt) - I), which
+transition_map computes once per run: a shortfall in comfort or tracking
+belongs to the controller, not to an integrator.  The run writes a period
+as that increment: one product of [A | B] with the state and control, the
+disturbance forcing C w of the period (computed for every period before
+the loop) added, and one product with S added to the state.  The tests
+check S against scipy's matrix exponential.
 
 Everything here takes plain arrays: one building's state is the length-3
 array (T1, T2, T3) and a fleet is a (3, n) block with one column per
 building.  transition_map trusts its settings: BuildingParams checks the
-constants when it is built and ScenarioConfig checks the period and the
-substep count.  check_sane guards the computed states with one min and one
-max test, over one period's (3, n) block or over a stack of them.
+constants when it is built and FleetConfig checks the period.  check_sane
+guards the computed states with one min and one max test, over one
+period's (3, n) block or over a stack of them.
 """
 
 from __future__ import annotations
@@ -97,7 +96,7 @@ def build_matrices(p: BuildingParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 class TransitionMap(NamedTuple):
-    """One control period of the plant: A, B, C and the RK4 update S."""
+    """One control period of the plant: A, B, C and the exact update S."""
 
     a: np.ndarray
     b: np.ndarray
@@ -105,35 +104,26 @@ class TransitionMap(NamedTuple):
     s: np.ndarray
 
 
-def transition_map(p: BuildingParams, dt: float, substeps: int) -> TransitionMap:
-    """Matrices A, B, C and the precomputed RK4 update S over one control
-    period, in increment form.
+def transition_map(p: BuildingParams, dt: float) -> TransitionMap:
+    """Matrices A, B, C and the exact zero-order-hold update S over one
+    control period of dt hours, in increment form.
 
-    For the linear plant with constant forcing f = B u + C w, one RK4
-    substep of size h is exactly the affine map
+    With the forcing f = B u + C w held over the period, the state moves to
+    x+ = e^(A dt) x + S f with S = A^-1 (e^(A dt) - I), and e^(A dt) = I + S A,
+    so the whole period is the increment
 
-        x+ = phi x + gamma f,   phi = I + P + P^2/2 + P^3/6 + P^4/24,
-                                gamma = h (I + P/2 + P^2/6 + P^3/24),
+        x+ = x + S (A x + f),
 
-    with P = h A; note phi = I + gamma A.  Chaining n substeps gives
-    x+ = M x + S f with M = phi^n and S = (phi^(n-1) + ... + I) gamma, and
-    M = I + S A carries over, so the whole period is the increment
-
-        x+ = x + S (A x + f).
-
-    This is the same polynomial a per-substep loop evaluates, just without
-    the loop, and the increment form makes any state where the derivative
-    evaluates to exactly zero an exact fixed point of the update.
+    which makes any state where the derivative evaluates to exactly zero an
+    exact fixed point of the update.  A = diag(1/c) L with L symmetric, so
+    with d = sqrt(c) the similar matrix diag(d) A diag(1/d) = Q diag(lam) Q^T
+    is symmetric, its eigenvalues lam are real and negative, and
+    S = diag(1/d) Q diag(expm1(lam dt) / lam) Q^T diag(d).
     """
     a, b, c = build_matrices(p)
-    h = dt / substeps
-    eye = np.eye(3)
-    pw = h * a
-    phi = eye + pw + pw @ pw / 2.0 + pw @ pw @ pw / 6.0 + pw @ pw @ pw @ pw / 24.0
-    gamma = h * (eye + pw / 2.0 + pw @ pw / 6.0 + pw @ pw @ pw / 24.0)
-    s = np.zeros((3, 3))
-    for _ in range(substeps):
-        s = phi @ s + gamma
+    d = np.sqrt([p.c1, p.c2, p.c3])
+    lam, q = np.linalg.eigh(d[:, None] * a / d)
+    s = (q * (np.expm1(lam * dt) / lam)) @ q.T / d[:, None] * d
     return TransitionMap(a, b, c, s)
 
 

@@ -214,7 +214,6 @@ class ScenarioConfig:
     initial_t1_low: float = 22.5
     initial_t1_high: float = 26.5
     seed: int = 1
-    substeps: int = 10
     output_path: str = "trace.csv"
 
     def __post_init__(self) -> None:
@@ -233,8 +232,6 @@ class ScenarioConfig:
             raise ConfigurationError("transient_hours must be >= 0 and finite")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
-        if self.substeps < 1:
-            raise ConfigurationError("substeps must be >= 1")
         if self.window_capacity < 3 or self.window_capacity % 2 == 0:
             raise ConfigurationError("window_capacity must be odd and >= 3")
         if 0 < self.n_steps <= self.window_capacity:
@@ -326,6 +323,9 @@ def parse_config_text(text: str, origin: str = "<config>") -> ScenarioConfig:
         building = BuildingParams(**nested["building"])
         disturbance = DisturbanceParams(**nested["disturbance"])
         pv = PvSourceConfig(**nested["pv"])
+        # old files set RK4 substeps, which the exact plant map has no use for
+        if top.pop("substeps", 1) < 1:
+            raise ConfigurationError("substeps must be >= 1")
         return ScenarioConfig(
             fleet=fleet, building=building, disturbance=disturbance, pv=pv, **top
         )

@@ -109,7 +109,7 @@ def run_simulation(cfg: ScenarioConfig) -> SimulationTrace:
         pv = np.zeros(steps)
     band_lo, band_hi, lo, hi, infeasible = building_bounds(pv, cfg.fleet)
     u_lo, u_hi = -hi, -lo
-    tm = transition_map(cfg.building, dt, cfg.substeps)
+    tm = transition_map(cfg.building, dt)
     ab, s = np.column_stack([tm.a, tm.b]), tm.s
     cw = (synth_disturbances(t, cfg.disturbance) @ tm.c.T)[:, :, None]
     z = np.zeros((steps + c + 1, 4, n))

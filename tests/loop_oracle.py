@@ -34,7 +34,7 @@ def run_simulation_reference(cfg) -> SimulationTrace:
     else:
         pv = np.zeros(steps)
     band_lo, band_hi, lo, hi, infeasible = building_bounds(pv, cfg.fleet)
-    tm = transition_map(cfg.building, dt, cfg.substeps)
+    tm = transition_map(cfg.building, dt)
     cw = synth_disturbances(t, cfg.disturbance) @ tm.c.T
     t1, t2, t3, u, p = (np.zeros((steps, n)) for _ in range(5))
     clamped = np.zeros((steps, n), dtype=bool)

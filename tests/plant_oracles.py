@@ -1,8 +1,8 @@
 """Independent routes through the plant model, for checking pvflock.plant.
 
 plant_derivative is written straight from the ODEs in pvflock.plant's
-docstring, not from build_matrices; rk4_fleet_reference is the literal
-per-substep RK4 loop that transition_map collapses into one affine update.
+docstring, not from build_matrices; zoh_update is the exact period update
+S that transition_map computes, taken from scipy's matrix exponential.
 plant_period is the other side of those checks: one period as
 run_simulation writes it.
 OFFICE is the literature constant set for a large office building, on
@@ -12,6 +12,7 @@ which the pinned derivative and equilibrium values are computed.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import expm
 
 from pvflock.plant import BuildingParams, TransitionMap, build_matrices
 
@@ -34,29 +35,15 @@ def plant_derivative(x, u: float, w, p: BuildingParams) -> np.ndarray:
     return 3600.0 * np.array([dt1, dt2, dt3])
 
 
-def rk4_fleet_reference(
-    states: np.ndarray, u: np.ndarray, w: np.ndarray, p: BuildingParams, dt: float, substeps: int
-) -> np.ndarray:
-    """Plain per-substep RK4 loop, kept as an independent route.
+def zoh_update(a: np.ndarray, dt: float) -> np.ndarray:
+    """S = A^-1 (e^(A dt) - I) from scipy's matrix exponential.
 
-    Same contract as plant_period(); the tests check the two stay within
-    floating-point noise of each other.
+    The top right block of exp([[A, I], [0, 0]] dt) is the integral of
+    e^(A s) over the period, which is S; no eigendecomposition is involved.
     """
-    a, b, c = build_matrices(p)
-    forcing = (b[:, None] * u[None, :]) + (c @ w)[:, None]
-
-    def deriv(x: np.ndarray) -> np.ndarray:
-        return a @ x + forcing
-
-    h = dt / substeps
-    x = states.astype(float, copy=True)
-    for _ in range(substeps):
-        k1 = deriv(x)
-        k2 = deriv(x + 0.5 * h * k1)
-        k3 = deriv(x + 0.5 * h * k2)
-        k4 = deriv(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
+    aug = np.zeros((6, 6))
+    aug[:3, :3], aug[:3, 3:] = a, np.eye(3)
+    return expm(aug * dt)[:3, 3:]
 
 
 def plant_period(states: np.ndarray, u: np.ndarray, cw: np.ndarray,

@@ -196,7 +196,7 @@ def test_criterion_6_plant_integration_matches_adaptive_reference():
         lambda t, x: a @ x + forcing, (0.0, 24.0), x0,
         rtol=1e-10, atol=1e-10,
     )
-    tm = transition_map(p, DT, 10)
+    tm = transition_map(p, DT)
     state = x0[:, None]  # one building is a (3, 1) block
     for k in range(1, 145):
         state = plant_period(state, np.array([-2.0]), tm.c @ w, tm)

@@ -15,16 +15,16 @@ from pvflock.cli import main
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 #: sha256 of the trace `pvflock run configs/<name>.cfg` writes at the config's seed
 PINNED_TRACE_SHA256 = {
-    "default": "5b66141927d6949428515957a82a1cb077b961c19aaf42c9805b867442106278",
-    "fleet14": "95b4812ed62433a786fb80ce9dd0b397f0f59749311309d91d419e2ed1a4544b",
-    "regulation_only": "341b938dfa7685c7ff7c7d1d6820e2f3ac1f9704eebcb2151427d581d8deeb3c",
+    "default": "940d3accdf18ea0b9efda9446e44a368e5749d98f62dde5fc5aba5b7463c2e3d",
+    "fleet14": "6e937a9cd7c63ce76a473fb3e15382cc1b2f7909d618dcf6e0b151c6be4b2b29",
+    "regulation_only": "7f3d9f87a33082ba2e4ebaa4f01ed2b0fd4aa742888e6dc4845284b6caefead6",
 }
 #: sha256 of the trace of configs/default.cfg with these lines added, at seed
 #: 1: settings no shipped config reaches
 PINNED_VARIANT_TRACE_SHA256 = {
-    "controller.window_capacity = 5": "e7e30f3065eeab619c986227144048800af9e53e521c05d2c4fe64f66a98c7fc",
-    "controller.window_capacity = 7": "0364080a4087f3183da79c6b4943ee28b01d18686c943733221da68e44c2b407",
-    "scenario.ramp_hours = 3": "9def74782130aa8854c80a00018b55184a53c738d9b6f70d3b36f277910d5290",
+    "controller.window_capacity = 5": "c7d5c6601e18903a68c05aee3ede1f1cb4cb19d6ca30992cb00f5e4484e98bc3",
+    "controller.window_capacity = 7": "aec410f52e464f89f016a58d4a4a8b61b3a262b6fda7840d7ed2391e258fd8c1",
+    "scenario.ramp_hours = 3": "e9b46a0303ef5530367dc8ad54f864b5111e68e60a049f6795058b319f0848a0",
     "fleet.n_buildings = 1": "7fad904cf02f2cee64313ec6ab09838682e864e70e2facac301bbf748d7dff1d",
     "fleet.n_buildings = 1\ncontroller.window_capacity = 9":
         "725ec54b0ffb63fbf024a7a9b08b459df4af3891438d8ef45226f5d49152492d",
@@ -32,11 +32,11 @@ PINNED_VARIANT_TRACE_SHA256 = {
 #: sha256 of `pvflock gen-profile pv <out> --horizon 672`, and of the trace of
 #: configs/default.cfg over those 672 h with PV read from it
 PINNED_PV_672_SHA256 = "ec4a812ffcd336049ffb681c6fb49bf91b0cef75917a4ab56696791eb92ac99d"
-PINNED_CSV_PV_672_TRACE_SHA256 = "51e05a780ea7e0a3af20d4707d3bed9bea30296dc65a2dd9845924a9a873f466"
+PINNED_CSV_PV_672_TRACE_SHA256 = "120e815af6f4e721587fa7a27c2e932dc0bbe1e0bc4ae0c43dfdab4652ed02d1"
 #: sha256 of `pvflock gen-profile pv <out>` with default flags
 PINNED_PV_PROFILE_SHA256 = "64f672b0ba6cbf5601d029107750c2b927e7f194360e33da082c506fb8c8b990"
 #: sha256 of the trace of configs/default.cfg at seed 1 with PV read from that profile
-PINNED_CSV_PV_TRACE_SHA256 = "c70c3bed5c21777a9f10bdb30f97142c05b09e3dcf8e238c1ee01b0efbc6030e"
+PINNED_CSV_PV_TRACE_SHA256 = "cbf494bfd38a5ebea451df5866ea3f759bd187926cad79b45b54209f08bd006a"
 
 SMALL = """
 scenario.horizon_hours = 2
@@ -163,6 +163,19 @@ class TestRun:
         out = tmp_path / "trace.csv"
         assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_VARIANT_TRACE_SHA256[lines]
+
+    def test_substeps_leave_the_trace_unchanged(self, config_file, tmp_path):
+        # the plant map is exact, so the RK4 substep count of an old config
+        # is read and checked but moves no byte of the run
+        traces = []
+        for substeps in (1, 10):
+            cfg = config_file((CONFIGS / "default.cfg").read_text()
+                              + f"\nscenario.substeps = {substeps}\n")
+            out = tmp_path / f"trace{substeps}.csv"
+            assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
+            traces.append(out.read_bytes())
+        assert traces[0] == traces[1]
+        assert hashlib.sha256(traces[0]).hexdigest() == PINNED_TRACE_SHA256["default"]
 
     def test_four_week_csv_pv_trace_bytes_are_pinned(self, config_file, tmp_path):
         profile = tmp_path / "pv.csv"

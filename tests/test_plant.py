@@ -1,9 +1,9 @@
-"""Plant model tests: pinned values, cross-checked routes and integrator accuracy.
+"""Plant model tests: pinned values, cross-checked routes and the exact period map.
 
 The literature office constants (OFFICE) are used for the pinned
-derivative/equilibrium values; the faster residential defaults are used
-where measurable truncation error is needed.  scipy appears here only as
-the independent high-accuracy reference.
+derivative/equilibrium values; the residential defaults and a fast air
+node (FAST_AIR) check the period map where the plant moves most within a
+period.  scipy appears here only as the independent high-accuracy reference.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
-from plant_oracles import OFFICE, equilibrium, plant_derivative, plant_period, rk4_fleet_reference
+from plant_oracles import OFFICE, equilibrium, plant_derivative, plant_period, zoh_update
 from pvflock import (
     BuildingParams,
     ConfigurationError,
@@ -32,6 +31,7 @@ from pvflock.plant import SANITY_RANGE, build_matrices, check_sane, transition_m
 from pvflock.scenario import synth_disturbances
 
 RESIDENTIAL = BuildingParams()
+FAST_AIR = BuildingParams(c1=150.0)  # 3600/c1 = 24 degC/h per kW
 W0 = np.array([30.0, 0.1, 1.0])  # (d1, d2, d3)
 X0 = np.array([24.0, 23.0, 26.0])  # (T1, T2, T3)
 ZERO = np.zeros(3)
@@ -108,7 +108,8 @@ class TestValidation:
                 with pytest.raises(ConfigurationError):
                     DisturbanceParams(**{field: bad})
 
-    # transition_map trusts its substep count, which the config checks once
+    # old files may still set the RK4 substeps the exact plant map replaced;
+    # the key is ignored, but a count below 1 is still rejected
     def test_substeps_must_be_positive(self):
         for line in ("scenario.substeps = 0", "scenario.substeps = -3"):
             with pytest.raises(ConfigurationError, match="substeps"):
@@ -119,19 +120,14 @@ class TestValidation:
 # integrator
 
 class TestIntegrator:
-    def test_transition_map_matches_substep_loop(self):
-        # the precomputed affine map and the literal RK4 loop must agree to
-        # rounding on both parameter sets
-        rng = np.random.default_rng(0)
-        for p in (OFFICE, RESIDENTIAL):
-            tm = transition_map(p, 1 / 6, 10)
-            for _ in range(30):
-                x = rng.uniform(15, 35, size=(3, 4))
-                u = rng.uniform(-3, 0, size=4)
-                w = rng.uniform([10, 0, 0], [40, 1, 1])
-                fast = plant_period(x, u, tm.c @ w, tm)
-                loop = rk4_fleet_reference(x, u, w, p, 1 / 6, 10)
-                np.testing.assert_allclose(fast, loop, rtol=0, atol=1e-11)
+    def test_transition_map_matches_expm(self):
+        # the exact period update, to rounding, on both parameter sets and on
+        # a fast air node whose time constant is under an hour
+        for p in (OFFICE, RESIDENTIAL, FAST_AIR):
+            a, _, _ = build_matrices(p)
+            for dt in (1 / 60, 1 / 6, 1.0):
+                s = transition_map(p, dt).s
+                np.testing.assert_allclose(s, zoh_update(a, dt), rtol=0, atol=1e-14)
 
     def test_against_adaptive_reference_over_24h(self):
         # chain 144 control periods and compare with solve_ivp at 1e-10
@@ -142,30 +138,11 @@ class TestIntegrator:
             lambda t, x: a @ x + forcing, (0.0, 24.0), X0,
             rtol=1e-10, atol=1e-10,
         )
-        tm = transition_map(p, 1 / 6, 10)
+        tm = transition_map(p, 1 / 6)
         x = X0[:, None]
         for _ in range(144):
             x = plant_period(x, np.array([-2.0]), tm.c @ W0, tm)
         assert np.max(np.abs(x[:, 0] - sol.y[:, -1])) < 1e-6
-
-    def test_fourth_order_error_decay(self):
-        # halving the substep should shrink the error ~16x once asymptotic;
-        # the residential set at a 0.5 h period gives measurable errors
-        p = RESIDENTIAL
-        a, b, c = build_matrices(p)
-        forcing = b * (-2.0) + c @ W0
-        dt = 0.5
-        exact = expm(a * dt) @ X0 + np.linalg.solve(
-            a, (expm(a * dt) - np.eye(3)) @ forcing
-        )
-        errs = {}
-        for n in (8, 16, 32):
-            tm = transition_map(p, dt, n)
-            xn = plant_period(X0[:, None], np.array([-2.0]), tm.c @ W0, tm)[:, 0]
-            errs[n] = np.max(np.abs(xn - exact))
-        assert errs[32] > 1e-10  # still above rounding, the ratio is meaningful
-        assert 14.0 < errs[8] / errs[16] < 20.0
-        assert 14.0 < errs[16] / errs[32] < 20.0
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_the_run_steps_its_plant_as_plant_period(self, n):
@@ -173,7 +150,7 @@ class TestIntegrator:
         # follows bitwise from the period before it, its control and its forcing
         cfg = ScenarioConfig(fleet=FleetConfig(n_buildings=n), horizon=12.0)
         tr = run_simulation(cfg)
-        tm = transition_map(cfg.building, cfg.fleet.sample_dt, cfg.substeps)
+        tm = transition_map(cfg.building, cfg.fleet.sample_dt)
         cw = synth_disturbances(tr.t, cfg.disturbance) @ tm.c.T
         x = np.stack([tr.t1, tr.t2, tr.t3], axis=1)  # (steps, 3, n)
         for k in range(tr.n_steps - 1):
@@ -183,7 +160,7 @@ class TestIntegrator:
         p = RESIDENTIAL
         states = np.array([[24.0, 26.0, 22.5], [24.0, 25.0, 22.5], [25.0, 27.0, 23.5]])
         u = np.array([-1.0, -3.0, 0.0])
-        tm = transition_map(p, 1 / 6, 10)
+        tm = transition_map(p, 1 / 6)
         batch = plant_period(states, u, tm.c @ W0, tm)
         for i in range(3):
             # one building is a (3, 1) block
@@ -197,7 +174,7 @@ class TestIntegrator:
         d1=st.floats(-5, 45),
     )
     def test_one_period_stays_physical(self, t, u, d1):
-        tm = transition_map(RESIDENTIAL, 1 / 6, 10)
+        tm = transition_map(RESIDENTIAL, 1 / 6)
         out = plant_period(
             np.array([[t], [t], [t + 1.0]]), np.array([u]), tm.c @ np.array([d1, 0.2, 0.5]), tm,
         )
@@ -229,7 +206,7 @@ class TestEquilibrium:
     def test_integration_preserves_equilibrium(self):
         p = RESIDENTIAL
         eq = equilibrium(-1.0, W0, p)
-        tm = transition_map(p, 1 / 6, 10)
+        tm = transition_map(p, 1 / 6)
         x = eq[:, None]
         for _ in range(60):
             x = plant_period(x, np.array([-1.0]), tm.c @ W0, tm)
@@ -274,7 +251,7 @@ class TestEquilibrium:
     def test_diverging_period_is_flagged(self):
         hot = np.full((3, 1), 59.9)
         blazing = np.array([45.0, 2.0, 50.0])
-        tm = transition_map(RESIDENTIAL, 1 / 6, 10)
+        tm = transition_map(RESIDENTIAL, 1 / 6)
         out = plant_period(hot, np.array([0.0]), tm.c @ blazing, tm)
         with pytest.raises(PlantDivergenceError, match=r"^building 0 left the sane range at t = 0\.1667 h"):
             check_sane(out, 1 / 6)

@@ -246,7 +246,7 @@ class TestConfig:
         assert cfg.horizon == 12.0 and cfg.fleet.sample_dt == 0.25
         assert cfg.n_steps == 48
         assert cfg.setpoint == 22.5 and cfg.comfort_high == 24.5
-        assert cfg.seed == 7 and cfg.substeps == 4
+        assert cfg.seed == 7
         assert cfg.fleet.n_buildings == 2 and cfg.fleet.epsilon == 0.5
         assert cfg.alpha == 4.0 and cfg.kp == 1.5
         assert cfg.window_capacity == 5
@@ -327,8 +327,6 @@ class TestConfig:
             ScenarioConfig(initial_t1_low=26.0, initial_t1_high=22.0)
         with pytest.raises(ConfigurationError):
             ScenarioConfig(transient_hours=-1.0)
-        with pytest.raises(ConfigurationError):
-            ScenarioConfig(substeps=0)
         # an infinite start temperature or a negative seed would otherwise
         # only fail inside the run, when the fleet's start is drawn
         for bad in (
