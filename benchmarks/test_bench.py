@@ -12,7 +12,7 @@ from pvflock.control import control_tables
 from pvflock.coordinator import building_bounds
 from pvflock.plant import BuildingParams, check_sane, transition_map
 from pvflock.scenario import synth_disturbances
-from pvflock.simulate import _CHECK_BLOCK, _check_block, build_fleet
+from pvflock.simulate import _CHECK_BLOCK, _FORMAT_BLOCK, _check_block, _format_cells, build_fleet
 
 
 @pytest.mark.parametrize("n, horizon_h, csv", [
@@ -44,6 +44,19 @@ def test_read_trace(benchmark, trace_file):
     trace, path = trace_file
     back = benchmark(read_trace, path)
     assert back.t1.shape == trace.t1.shape
+
+
+def test_format_cells(benchmark, scenario_config):
+    # one block of the 130-building 72 h trace, as write_trace hands it over
+    trace = run_simulation(scenario_config(130, 72.0))
+    ncols = 6 * (trace.n_buildings + 1)
+    rows = _FORMAT_BLOCK // ncols
+    fleet = np.column_stack([trace.t, trace.pv, trace.sum_p, trace.band_lo, trace.band_hi,
+                             trace.infeasible])
+    buildings = np.stack([trace.t1, trace.t2, trace.t3, trace.u, trace.p, trace.clamped], axis=-1)
+    block = np.hstack([fleet[:rows], buildings[:rows].reshape(rows, -1)]).ravel()
+    text = benchmark(_format_cells, block, ncols)
+    assert text.tobytes().count(b"\n") == rows
 
 
 @pytest.fixture(params=[130, 1300], ids=["130x72h", "1300x72h"])
@@ -129,7 +142,8 @@ def test_control_period(benchmark, period):
     def one_period():
         np.einsum("ij,ijn->n", row, z[:c + 1, ::3], out=raw)
         np.add(raw, bias, out=raw)
-        np.clip(raw, u_lo, u_hi, out=x[3])
+        np.maximum(raw, u_lo, out=x[3])
+        np.minimum(x[3], u_hi, out=x[3])
         np.einsum("ij,jn->in", ab, x, out=f)
         np.add(f, cw, out=f)
         np.einsum("ij,jn->in", s, f, out=x_next)

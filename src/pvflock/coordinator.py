@@ -20,9 +20,10 @@ infeasible.
 The band depends on the PV output alone, never on the fleet's state, so
 building_bounds() computes it for a whole run at once, one entry per
 control period.  The bounds are the same for every building, so the run
-clamps a period's raw iP controls with one clip of u onto [-hi, -lo], the
-thermal image of [lo, hi], and keeps the clipped values for the plant and
-the estimator.
+clamps a period's raw iP controls onto [-hi, -lo], the thermal image of
+[lo, hi], with one np.maximum and one np.minimum (lo <= hi, so the order
+does not matter), and keeps the clamped values for the plant and the
+estimator.
 
 building_bounds does not check its inputs: FleetConfig checks its fields
 when it is built, and the PV column comes from a checked source (a

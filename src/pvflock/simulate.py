@@ -11,7 +11,8 @@ then writes three statements into the history:
 
     raw    one product of the period's row of coefficients with the window's
            T1 and u rows, plus its bias: the estimate and the iP law at once
-    clamp  one clip of the raw controls onto [-hi, -lo], into u's row
+    clamp  np.maximum with -hi, then np.minimum with -lo, of the raw controls,
+           into u's row
     plant  the increment x + S ([A | B] (x, u) + C w), in two products,
            into the next entry's T1, T2 and T3 rows
 
@@ -128,7 +129,8 @@ def run_simulation(cfg: ScenarioConfig) -> SimulationTrace:
                 np.einsum("ij,ijn->n", rows[k], z[k:k + c + 1, ::3], out=r)
                 r += bias[k]
                 # [k, ...] is a 0-d array, which numpy combines faster than a float
-                np.clip(r, u_lo[k, ...], u_hi[k, ...], out=x[3])
+                np.maximum(r, u_lo[k, ...], out=x[3])
+                np.minimum(x[3], u_hi[k, ...], out=x[3])
                 np.einsum("ij,jn->in", ab, x, out=f)
                 f += cw[k]
                 np.einsum("ij,jn->in", s, f, out=x_next)
@@ -264,7 +266,13 @@ def trace_header(n_buildings: int) -> str:
     return ",".join(cols)
 
 
-_FORMAT_BLOCK = 1 << 12  # cells per formatted block, about 0.5 MB of temporaries
+#: cells per formatted block: _format_cells then peaks at about 2.1 MB of temporaries,
+#: one core's 2 MB of L2 on the 2-core x86 machine where the 130-building 72 h trace
+#: wrote in 64 / 56 / 54 / 70 / 78 ms at 2^12 / 2^13 / 2^14 / 2^15 / 2^16 cells and the
+#: four-week 13-building one in 60 / 56 / 56 / 71 / 80 ms (medians of 30 alternated
+#: writes).  Smaller blocks pay the fixed cost of its numpy calls more often; at this
+#: size glibc may trim the heap after a block and refault it in the next.
+_FORMAT_BLOCK = 1 << 14
 #: a cell's field of five 4-byte words ("-ddd", "ddd.", "dddd", "dddd", "d," and two
 #: spare bytes): per word, its table and the place and count of its digits
 _WORDS = [(np.frombuffer("".join(f"{a}{i:0{w}d}{b}" for i in range(10**w)).encode(), np.uint32), p, w)
@@ -301,13 +309,17 @@ def _format_cells(x: np.ndarray, ncols: int) -> np.ndarray:
         q = np.rint(y)
         fast = (y >= 1e5) & (y < 999999.5 - 1e-6) & (np.abs(y - q) < 0.5 - 1e-6) | (ax == 0)
     q = np.where(fast, q, 0).astype(np.int64)
-    zeros = _TRAILING_ZEROS[q % 1000]
-    zeros += (zeros == 3) * _TRAILING_ZEROS[q // 1000]
+    high = q // 1000
+    zeros = _TRAILING_ZEROS[q - high * 1000]
+    zeros += (zeros == 3) * _TRAILING_ZEROS[high]
     keep = _KEEP[np.where(fast, (e + 4) * 14 + zeros * 2 + np.signbit(x), -1)].view(bool).reshape(-1, 20)
     d = q * _POW10[e + 4]  # the digits as a 15-digit integer, six before the point
     words = np.empty((len(x), 5), np.uint32)
+    above = 0  # word j's d // 10**(place + width) is word j - 1's d // 10**place; d < 10**15
     for col, (table, place, width) in enumerate(_WORDS):
-        words[:, col] = table[d // 10**place - d // 10**(place + width) * 10**width]
+        rest = d // 10**place if place else d
+        words[:, col] = table[rest - above * 10**width]
+        above = rest
     field = words.view(np.uint8)
     field[ncols - 1::ncols, 17] = ord("\n")
     slow = np.flatnonzero(~fast)

@@ -227,7 +227,7 @@ def test_criterion_6_plant_integration_matches_adaptive_reference():
 
 
 def test_criterion_7_band_decomposition_over_random_cases():
-    """10^4 random (pv, epsilon, n, controls): the run's clip of the raw
+    """10^4 random (pv, epsilon, n, controls): the run's clamp of the raw
     controls onto [-hi, -lo] always draws p in [0, hvac_max], the n draws sum
     inside the aggregate band whenever the split is feasible, and
     infeasibility is flagged exactly when the even split cannot fit the HVAC
@@ -259,7 +259,7 @@ def test_criterion_7_band_decomposition_over_random_cases():
             continue
 
         u_raw = rng.uniform(-6.0, 6.0, size=n)
-        p = -np.clip(u_raw, -hi, -lo)  # as run_simulation clamps a period
+        p = -np.minimum(np.maximum(u_raw, -hi), -lo)  # as run_simulation clamps a period
         assert np.all((-1e-12 <= p) & (p <= hvac_max + 1e-12))
         total = sum(p.tolist())  # left to right, as the run's sum_p
         slack = 1e-9 * max(1.0, pv)

@@ -120,8 +120,8 @@ class TestPerBuildingBounds:
         if infeasible:
             return
         draws = np.array((draws * n)[:n])
-        # the run clips the raw thermal controls onto [-hi, -lo] and draws p = -u
-        total = sum((-np.clip(-draws, -hi, -lo)).tolist())
+        # the run clamps the raw thermal controls onto [-hi, -lo] and draws p = -u
+        total = sum((-np.minimum(np.maximum(-draws, -hi), -lo)).tolist())
         slack = 1e-9 * max(1.0, pv)
         assert band_lo - slack <= total <= band_hi + slack
 

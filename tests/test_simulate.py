@@ -381,11 +381,29 @@ class TestTraceSerialization:
             assert path.read_text() == cell_by_cell(trace)
 
     def test_a_trace_of_many_blocks_matches_the_cell_by_cell_writer(self, tmp_path):
-        trace = run_simulation(small_cfg(horizon=48.0))
+        # 240 h of 3 buildings: 34 560 cells, two whole default blocks and a short one
+        trace = run_simulation(small_cfg(horizon=240.0))
         assert trace.n_steps * 6 * (trace.n_buildings + 1) > pvflock.simulate._FORMAT_BLOCK
         path = tmp_path / "trace.csv"
         write_trace(trace, path)
         assert path.read_text() == cell_by_cell(trace)
+
+    def test_the_block_size_never_shows_in_the_file(self, tmp_path, monkeypatch):
+        # one run written in blocks of 48 cells (two rows), of exactly one row, of
+        # 2^12 cells and of the default; the last row of the first 2^12 and default
+        # block and the first row of the next each hold a cell "%.6g" itself formats
+        trace = run_simulation(small_cfg(horizon=240.0))
+        ncols, default = 6 * (trace.n_buildings + 1), pvflock.simulate._FORMAT_BLOCK
+        for block in (1 << 12, default):
+            edge = block // ncols
+            assert edge < trace.n_steps
+            trace.t2[edge - 1, 0] = trace.t2[edge, 2] = 1e-7
+        expected = cell_by_cell(trace)
+        for block in (48, ncols, 1 << 12, default):
+            monkeypatch.setattr(pvflock.simulate, "_FORMAT_BLOCK", block)
+            path = tmp_path / f"trace-{block}.csv"
+            write_trace(trace, path)
+            assert path.read_text() == expected
 
     def test_fallback_rows_at_the_edges_of_a_block(self, tmp_path, monkeypatch):
         # four rows a block, the last one short: rows 0, 3, 4, 7 and 9 hold
