@@ -1,6 +1,6 @@
 """End-to-end runs, trace write and read, the run-constant and metrics stages, the
-iP law's tables, the plant's period map, one fused control period, and the block
-check of the run's guards."""
+iP law's tables, the plant's period map, one fused control period, and the one
+check of a run's guards."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from pvflock.control import control_tables
 from pvflock.coordinator import building_bounds
 from pvflock.plant import BuildingParams, check_sane, transition_map
 from pvflock.scenario import synth_disturbances
-from pvflock.simulate import _CHECK_BLOCK, _FORMAT_BLOCK, _check_block, _format_cells, build_fleet
+from pvflock.simulate import _FORMAT_BLOCK, _check_block, _format_cells, build_fleet
 
 
 @pytest.mark.parametrize("n, horizon_h, csv", [
@@ -158,10 +158,10 @@ def test_sanity_check(benchmark, period):
 
 
 def test_block_check(benchmark, period):
-    # one block's raw controls and reached states, all passing: the run's usual case
+    # a 72 h run's raw controls and reached states, all passing: the run's usual case
     cfg, states = period["cfg"], period["states"]
-    n = states.shape[1]
-    u_raw = np.random.default_rng(1).uniform(-3.0, 0.0, (_CHECK_BLOCK, n))
-    reached = np.broadcast_to(states, (_CHECK_BLOCK, 3, n)).copy()
-    t_next = (np.arange(_CHECK_BLOCK) + 1) * cfg.fleet.sample_dt
+    steps, n = cfg.n_steps, states.shape[1]
+    u_raw = np.random.default_rng(1).uniform(-3.0, 0.0, (steps, n))
+    reached = np.broadcast_to(states, (steps, 3, n)).copy()
+    t_next = (np.arange(steps) + 1) * cfg.fleet.sample_dt
     benchmark(_check_block, u_raw, reached, t_next)

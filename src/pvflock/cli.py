@@ -86,9 +86,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_gen_profile(args: argparse.Namespace) -> int:
     dt = FleetConfig.sample_dt
-    # a horizon of finite hours can still be more grid steps than a float holds
-    if not (args.horizon > 0 and math.isfinite(args.horizon / dt)):
-        raise PvflockError("--horizon must be positive and finite in hours and in grid steps")
+    # finite hours can still be more grid steps than a float, or one float64 array, holds
+    if not 0 < args.horizon / dt < np.iinfo(np.intp).max // 8 - 2:
+        raise PvflockError("--horizon must be positive, and its grid steps must fit one array")
     # --peak is checked as the config key pv.peak_kw is
     peak = PvSourceConfig(peak=args.peak).peak
     # the fewest grid steps whose last time reaches the horizon, and at least

@@ -39,7 +39,7 @@ applied after any clamping, so saturation cannot wind up the estimate.
 These functions trust the settings they are given: alpha, kp and the
 window size were checked once, when the ScenarioConfig holding them was
 built.  A finite setting can still overflow a table (kp = 1e308 or
-alpha = 1e-308); run_simulation checks each block of periods' raw controls.
+alpha = 1e-308); run_simulation checks every period's raw control.
 """
 
 from __future__ import annotations
@@ -55,8 +55,6 @@ def estimator_kernel(t: np.ndarray, c: int, alpha: float, dt: float):
     (tau - 2s) and alpha*s*(tau - s), each times its composite Simpson
     weight.  c must be odd and at least 3.
     """
-    if len(t) < c:  # no window fits: allocate nothing, however large c is
-        return np.empty((0, c)), np.empty((0, c))
     i = np.arange(c)
     times = t[np.arange(len(t) - c + 1)[:, None] + i]
     # s from the sample times, as the integral is written; the Simpson

@@ -236,6 +236,12 @@ class ScenarioConfig:
             raise ConfigurationError("window_capacity must be odd and >= 3")
         if 0 < self.n_steps <= self.window_capacity:
             raise ConfigurationError(f"window_capacity must be under the run's {self.n_steps} steps")
+        # the (steps + c + 1, 4, n) float64 history; past np.intp's range numpy raises ValueError
+        entries = self.n_steps + min(self.window_capacity, self.n_steps) + 1
+        if entries * 4 * self.fleet.n_buildings * 8 > np.iinfo(np.intp).max:
+            raise ConfigurationError(
+                "horizon x n_buildings is too large: the run's history would not fit one array"
+            )
         if self.alpha == 0 or not math.isfinite(self.alpha):
             raise ConfigurationError("alpha must be nonzero and finite")
         if not (self.kp > 0 and math.isfinite(self.kp)):

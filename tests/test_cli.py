@@ -128,6 +128,19 @@ class TestRun:
         one_error_line(capsys)
         assert not out.exists()
 
+    # numpy raises ValueError, not MemoryError, for an array past np.intp's range
+    @pytest.mark.parametrize("line", [
+        "scenario.horizon_hours = 1e18",
+        "scenario.horizon_hours = 1e300",
+        "fleet.n_buildings = 10000000000000000000",
+    ])
+    def test_run_larger_than_any_array_is_one_error_line(self, line, config_file, tmp_path,
+                                                         capsys):
+        out = tmp_path / "trace.csv"
+        assert main(["run", str(config_file(line + "\n")), "--out", str(out)]) == 1
+        assert "would not fit one array" in one_error_line(capsys)
+        assert not out.exists()
+
     def test_non_utf8_config_or_pv_profile(self, config_file, tmp_path, capsys):
         junk = tmp_path / "junk"
         junk.write_bytes(NOT_UTF8)
@@ -358,6 +371,13 @@ class TestGenProfile:
     def test_non_finite_horizon_is_one_error_line(self, horizon, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert main(["gen-profile", "pv", str(out), "--horizon", horizon]) == 1
+        assert "--horizon" in one_error_line(capsys)
+        assert not out.exists()
+
+    def test_grid_larger_than_any_array_is_one_error_line(self, tmp_path, capsys):
+        # 1e18 h is 6e18 steps, a grid numpy cannot even ask memory for
+        out = tmp_path / "x.csv"
+        assert main(["gen-profile", "pv", str(out), "--horizon", "1e18"]) == 1
         assert "--horizon" in one_error_line(capsys)
         assert not out.exists()
 

@@ -303,6 +303,16 @@ class TestConfig:
                 ScenarioConfig(window_capacity=c)
         assert ScenarioConfig(horizon=0.0, window_capacity=10**12 + 1).n_steps == 0
 
+    def test_history_must_fit_one_array(self):
+        # an empty run's history is one (4, n) entry of 32 n bytes; building
+        # the config allocates nothing
+        widest = np.iinfo(np.intp).max // 32
+        assert ScenarioConfig(horizon=0.0, fleet=FleetConfig(n_buildings=widest)).n_steps == 0
+        for cfg in ({"horizon": 0.0, "fleet": FleetConfig(n_buildings=widest + 1)},
+                    {"horizon": 1e18}, {"horizon": 1e300}):
+            with pytest.raises(ConfigurationError, match="would not fit one array"):
+                ScenarioConfig(**cfg)
+
     def test_csv_pv_requires_a_path(self):
         with pytest.raises(ConfigurationError, match="csv_path"):
             parse_config_text("pv.source = csv")

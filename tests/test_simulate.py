@@ -161,9 +161,9 @@ class TestRunSimulation:
         with pytest.raises(ProfileError, match=r"outside the profile span \[0\.0, 24\.0\] h"):
             run_simulation(cfg)
         assert blocks == []
-        # the counter sees the blocks of plant steps of a run the profile covers
+        # the counter sees the one block, every plant step, of a run the profile covers
         run_simulation(replace(cfg, horizon=24.0))
-        assert blocks == [(64, 3, 13), (64, 3, 13), (16, 3, 13)]
+        assert blocks == [(144, 3, 13)]
 
 
 #: the largest difference between a run and the per-period loop, in degC and kW
@@ -195,7 +195,7 @@ class TestAgainstThePerPeriodLoop:
     @pytest.mark.parametrize("n", [1, 2, 13])
     @pytest.mark.parametrize("capacity", [3, 5, 7, 9, 11])
     def test_every_array_is_bitwise_equal(self, capacity, n, ramp):
-        # 24 h: two whole check blocks and a short one, one PV day
+        # 24 h: one PV day of 144 periods
         cfg = replace(ScenarioConfig(), fleet=FleetConfig(n_buildings=n), horizon=24.0,
                       window_capacity=capacity, ramp_hours=ramp)
         trace = run_simulation(cfg)
@@ -220,7 +220,7 @@ class TestAgainstThePerPeriodLoop:
             run_simulation(cfg)
 
 
-#: 25 h of 10 min periods: check blocks 0-63 and 64-127, then the short block 128-149
+#: 25 h of 10 min periods: 150 periods, checked as one block once the loop ends
 BLOCKED = small_cfg(horizon=25.0)
 IP_ERROR = "computed iP control is not finite: controller.kp or controller.alpha overflows it"
 
@@ -266,11 +266,8 @@ OVERFLOWS = [pytest.param(value, period, id=f"{name}{period}")
 
 
 class TestBlockChecks:
-    """The iP guard and the range check run once per block of periods, and
-    still raise the error of the first failing period."""
-
-    def test_blocks_of_the_run(self):
-        assert pvflock.simulate._CHECK_BLOCK == 64 and BLOCKED.n_steps == 150
+    """The iP guard and the range check run once, over the whole run as one
+    block of periods, and still raise the error of the first failing period."""
 
     @pytest.mark.parametrize("value, period", OVERFLOWS)
     def test_overflow_in_any_period(self, value, period, monkeypatch):
@@ -297,8 +294,9 @@ class TestBlockChecks:
                 run_simulation(BLOCKED)
 
     def test_a_block_runs_to_its_end_before_it_is_checked(self, monkeypatch):
-        # a block is checked once its last period ran: the first block's
-        # plant steps all ran before the second block's overflow stops the run
+        # the run is checked once its last period ran: every plant step ran,
+        # after period 64's overflow too, before the check stops the run
+        assert BLOCKED.n_steps == 150
         inject(monkeypatch, overflow_at=64)
         reached = []
         check = pvflock.simulate._check_block
@@ -310,9 +308,9 @@ class TestBlockChecks:
         monkeypatch.setattr(pvflock.simulate, "_check_block", recording)
         with pytest.raises(ConfigurationError):
             run_simulation(BLOCKED)
-        assert [len(states) for states in reached] == [64, 64]
-        # every plant step of the second block ran: no state is left at the history's zeros
-        assert np.all(reached[1] > 10.0) and np.all(np.isfinite(reached[1]))
+        assert [len(states) for states in reached] == [150]
+        # every plant step ran: no state is left at the history's zeros
+        assert np.all(reached[0] > 10.0) and np.all(np.isfinite(reached[0]))
 
 
 class TestSumRows:
