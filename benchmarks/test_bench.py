@@ -19,7 +19,8 @@ from pvflock.simulate import _FORMAT_BLOCK, _check_block, _format_cells, build_f
     (13, 672.0, True),  # the long_horizon_csv workload
     (130, 72.0, False),  # the fleet_day workload
     (1300, 72.0, False),
-], ids=["13x672h_csv", "130x72h", "1300x72h"])
+    (13000, 72.0, False),  # the north-star fleet: its run holds about 0.23 GB of arrays
+], ids=["13x672h_csv", "130x72h", "1300x72h", "13000x72h"])
 def test_run_simulation(benchmark, scenario_config, n, horizon_h, csv):
     cfg = scenario_config(n, horizon_h, csv)
     trace = benchmark(run_simulation, cfg)

@@ -53,7 +53,8 @@ def estimator_kernel(t: np.ndarray, c: int, alpha: float, dt: float):
     Returns (ky, ku), each shaped (len(t) - c + 1, c): row j belongs to the
     window of samples j .. j + c - 1 and holds the coefficients of y and u,
     (tau - 2s) and alpha*s*(tau - s), each times its composite Simpson
-    weight.  c must be odd and at least 3.
+    weight.  c must be odd and at least 3, or 0: the empty window of a run of
+    no steps.
     """
     i = np.arange(c)
     times = t[np.arange(len(t) - c + 1)[:, None] + i]
@@ -61,8 +62,7 @@ def estimator_kernel(t: np.ndarray, c: int, alpha: float, dt: float):
     # weights are powers of two, so folding them in rounds nothing
     sigma = times - times[:, :1]
     tau = (c - 1) * dt
-    simpson = np.where(i % 2, 4.0, 2.0)
-    simpson[[0, -1]] = 1.0
+    simpson = np.where(i % 2, 4.0, np.where(i % (c - 1), 2.0, 1.0))  # 1, 4, 2, ..., 2, 4, 1
     return (tau - 2.0 * sigma) * simpson, alpha * sigma * (tau - sigma) * simpson
 
 
@@ -78,9 +78,8 @@ def control_tables(t: np.ndarray, y0: np.ndarray, c: int, alpha: float, kp: floa
     column per first measurement y0 when a ramp runs.
     """
     rows = np.zeros((len(t), c + 1, 2))
-    if len(t) > c:  # the window fills in the run
-        ky, ku = estimator_kernel(t[:-1], c, alpha, dt)
-        rows[c:, :c] = np.stack([ky, ku], axis=-1) * (6.0 / ((c - 1) * dt) ** 3 * dt / 3.0 / alpha)
+    ky, ku = estimator_kernel(t[:-1], c, alpha, dt)
+    rows[c:, :c] = np.stack([ky, ku], axis=-1) * (6.0 / ((c - 1) * dt) ** 3 * dt / 3.0 / alpha)
     rows[:, c, 0] = -kp / alpha
     bias = np.full((len(t), 1), kp * setpoint / alpha)
     ramp = t < ramp_hours

@@ -73,12 +73,8 @@ def building_bounds(pv, cfg: FleetConfig):
     active = pv > 0
     band_lo = np.where(active, np.maximum(0.0, pv - eps), 0.0)
     band_hi = np.where(active, pv + eps, 0.0)
-    # split the pv recovered from the band's upper edge, (pv + eps) - eps: it can differ
-    # from pv in the last bit, and splitting pv itself changes some traces' bytes (perfbench's
-    # 40-building cloudy CSV at seed 3); every pinned trace was made in this order
-    pv_band = band_hi - eps
-    raw_lo = (pv_band - eps) / cfg.n_buildings
-    raw_hi = (pv_band + eps) / cfg.n_buildings
+    raw_lo = (pv - eps) / cfg.n_buildings
+    raw_hi = (pv + eps) / cfg.n_buildings
     # an inert band leaves the whole HVAC range, which is never infeasible
     lo = np.where(active, np.maximum(0.0, raw_lo), 0.0)
     hi = np.where(active, np.minimum(raw_hi, hvac_max), hvac_max)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .coordinator import FleetConfig
 from .errors import ConfigurationError, ProfileError
-from .plant import BuildingParams
+from .plant import SANITY_RANGE, BuildingParams
 
 
 @dataclass(frozen=True)
@@ -224,8 +224,11 @@ class ScenarioConfig:
             raise ConfigurationError("horizon must be a finite multiple of the sampling interval")
         if not self.comfort_low < self.setpoint < self.comfort_high:
             raise ConfigurationError("need comfort_low < setpoint < comfort_high")
-        if not (math.isfinite(self.initial_t1_low) and math.isfinite(self.initial_t1_high)):
-            raise ConfigurationError("initial temperatures must be finite")
+        # build_fleet starts the wall core 1 degC above T1; NaN fails the comparison too
+        lo, hi = SANITY_RANGE
+        if not (lo <= self.initial_t1_low and self.initial_t1_high + 1.0 <= hi):
+            raise ConfigurationError(f"initial temperatures must start inside the sane range:"
+                                     f" need {lo:g} <= initial_t1_low, initial_t1_high + 1 <= {hi:g}")
         if self.initial_t1_low > self.initial_t1_high:
             raise ConfigurationError("initial temperature range is inverted")
         if not (self.transient_hours >= 0 and math.isfinite(self.transient_hours)):
@@ -242,8 +245,9 @@ class ScenarioConfig:
             raise ConfigurationError(
                 "horizon x n_buildings is too large: the run's history would not fit one array"
             )
-        if self.alpha == 0 or not math.isfinite(self.alpha):
-            raise ConfigurationError("alpha must be nonzero and finite")
+        # dT1/dt rises with u (by 3600/c1), so the model's input gain must share its sign
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ConfigurationError("alpha must be positive and finite")
         if not (self.kp > 0 and math.isfinite(self.kp)):
             raise ConfigurationError("kp must be positive (closed-loop stability)")
         if not (self.ramp_hours >= 0 and math.isfinite(self.ramp_hours)):

@@ -133,7 +133,7 @@ def run_simulation(cfg: ScenarioConfig) -> SimulationTrace:
     t1, t2, t3, u = z[c:steps + c].transpose(1, 0, 2)
     clamped = u != raw
     p = np.negative(u, out=raw)  # the raw controls are spent: their array takes p
-    return SimulationTrace(n, t, pv, sum_rows(p), band_lo, band_hi, infeasible,
+    return SimulationTrace(n, t, pv, p.sum(axis=1), band_lo, band_hi, infeasible,
                            t1, t2, t3, u, p, clamped)
 
 
@@ -154,19 +154,6 @@ def _check_block(u_raw: np.ndarray, states: np.ndarray, t_next: np.ndarray) -> N
         raise ConfigurationError(
             "computed iP control is not finite: controller.kp or controller.alpha overflows it"
         )
-
-
-def sum_rows(p: np.ndarray) -> np.ndarray:
-    """Row sums of a (steps, n) array, each added left to right, building by building.
-
-    numpy's pairwise sum can differ in the last bit, which %.6g occasionally
-    shows.  The sums are taken a column at a time, so no (steps, n)
-    temporary is built.
-    """
-    out = p[:, 0].copy()
-    for col in p.T[1:]:
-        out += col
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -261,7 +261,7 @@ def test_criterion_7_band_decomposition_over_random_cases():
         u_raw = rng.uniform(-6.0, 6.0, size=n)
         p = -np.minimum(np.maximum(u_raw, -hi), -lo)  # as run_simulation clamps a period
         assert np.all((-1e-12 <= p) & (p <= hvac_max + 1e-12))
-        total = sum(p.tolist())  # left to right, as the run's sum_p
+        total = sum(p.tolist())  # left to right; the bound holds in any summation order
         slack = 1e-9 * max(1.0, pv)
         assert band_lo - slack <= total <= band_hi + slack
     assert infeasible_seen > 0  # the random sweep exercised the flag path

@@ -117,6 +117,9 @@ class TestRun:
         "scenario.initial_t1_low_c = nan",
         "scenario.seed = -1",
         "scenario.transient_hours = nan",
+        # a negative input gain has the actuator's sign backwards: the loop runs away
+        "controller.alpha = -5",
+        "fleet.n_buildings = 0",
         # a window the horizon cannot fill: the run would never estimate F,
         # and a huge one would not even fit in memory
         "scenario.horizon_hours = 72\ncontroller.window_capacity = 433",

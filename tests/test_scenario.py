@@ -276,7 +276,8 @@ class TestConfig:
                 parse_config_text(f"controller.estimator = {value}")
 
     @pytest.mark.parametrize(
-        "line", ["controller.alpha = 0", "controller.kp = 0", "scenario.ramp_hours = -1"]
+        "line", ["controller.alpha = 0", "controller.alpha = -5", "controller.kp = 0",
+                 "scenario.ramp_hours = -1"]
     )
     def test_bad_controller_settings_fail_at_load(self, line):
         with pytest.raises(ConfigurationError):
@@ -341,6 +342,8 @@ class TestConfig:
         # only fail inside the run, when the fleet's start is drawn
         for bad in (
             dict(initial_t1_high=math.inf), dict(initial_t1_low=-math.inf),
+            # a building outside the sane range at t = 0 (the wall core starts 1 degC above T1)
+            dict(initial_t1_high=70.0), dict(initial_t1_low=-25.0),
             dict(transient_hours=math.inf), dict(seed=-1),
             # a reference ramp that never ends holds every building where it started
             dict(ramp_hours=math.inf),

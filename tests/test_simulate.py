@@ -31,7 +31,7 @@ from pvflock import (
 )
 from pvflock.cli import main
 from pvflock.scenario import DisturbanceParams
-from pvflock.simulate import _format_cells, build_fleet, sum_rows, trace_header
+from pvflock.simulate import _format_cells, build_fleet, trace_header
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -313,17 +313,6 @@ class TestBlockChecks:
         assert np.all(reached[0] > 10.0) and np.all(np.isfinite(reached[0]))
 
 
-class TestSumRows:
-    def test_equals_the_left_to_right_cumsum(self):
-        # mixed magnitudes make every summation order round differently;
-        # 3 000 columns split the 300 rows into blocks of 21
-        rng = np.random.default_rng(11)
-        p = rng.standard_normal((300, 3000)) * 10.0 ** rng.integers(-8, 9, (300, 3000))
-        assert np.array_equal(sum_rows(p), np.cumsum(p, axis=1)[:, -1])
-        assert not np.array_equal(p.sum(axis=1), np.cumsum(p, axis=1)[:, -1])
-        assert sum_rows(p[:0]).shape == (0,)
-
-
 class TestBuildFleet:
     def test_initial_conditions_follow_the_contract(self):
         cfg = small_cfg(seed=4)
@@ -439,6 +428,13 @@ class TestTraceSerialization:
         path = tmp_path / "junk.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ProfileError, match="header"):
+            read_trace(path)
+        path.write_text("")
+        with pytest.raises(ProfileError, match="empty file, not a trace"):
+            read_trace(path)
+        # the fleet columns and one building's first three
+        path.write_text(",".join(trace_header(1).split(",")[:9]) + "\n")
+        with pytest.raises(ProfileError, match="partial building group"):
             read_trace(path)
 
     def test_read_rejects_ragged_rows(self, tmp_path):
