@@ -28,8 +28,10 @@ a seeded generator; interior mass starts at the air temperature and the wall
 core one degree above, so a hot start really is a hot building.
 
 The trace CSV layout (one row per control period, LF line endings; each cell
-holds the bytes of "%.6g" % cell, "%d" for a flag, made in numpy, or by "%.6g"
-itself when within 1e-6 of a rounding tie, in exponent form or not finite):
+holds the bytes of "%.6g" % cell, "%d" for a flag).  numpy makes a cell from
+two tables, the 16-byte fragments of its high and low three digits, ORed, and
+one bytes.translate per block drops their NUL padding; "%.6g" itself writes a
+cell within 1e-6 of a rounding tie, in exponent form or not finite:
 
     t_hours,pv_kw,sum_p_kw,band_lo_kw,band_hi_kw,infeasible,
     then per building i (1-based): T1_i,T2_i,T3_i,u_i_kw,p_i_kw,clamped_i
@@ -247,66 +249,103 @@ def trace_header(n_buildings: int) -> str:
     return ",".join(cols)
 
 
-#: cells per formatted block: _format_cells then peaks at about 2.1 MB of temporaries,
-#: one core's 2 MB of L2 on the 2-core x86 machine where the 130-building 72 h trace
-#: wrote in 64 / 56 / 54 / 70 / 78 ms at 2^12 / 2^13 / 2^14 / 2^15 / 2^16 cells and the
-#: four-week 13-building one in 60 / 56 / 56 / 71 / 80 ms (medians of 30 alternated
-#: writes).  Smaller blocks pay the fixed cost of its numpy calls more often; at this
-#: size glibc may trim the heap after a block and refault it in the next.
+#: cells per formatted block.  On the 2-core x86 machine the 130-building 72 h trace
+#: wrote in 26 / 24 / 21 / 21 / 22 ms at 2^12 / 2^13 / 2^14 / 2^15 / 2^16 cells and the
+#: four-week 13-building one in 27 / 24 / 21 / 21 / 23 ms (medians of 30 alternated
+#: writes), and a write peaks at 0.83 / 1.65 / 3.37 MB at 2^13 / 2^14 / 2^15 cells
+#: (tracemalloc): 2^14 is as fast as 2^15 in half the memory.  Smaller blocks pay the
+#: fixed cost of _format_cells's numpy calls more often.
 _FORMAT_BLOCK = 1 << 14
-#: a cell's field of five 4-byte words ("-ddd", "ddd.", "dddd", "dddd", "d," and two
-#: spare bytes): per word, its table and the place and count of its digits
-_WORDS = [(np.frombuffer("".join(f"{a}{i:0{w}d}{b}" for i in range(10**w)).encode(), np.uint32), p, w)
-          for a, b, p, w in (("-", "", 12, 3), ("", ".", 9, 3), ("", "", 5, 4), ("", "", 1, 4),
-                             ("", ",\0\0", 0, 1))]
-_TRAILING_ZEROS = np.array([3 - len(f"{i:03d}".rstrip("0")) for i in range(1000)])
-_POW10 = 10 ** np.arange(10)
+#: 10^(5 - e) at e + 4, for the decimal exponents e of -4 to 5
+_SCALE = 10.0 ** np.arange(9, -1, -1)
 
 
-def _keep_table() -> np.ndarray:
-    """Field bytes %.6g keeps, by (e + 4) * 14 + trailing zeros * 2 + sign; last: the separator."""
-    e, zeros, neg = np.mgrid[-4:6, :7, :2].reshape(3, -1, 1)
-    decimals, cols = np.maximum(5 - e - zeros, 0), np.arange(20)
-    keep = (cols >= 6 - np.maximum(e, 0)) & (cols <= 6 + decimals + (decimals > 0))
-    keep |= (cols == 0) & (neg == 1) | (cols == 17)
-    return np.vstack([keep, cols == 17]).view("V20").ravel()
+def _fragments(e: np.ndarray, first: int, digits: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """16-byte fragments of the digits at places first .. first + 2 of a cell of exponent e
+    whose last nonzero digit is at place last.
+
+    Byte 0 is the sign's and byte 15 the separator's.  From byte 1 come "0." and -e - 1
+    zeros then the six digits when e < 0, else the digits with the point after place e,
+    at byte 2 + max(e, 0).  NUL stands where "%.6g" drops a byte: a digit past the point
+    and place last, the point when no digit follows it.  The fragment of place last
+    holds the point.
+    """
+    place = first + np.arange(3)
+    text = np.where(place <= np.maximum(e, last), digits + ord("0"), 0)
+    point = ((last > e) & (last >= first) & (last < first + 3)) * ord(".")
+    values = np.concatenate([text, point], -1)
+    at = np.concatenate([1 + place + np.where(e < 0, 1 - e, place > e), 2 + np.maximum(e, 0)], -1)
+    frag = np.zeros(values.shape[:-1] + (16,), np.uint8)
+    np.put_along_axis(frag, np.broadcast_to(at, values.shape), values, -1)
+    return frag
 
 
-_KEEP = _keep_table()
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """_HI by ((e + 4) 2 + (lo == 0)) 1000 + hi and _LO by (e + 4) 1000 + lo, as
+    (entries, 2) uint64: the fragments of the digits q = 1000 hi + lo, with "0.000"
+    in _HI when e < 0 and "," in _LO."""
+    e = np.arange(-4, 6)[:, None, None]
+    group = np.arange(1000)[:, None]
+    digits = group // np.array([100, 10, 1]) % 10
+    last = np.where(digits > 0, np.arange(3), -1).max(-1, keepdims=True)  # -1 for 000
+    # when lo != 0 the cell's last nonzero digit is a low one: any place past 2 says so
+    hi = _fragments(e[:, None], 0, digits, np.where(np.arange(2)[:, None, None] == 1, last, 5))
+    cols = np.arange(16)
+    hi |= ((e[:, None] < 0) & (cols >= 1) & (cols <= 1 - e[:, None]) & (cols != 2)) * np.uint8(ord("0"))
+    lo = _fragments(e, 3, digits, np.where(last < 0, -1, last + 3))
+    lo[..., 15] = ord(",")
+    return hi.view(np.uint64).reshape(-1, 2), lo.view(np.uint64).reshape(-1, 2)
+
+
+_HI, _LO = _digit_tables()
 
 
 def _format_cells(x: np.ndarray, ncols: int) -> np.ndarray:
     """The bytes of "%.6g" % v for each v of x, ncols to a comma-separated row.
 
-    The six digits of an |x| in [1e-4, 1e6) are rint(y), y = |x| 10^(5 - e) for
+    The six digits of an |x| in [1e-4, 1e6) are q = rint(y), y = |x| 10^(5 - e) for
     its decimal exponent e: one rounding, under 1.2e-10, so they are exact unless
     y is within 1e-6 of a tie.  Such a cell, one whose e log10 got wrong (y leaves
     [1e5, 1e6)), exponent form and non-finite values are formatted by "%.6g" itself.
+    A cell's 16-byte field is the _HI and _LO fragments of its high and low three
+    digits ORed, with its sign and a newline at a row's end, or the "%.6g" text; the
+    block's text is the fields' bytes less their NULs.
     """
+    # in place where it can: each new temporary of a block is 128 KB, and enough of them
+    # lift the heap's top, which glibc then trims after the block and refaults in the next
     ax = np.abs(x)
+    w = np.where(ax > 0, ax, 1.0)  # in turn log10 |x| (0 for 0 and nan), y, |y - q|, q // 1000
     with np.errstate(invalid="ignore"):
-        e = np.clip(np.floor(np.log10(ax, out=np.zeros_like(ax), where=ax > 0)), -4, 5).astype(int)
-        y = ax * _POW10[5 - e]
+        np.log10(w, out=w)
+        np.floor(w, out=w)
+        w += 4
+        e = np.clip(w, 0, 9, out=w).astype(np.intp)  # e + 4
+        y = np.take(_SCALE, e, out=w)
+        y *= ax
         q = np.rint(y)
-        fast = (y >= 1e5) & (y < 999999.5 - 1e-6) & (np.abs(y - q) < 0.5 - 1e-6) | (ax == 0)
-    q = np.where(fast, q, 0).astype(np.int64)
-    high = q // 1000
-    zeros = _TRAILING_ZEROS[q - high * 1000]
-    zeros += (zeros == 3) * _TRAILING_ZEROS[high]
-    keep = _KEEP[np.where(fast, (e + 4) * 14 + zeros * 2 + np.signbit(x), -1)].view(bool).reshape(-1, 20)
-    d = q * _POW10[e + 4]  # the digits as a 15-digit integer, six before the point
-    words = np.empty((len(x), 5), np.uint32)
-    above = 0  # word j's d // 10**(place + width) is word j - 1's d // 10**place; d < 10**15
-    for col, (table, place, width) in enumerate(_WORDS):
-        rest = d // 10**place if place else d
-        words[:, col] = table[rest - above * 10**width]
-        above = rest
-    field = words.view(np.uint8)
-    field[ncols - 1::ncols, 17] = ord("\n")
+        fast = y >= 1e5
+        fast &= y < 999999.5 - 1e-6
+        y -= q
+        fast &= np.abs(y, out=y) < 0.5 - 1e-6
+        fast |= ax == 0
     slow = np.flatnonzero(~fast)
-    text = np.array(["%.6g" % v for v in x[slow].tolist()], "S13").view(np.uint8).reshape(-1, 13)
-    field[slow, :13], keep[slow, :13] = text, text != 0
-    return field[keep]
+    q[slow] = 0
+    hi = np.trunc(np.divide(q, 1000, out=w), out=w)
+    lo = np.subtract(q, np.multiply(hi, 1000, out=ax), out=q)
+    e *= 1000
+    row = (lo == 0) * 1000  # _HI's row: 2000 (e + 4) + 1000 (lo == 0) + hi
+    row += hi.astype(np.intp)
+    row += e
+    row += e
+    e += lo.astype(np.intp)  # _LO's row: 1000 (e + 4) + lo
+    field = np.take(_HI, row, axis=0)
+    field |= np.take(_LO, e, axis=0)
+    cells = field.view(np.uint8)
+    cells[:, 0] |= np.signbit(x).view(np.uint8) * np.uint8(ord("-"))
+    cells[ncols - 1::ncols, 15] = ord("\n")
+    text = np.array(["%.6g" % v for v in x[slow].tolist()], "S15")
+    cells[slow, :15] = text.view(np.uint8).reshape(-1, 15)
+    return np.frombuffer(cells.tobytes().translate(None, b"\0"), np.uint8)
 
 
 def write_trace(trace: SimulationTrace, path: str | Path) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -405,6 +406,22 @@ class TestTraceSerialization:
         write_trace(trace, path)
         assert path.read_text() == cell_by_cell(trace)
 
+    def test_a_write_holds_at_most_2_28_mb(self, tmp_path):
+        # a trace of fleet_day's size, 130 buildings over 72 h: 22 blocks, each formatted
+        # while the last one's text is held.  The bound is the peak before the digit
+        # tables: a faster writer that holds more memory is no gain
+        trace = run_simulation(small_cfg(fleet=FleetConfig(n_buildings=130), horizon=72.0,
+                                         pv=PvSourceConfig(peak=120.0)))
+        path = tmp_path / "trace.csv"
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            write_trace(trace, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.28e6
+
     def test_lf_line_endings_and_flag_format(self, tmp_path):
         path = tmp_path / "trace.csv"
         write_trace(run_simulation(small_cfg()), path)
@@ -496,6 +513,21 @@ class TestCellFormat:
     @pytest.mark.parametrize("v", EDGE_VALUES + [-v for v in EDGE_VALUES])
     def test_edge_values(self, v):
         assert _format_cells(np.array([v]), 1).tobytes() == f"{'%.6g' % v}\n".encode()
+
+    def test_every_digit_group_is_written_as_percent_g_writes_it(self):
+        # at each exponent from -4 to 5, each positive and negative: every high group
+        # with the low groups 000, 001, 010 and 100, and every low group with the high
+        # groups 100 and 200.  A cell ORs the fragments of its two groups, so a wrong bit
+        # in one hides under the same bit of the other; these partners hold a NUL, a "0",
+        # or both a "1" and a "2" at each byte where any partner can differ, so a wrong
+        # bit in any entry of the digit tables shows in some cell.  q + 1/8 holds the six
+        # digits q clear of a tie and of a power of ten
+        q = np.concatenate([(np.arange(100, 1000)[:, None] * 1000 + [0, 1, 10, 100]).ravel(),
+                            (np.array([[100_000], [200_000]]) + np.arange(1000)).ravel()])
+        values = np.concatenate([(q + 0.125) / 10.0 ** (5 - e) for e in range(-4, 6)])
+        values = np.stack([values, -values], axis=-1).ravel()  # no entry ends only rows
+        cells = ["%.6g" % v + ("\n" if (k + 1) % 7 == 0 else ",") for k, v in enumerate(values.tolist())]
+        assert _format_cells(values, 7).tobytes() == "".join(cells).encode()
 
     def test_flags_are_written_as_percent_d_writes_them(self):
         flags = np.array([False, True, True, False])
