@@ -1,6 +1,6 @@
-"""End-to-end runs, trace write and read, the run-constant and metrics stages, the
-iP law's tables, the plant's period map, one fused control period, and the one
-check of a run's guards."""
+"""End-to-end runs, trace write and read, the trace writer's digit tables, the
+run-constant and metrics stages, the iP law's tables, the plant's period map, one
+fused control period, and the one check of a run's guards."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from pvflock.control import control_tables
 from pvflock.coordinator import building_bounds
 from pvflock.plant import BuildingParams, check_sane, transition_map
 from pvflock.scenario import synth_disturbances
-from pvflock.simulate import _FORMAT_BLOCK, _check_block, _format_cells, build_fleet
+from pvflock.simulate import _FORMAT_BLOCK, _check_block, _digit_tables, _format_cells, build_fleet
 
 
 @pytest.mark.parametrize("n, horizon_h, csv", [
@@ -58,6 +58,12 @@ def test_format_cells(benchmark, scenario_config):
     block = np.hstack([fleet[:rows], buildings[:rows].reshape(rows, -1)]).ravel()
     text = benchmark(_format_cells, block, ncols)
     assert text.tobytes().count(b"\n") == rows
+
+
+def test_digit_tables(benchmark):
+    # built once, when pvflock.simulate is imported
+    hi, lo = benchmark(_digit_tables)
+    assert hi.shape == lo.shape == (10000, 2)
 
 
 @pytest.fixture(params=[130, 1300], ids=["130x72h", "1300x72h"])

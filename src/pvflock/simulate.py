@@ -28,10 +28,11 @@ a seeded generator; interior mass starts at the air temperature and the wall
 core one degree above, so a hot start really is a hot building.
 
 The trace CSV layout (one row per control period, LF line endings; each cell
-holds the bytes of "%.6g" % cell, "%d" for a flag).  numpy makes a cell from
-two tables, the 16-byte fragments of its high and low three digits, ORed, and
-one bytes.translate per block drops their NUL padding; "%.6g" itself writes a
-cell within 1e-6 of a rounding tie, in exponent form or not finite:
+holds the bytes of "%.6g" % cell, "%d" for a flag).  numpy makes a cell of
+six digits 1000 hi + lo from two tables: the "%.6g" texts of 1000 hi and of
+100000 + lo with a leading "0", ORed, and one bytes.translate per block drops
+their NUL padding; "%.6g" itself writes a cell within 1e-6 of a rounding tie,
+in exponent form or not finite:
 
     t_hours,pv_kw,sum_p_kw,band_lo_kw,band_hi_kw,infeasible,
     then per building i (1-based): T1_i,T2_i,T3_i,u_i_kw,p_i_kw,clamped_i
@@ -260,41 +261,24 @@ _FORMAT_BLOCK = 1 << 14
 _SCALE = 10.0 ** np.arange(9, -1, -1)
 
 
-def _fragments(e: np.ndarray, first: int, digits: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """16-byte fragments of the digits at places first .. first + 2 of a cell of exponent e
-    whose last nonzero digit is at place last.
-
-    Byte 0 is the sign's and byte 15 the separator's.  From byte 1 come "0." and -e - 1
-    zeros then the six digits when e < 0, else the digits with the point after place e,
-    at byte 2 + max(e, 0).  NUL stands where "%.6g" drops a byte: a digit past the point
-    and place last, the point when no digit follows it.  The fragment of place last
-    holds the point.
-    """
-    place = first + np.arange(3)
-    text = np.where(place <= np.maximum(e, last), digits + ord("0"), 0)
-    point = ((last > e) & (last >= first) & (last < first + 3)) * ord(".")
-    values = np.concatenate([text, point], -1)
-    at = np.concatenate([1 + place + np.where(e < 0, 1 - e, place > e), 2 + np.maximum(e, 0)], -1)
-    frag = np.zeros(values.shape[:-1] + (16,), np.uint8)
-    np.put_along_axis(frag, np.broadcast_to(at, values.shape), values, -1)
-    return frag
-
-
 def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
-    """_HI by ((e + 4) 2 + (lo == 0)) 1000 + hi and _LO by (e + 4) 1000 + lo, as
-    (entries, 2) uint64: the fragments of the digits q = 1000 hi + lo, with "0.000"
-    in _HI when e < 0 and "," in _LO."""
-    e = np.arange(-4, 6)[:, None, None]
-    group = np.arange(1000)[:, None]
-    digits = group // np.array([100, 10, 1]) % 10
-    last = np.where(digits > 0, np.arange(3), -1).max(-1, keepdims=True)  # -1 for 000
-    # when lo != 0 the cell's last nonzero digit is a low one: any place past 2 says so
-    hi = _fragments(e[:, None], 0, digits, np.where(np.arange(2)[:, None, None] == 1, last, 5))
-    cols = np.arange(16)
-    hi |= ((e[:, None] < 0) & (cols >= 1) & (cols <= 1 - e[:, None]) & (cols != 2)) * np.uint8(ord("0"))
-    lo = _fragments(e, 3, digits, np.where(last < 0, -1, last + 3))
-    lo[..., 15] = ord(",")
-    return hi.view(np.uint64).reshape(-1, 2), lo.view(np.uint64).reshape(-1, 2)
+    """_HI by 1000 (e + 4) + hi and _LO by 1000 (e + 4) + lo, as (10000, 2) uint64: from
+    byte 1 of 16, the "%.6g" texts at exponent e of 1000 hi and of 100000 + lo with its
+    leading "1" a "0", then "," at byte 15 of _LO.
+
+    "%.6g" drops only a suffix of the fixed-point text, so at one exponent a digit place
+    sits at the same byte in both texts, and "0" ORed onto a digit is that digit.  ORed,
+    the two are the text of 1000 hi + lo: _LO puts back the zeros and the point that the
+    text of 1000 hi dropped before a nonzero low digit.
+    """
+    hi, lo = [], []
+    for e in range(-4, 6):
+        scale = 10.0 ** (e - 5)
+        for g in range(1000):
+            hi.append(b"\0%.6g" % (1000 * g * scale))
+            text = b"\0%.6g" % ((100000 + g) * scale)
+            lo.append(text.replace(b"1", b"0", 1).ljust(15, b"\0") + b",")
+    return tuple(np.array(t, "S16").view(np.uint64).reshape(-1, 2) for t in (hi, lo))
 
 
 _HI, _LO = _digit_tables()
@@ -307,9 +291,10 @@ def _format_cells(x: np.ndarray, ncols: int) -> np.ndarray:
     its decimal exponent e: one rounding, under 1.2e-10, so they are exact unless
     y is within 1e-6 of a tie.  Such a cell, one whose e log10 got wrong (y leaves
     [1e5, 1e6)), exponent form and non-finite values are formatted by "%.6g" itself.
-    A cell's 16-byte field is the _HI and _LO fragments of its high and low three
-    digits ORed, with its sign and a newline at a row's end, or the "%.6g" text; the
-    block's text is the fields' bytes less their NULs.
+    A cell's 16-byte field is the _HI and _LO texts of its high and low three digits
+    hi and lo, those of 1000 hi and of 100000 + lo with a leading "0", ORed, with its
+    sign and a newline at a row's end, or the "%.6g" text; the block's text is the
+    fields' bytes less their NULs.
     """
     # in place where it can: each new temporary of a block is 128 KB, and enough of them
     # lift the heap's top, which glibc then trims after the block and refaults in the next
@@ -333,10 +318,8 @@ def _format_cells(x: np.ndarray, ncols: int) -> np.ndarray:
     hi = np.trunc(np.divide(q, 1000, out=w), out=w)
     lo = np.subtract(q, np.multiply(hi, 1000, out=ax), out=q)
     e *= 1000
-    row = (lo == 0) * 1000  # _HI's row: 2000 (e + 4) + 1000 (lo == 0) + hi
-    row += hi.astype(np.intp)
-    row += e
-    row += e
+    row = hi.astype(np.intp)
+    row += e  # _HI's row: 1000 (e + 4) + hi
     e += lo.astype(np.intp)  # _LO's row: 1000 (e + 4) + lo
     field = np.take(_HI, row, axis=0)
     field |= np.take(_LO, e, axis=0)
@@ -373,7 +356,8 @@ def write_trace(trace: SimulationTrace, path: str | Path) -> None:
 def _trace_header_error(fields: list[str]) -> str | None:
     if fields == [""]:
         return "empty file, not a trace"
-    if fields[:6] != trace_header(0).split(","):
+    # the fields must begin a trace header and hold at least its six fleet columns
+    if fields != trace_header((len(fields) - 1) // 6).split(",")[:max(len(fields), 6)]:
         return "unrecognized trace header"
     if len(fields) % 6:
         return "trace header has a partial building group"

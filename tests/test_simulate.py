@@ -453,6 +453,14 @@ class TestTraceSerialization:
         path.write_text(",".join(trace_header(1).split(",")[:9]) + "\n")
         with pytest.raises(ProfileError, match="partial building group"):
             read_trace(path)
+        # a misnamed building column, and building columns out of order
+        fields = trace_header(2).split(",")
+        for header in (fields[:6] + ["bogus"] + fields[7:],
+                       fields[:6] + [fields[7], fields[6]] + fields[8:],
+                       fields[:6] + fields[12:] + fields[6:12]):
+            path.write_text(",".join(header) + "\n" + ",".join(["1"] * 18) + "\n")
+            with pytest.raises(ProfileError, match="unrecognized trace header"):
+                read_trace(path)
 
     def test_read_rejects_ragged_rows(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -515,16 +523,23 @@ class TestCellFormat:
         assert _format_cells(np.array([v]), 1).tobytes() == f"{'%.6g' % v}\n".encode()
 
     def test_every_digit_group_is_written_as_percent_g_writes_it(self):
-        # at each exponent from -4 to 5, each positive and negative: every high group
-        # with the low groups 000, 001, 010 and 100, and every low group with the high
-        # groups 100 and 200.  A cell ORs the fragments of its two groups, so a wrong bit
-        # in one hides under the same bit of the other; these partners hold a NUL, a "0",
-        # or both a "1" and a "2" at each byte where any partner can differ, so a wrong
-        # bit in any entry of the digit tables shows in some cell.  q + 1/8 holds the six
-        # digits q clear of a tie and of a power of ten
+        # at each exponent from -4 to 5, each positive and negative: every high group with
+        # the low groups 000, 001, 010 and 100, every low group with the high groups 100
+        # and 200, and one cell within 1e-6 of a tie; and 0.  A cell ORs its _HI and _LO
+        # entries, so a wrong bit in one hides under the same bit of the other.  At each
+        # byte these partners set the fewest bits any partner sets: low group 000 sets "0"
+        # and "." only at bytes every high group fills; high groups 100 and 200 set NUL
+        # where "%.6g" drops a zero or the point, "0" at the other digits but the first,
+        # and there "1" or "2", whose low bits differ.  "%.6g" writes a tie but for its
+        # separator byte, which ORs in _HI's row of high group 000: at exponents other
+        # than 0 only a tie reads that row, and 0 reads it at 0.  A positive cell shows
+        # the sign's byte, and of a cell and its negation one is not at a row's end, where
+        # "\n" replaces the separator.  So a wrong bit that some cell can show shows here.
+        # q + 1/8 holds the six digits q clear of a tie and of a power of ten
         q = np.concatenate([(np.arange(100, 1000)[:, None] * 1000 + [0, 1, 10, 100]).ravel(),
                             (np.array([[100_000], [200_000]]) + np.arange(1000)).ravel()])
-        values = np.concatenate([(q + 0.125) / 10.0 ** (5 - e) for e in range(-4, 6)])
+        values = np.concatenate([(q + 0.125) / 10.0 ** (5 - e) for e in range(-4, 6)]
+                                + [[0.0], 100_000.5 / 10.0 ** (5 - np.arange(-4, 6))])
         values = np.stack([values, -values], axis=-1).ravel()  # no entry ends only rows
         cells = ["%.6g" % v + ("\n" if (k + 1) % 7 == 0 else ",") for k, v in enumerate(values.tolist())]
         assert _format_cells(values, 7).tobytes() == "".join(cells).encode()
