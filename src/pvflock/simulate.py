@@ -9,8 +9,8 @@ holds the rows T1, T2, T3 and u of period k, and the first c entries are
 zeros, so period k's window z[k .. k + c] always exists.  A control period
 then writes three statements into the history:
 
-    raw    one product of the period's row of coefficients with the window's
-           T1 and u rows, plus its bias: the estimate and the iP law at once
+    raw    the law's row, before or after the window fills, times the window's
+           T1 and u rows, plus the bias: the estimate and the iP law at once
     clamp  np.maximum with -hi, then np.minimum with -lo, of the raw controls,
            into u's row
     plant  the increment x + S ([A | B] (x, u) + C w), in two products,
@@ -21,7 +21,7 @@ The trace's t1, t2, t3 and u are views of z; p = -u and the clamp flags
 control is finite and that every state stays in the sane range, run once
 after the loop (_check_block), over every raw control and reached state,
 and raise the error of the first failing period, a period's control before
-its plant step, as a check after every period would; a failing run thus
+its plant step, as a check after each period would; a failing run thus
 runs to its end first, which takes no longer than a run that passes.
 Initial air temperatures are drawn uniformly from the configured range with
 a seeded generator; interior mass starts at the air temperature and the wall
@@ -42,6 +42,7 @@ A (config, seed) pair fully determines every byte of the trace.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -123,7 +124,7 @@ def run_simulation(cfg: ScenarioConfig) -> SimulationTrace:
                                     cfg.ramp_hours, dt)
         for k in range(steps):
             x, x_next, r = z[k + c], z[k + c + 1, :3], raw[k]
-            np.einsum("ij,ijn->n", rows[k], z[k:k + c + 1, ::3], out=r)
+            np.einsum("ij,ijn->n", rows[int(k >= c)], z[k:k + c + 1, ::3], out=r)
             r += bias[k]
             # [k, ...] is a 0-d array, which numpy combines faster than a float
             np.maximum(r, u_lo[k, ...], out=x[3])
@@ -261,14 +262,16 @@ _FORMAT_BLOCK = 1 << 14
 _SCALE = 10.0 ** np.arange(9, -1, -1)
 
 
+@functools.cache
 def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
-    """_HI by 1000 (e + 4) + hi and _LO by 1000 (e + 4) + lo, as (10000, 2) uint64: from
-    byte 1 of 16, the "%.6g" texts at exponent e of 1000 hi and of 100000 + lo with its
-    leading "1" a "0", then "," at byte 15 of _LO.
+    """The digit tables (hi_rows, lo_rows), built on the first write: hi_rows by
+    1000 (e + 4) + hi and lo_rows by 1000 (e + 4) + lo, as (10000, 2) uint64: from byte 1
+    of 16, the "%.6g" texts at exponent e of 1000 hi and of 100000 + lo with its leading
+    "1" a "0", then "," at byte 15 of lo_rows.
 
     "%.6g" drops only a suffix of the fixed-point text, so at one exponent a digit place
     sits at the same byte in both texts, and "0" ORed onto a digit is that digit.  ORed,
-    the two are the text of 1000 hi + lo: _LO puts back the zeros and the point that the
+    the two are the text of 1000 hi + lo: lo_rows puts back the zeros and the point that the
     text of 1000 hi dropped before a nonzero low digit.
     """
     hi, lo = [], []
@@ -281,9 +284,6 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.array(t, "S16").view(np.uint64).reshape(-1, 2) for t in (hi, lo))
 
 
-_HI, _LO = _digit_tables()
-
-
 def _format_cells(x: np.ndarray, ncols: int) -> np.ndarray:
     """The bytes of "%.6g" % v for each v of x, ncols to a comma-separated row.
 
@@ -291,7 +291,7 @@ def _format_cells(x: np.ndarray, ncols: int) -> np.ndarray:
     its decimal exponent e: one rounding, under 1.2e-10, so they are exact unless
     y is within 1e-6 of a tie.  Such a cell, one whose e log10 got wrong (y leaves
     [1e5, 1e6)), exponent form and non-finite values are formatted by "%.6g" itself.
-    A cell's 16-byte field is the _HI and _LO texts of its high and low three digits
+    A cell's 16-byte field is the _digit_tables texts of its high and low three digits
     hi and lo, those of 1000 hi and of 100000 + lo with a leading "0", ORed, with its
     sign and a newline at a row's end, or the "%.6g" text; the block's text is the
     fields' bytes less their NULs.
@@ -319,10 +319,11 @@ def _format_cells(x: np.ndarray, ncols: int) -> np.ndarray:
     lo = np.subtract(q, np.multiply(hi, 1000, out=ax), out=q)
     e *= 1000
     row = hi.astype(np.intp)
-    row += e  # _HI's row: 1000 (e + 4) + hi
-    e += lo.astype(np.intp)  # _LO's row: 1000 (e + 4) + lo
-    field = np.take(_HI, row, axis=0)
-    field |= np.take(_LO, e, axis=0)
+    row += e  # hi_rows's row: 1000 (e + 4) + hi
+    e += lo.astype(np.intp)  # lo_rows's row: 1000 (e + 4) + lo
+    hi_rows, lo_rows = _digit_tables()
+    field = np.take(hi_rows, row, axis=0)
+    field |= np.take(lo_rows, e, axis=0)
     cells = field.view(np.uint8)
     cells[:, 0] |= np.signbit(x).view(np.uint8) * np.uint8(ord("-"))
     cells[ncols - 1::ncols, 15] = ord("\n")

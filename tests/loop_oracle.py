@@ -42,7 +42,7 @@ def run_simulation_reference(cfg) -> SimulationTrace:
     y0 = states[0]
     lo_ok, hi_ok = SANITY_RANGE
     with np.errstate(over="ignore", invalid="ignore"):
-        ky, ku = estimator_kernel(t, c, alpha, dt)
+        ky, ku = estimator_kernel(c, alpha, dt)
         for k in range(steps):
             if cfg.ramp_hours > 0 and t[k] < cfg.ramp_hours:
                 y_ref_dot = (cfg.setpoint - y0) / cfg.ramp_hours
@@ -52,7 +52,7 @@ def run_simulation_reference(cfg) -> SimulationTrace:
             f_hat = 0.0
             if k >= c:
                 # the annihilator kernel over rows k-c .. k-1, end points first
-                terms = ky[k - c][:, None] * t1[k - c:k] + ku[k - c][:, None] * u[k - c:k]
+                terms = ky[:, None] * t1[k - c:k] + ku[:, None] * u[k - c:k]
                 acc = terms[0] + terms[-1]
                 for term in terms[1:-1]:
                     acc += term

@@ -32,7 +32,7 @@ def table_f_hat(rows, k: int, alpha: float, y, u) -> float:
     """F_hat of period k's window of samples y, u as the run's control table
     holds it: the row's window part is -F_hat / alpha."""
     c = rows.shape[1] - 1
-    return -alpha * (rows[k, :c, 0] @ y + rows[k, :c, 1] @ u)
+    return -alpha * (rows[int(k >= c), :c, 0] @ y + rows[int(k >= c), :c, 1] @ u)
 
 
 def scenario_metrics(trace, cfg: ScenarioConfig):
@@ -124,7 +124,7 @@ def test_criterion_4_estimators_settle_within_three_window_spans():
         filled_at = capacity - 1  # the step whose sample fills the window
         for k in range(40):
             # the table's law with the true F in place of the window's estimate
-            u = rows[k, capacity, 0] * y + bias[k, 0] - f0 / alpha
+            u = rows[int(k >= capacity), capacity, 0] * y + bias[k, 0] - f0 / alpha
             ys.append(y)
             us.append(u)
             if k - filled_at == spans_to_settle:
@@ -169,7 +169,7 @@ def test_criterion_5_error_contracts_at_two_thirds_per_period():
     e = y - setpoint
     worst = 0.0
     for k in range(10):
-        u = rows[k, -1, 0] * y + bias[k, 0] - f0 / alpha
+        u = rows[int(k >= 3), -1, 0] * y + bias[k, 0] - f0 / alpha
         y += (f0 + alpha * u) * DT
         e_next = y - setpoint
         ratio = e_next / e

@@ -32,7 +32,7 @@ PINNED_VARIANT_TRACE_SHA256 = {
 #: sha256 of `pvflock gen-profile pv <out> --horizon 672`, and of the trace of
 #: configs/default.cfg over those 672 h with PV read from it
 PINNED_PV_672_SHA256 = "ec4a812ffcd336049ffb681c6fb49bf91b0cef75917a4ab56696791eb92ac99d"
-PINNED_CSV_PV_672_TRACE_SHA256 = "120e815af6f4e721587fa7a27c2e932dc0bbe1e0bc4ae0c43dfdab4652ed02d1"
+PINNED_CSV_PV_672_TRACE_SHA256 = "9c03094fd08b5c5f16f3efb68fc51e961dfacef1165d6283b8e1d21135cfefe0"
 #: sha256 of `pvflock gen-profile pv <out>` with default flags
 PINNED_PV_PROFILE_SHA256 = "64f672b0ba6cbf5601d029107750c2b927e7f194360e33da082c506fb8c8b990"
 #: sha256 of the trace of configs/default.cfg at seed 1 with PV read from that profile
@@ -309,6 +309,12 @@ class TestMetricsCommand:
 # ---------------------------------------------------------------------------
 # gen-profile
 
+#: the float neighbours of grid times k / 6 h, up to four weeks and one step
+NEXT_TO_GRID_TIMES = [repr(float(np.nextafter(k / 6, side)))
+                      for k in (1, 2, 3, 7, 61, 144, 433, 1762, 4031, 4032, 4033)
+                      for side in (-np.inf, np.inf)]
+
+
 class TestGenProfile:
     @pytest.mark.parametrize("kind", ["pv"])  # every kind gen-profile writes
     def test_writes_a_loadable_profile(self, kind, tmp_path):
@@ -356,9 +362,11 @@ class TestGenProfile:
         cfg = config_file(f"scenario.horizon_hours = 0\npv.source = csv\npv.csv_path = {out}\n")
         assert main(["run", str(cfg), "--out", str(tmp_path / "trace.csv"), "--quiet"]) == 0
 
-    @pytest.mark.parametrize("horizon", ["10.58", "10.5", "0.1", "0.17", "23.9999", "24", "71.95"])
+    @pytest.mark.parametrize("horizon", ["10.58", "10.5", "0.1", "0.17", "23.9999", "24", "71.95"]
+                             + NEXT_TO_GRID_TIMES)
     def test_profile_ends_at_the_first_grid_time_past_the_horizon(self, horizon, tmp_path):
-        # it used to round to the nearest step: --horizon 10.58 ended at 10.5
+        # it used to round to the nearest step: --horizon 10.58 ended at 10.5.  A
+        # horizon one float off a grid time is where horizon / dt may round across it
         out = tmp_path / "pv.csv"
         assert main(["gen-profile", "pv", str(out), "--horizon", horizon]) == 0
         t = load_profile_csv(out, non_negative=True).t

@@ -42,9 +42,9 @@ def ip_law(f_hat, y_ref_dot, e, alpha, kp):
 def kernel_estimate(t, y, u, alpha: float, dt: float):
     """F over the window at times t as the estimator's integral is written:
     -(6/tau^3) (dt/3) times the kernel row's sum; y and u are (c,) or (c, n)."""
-    ky, ku = estimator_kernel(np.asarray(t), len(t), alpha, dt)
+    ky, ku = estimator_kernel(len(t), alpha, dt)
     tau = (len(t) - 1) * dt
-    return -(6.0 / tau**3) * dt / 3.0 * (ky[0] @ np.asarray(y) + ku[0] @ np.asarray(u))
+    return -(6.0 / tau**3) * dt / 3.0 * (ky @ np.asarray(y) + ku @ np.asarray(u))
 
 
 def estimate(t, y, u, alpha: float, dt: float):
@@ -52,7 +52,7 @@ def estimate(t, y, u, alpha: float, dt: float):
     window part of the next period's row is -F_hat / alpha.  y and u are (c,) or (c, n)."""
     c = len(t)
     rows, _ = control_tables(np.append(t, t[-1] + dt), np.zeros(1), c, alpha, 1.0, 0.0, 0.0, dt)
-    return -alpha * (rows[c, :c, 0] @ np.asarray(y) + rows[c, :c, 1] @ np.asarray(u))
+    return -alpha * (rows[1, :c, 0] @ np.asarray(y) + rows[1, :c, 1] @ np.asarray(u))
 
 
 def table_law(rows, bias, k: int, y, u) -> float:
@@ -61,7 +61,7 @@ def table_law(rows, bias, k: int, y, u) -> float:
     c = rows.shape[1] - 1
     hist = np.zeros((c + k + 1, 2))  # c zero entries in front, as the run keeps them
     hist[c:, 0], hist[c:c + k, 1] = y[:k + 1], u[:k]
-    return float(np.sum(rows[k] * hist[k:]) + bias[k, 0])
+    return float(np.sum(rows[int(k >= c)] * hist[k:]) + bias[k, 0])
 
 
 def law_after_window(y, u, y_now, alpha=5.0, kp=2.0, setpoint=23.0, ramp_hours=0.0, y0=None):
@@ -193,16 +193,39 @@ class TestAlgebraicEstimator:
                         np.testing.assert_allclose(got, want, rtol=0, atol=FORMULA_TOLERANCE)
             monkeypatch.undo()
 
-    def test_kernel_rows_match_single_windows(self):
-        # the run's tables, built once over the whole time grid, hold the
-        # same coefficients as a table built from each window's own times
-        t = np.arange(40) * DT
-        ky, ku = estimator_kernel(t, 5, 5.0, DT)
-        assert ky.shape == ku.shape == (36, 5)
-        for j in range(36):
-            wy, wu = estimator_kernel(t[j:j + 5], 5, 5.0, DT)
-            assert np.array_equal(ky[j], wy[0]) and np.array_equal(ku[j], wu[0])
-        assert estimator_kernel(t[:4], 5, 5.0, DT)[0].shape == (0, 5)
+    def test_one_row_serves_every_period_past_the_window(self, monkeypatch):
+        # the law is time-invariant once the window fills: over four weeks each
+        # period k >= c reads bitwise the same row, whose window part is the
+        # kernel of the grid's first c times as the integral is written
+        # (the scale folded in), and each earlier one only -kp/alpha on its T1
+        tables, read = pvflock.simulate.control_tables, []
+
+        class Recorded(np.ndarray):
+            def __getitem__(self, key):
+                row = np.asarray(self)[key]
+                read.append(row.copy())
+                return row
+
+        def recording(*args):
+            rows, bias = tables(*args)
+            return rows.view(Recorded), bias
+
+        monkeypatch.setattr(pvflock.simulate, "control_tables", recording)
+        for c in (3, 5, 9):
+            cfg = ScenarioConfig(fleet=FleetConfig(n_buildings=2), horizon=672.0, window_capacity=c)
+            read.clear()
+            run_simulation(cfg)
+            assert len(read) == cfg.n_steps == 4032
+            t, alpha, tau = np.arange(cfg.n_steps) * DT, cfg.alpha, (c - 1) * DT
+            s = t[:c] - t[0]
+            simpson = np.r_[1.0, np.tile([4.0, 2.0], (c - 3) // 2), 4.0, 1.0]
+            kernel = np.stack([(tau - 2.0 * s) * simpson, alpha * s * (tau - s) * simpson], axis=-1)
+            law = np.zeros((c + 1, 2))
+            law[c, 0] = -cfg.kp / alpha
+            assert all(row.tobytes() == law.tobytes() for row in read[:c])
+            law[:c] = kernel * (6.0 / tau**3 * DT / 3.0 / alpha)
+            assert len({row.tobytes() for row in read[c:]}) == 1
+            assert read[c].tobytes() == law.tobytes()
 
     @settings(max_examples=200)
     @given(
@@ -289,7 +312,7 @@ class TestIpController:
         plant = scalar_plant(f0, alpha, y0=24.0)
         e = plant.y - 23.0
         for k in range(10):
-            u = rows[k, -1, 0] * plant.y + bias[k, 0] - f0 / alpha
+            u = rows[int(k >= 3), -1, 0] * plant.y + bias[k, 0] - f0 / alpha
             e_next = plant.step(u, DT) - 23.0
             assert e_next / e == pytest.approx(2.0 / 3.0, abs=1e-6)
             e = e_next

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -227,9 +230,8 @@ IP_ERROR = "computed iP control is not finite: controller.kp or controller.alpha
 
 
 def inject(monkeypatch, overflow_at=None, diverge_at=None, value=np.inf):
-    """Fault the run's tables: the control table's current-T1 coefficient of
-    period overflow_at becomes value, and a 100 MW internal gain forces period
-    diverge_at.
+    """Fault the run's tables: the bias of period overflow_at becomes value,
+    and a 100 MW internal gain forces period diverge_at.
 
     The forcing reaches the per-period loop too, so that loop's error text is
     the text the run must raise; returns it, or None if the loop runs clean.
@@ -240,7 +242,7 @@ def inject(monkeypatch, overflow_at=None, diverge_at=None, value=np.inf):
     def faulty_tables(*args):
         rows, bias = tables(*args)
         if overflow_at is not None:
-            rows[overflow_at, -1, 0] = value
+            bias[overflow_at] = value
         return rows, bias
 
     def huge_gain(t, params):
@@ -413,6 +415,7 @@ class TestTraceSerialization:
         trace = run_simulation(small_cfg(fleet=FleetConfig(n_buildings=130), horizon=72.0,
                                          pv=PvSourceConfig(peak=120.0)))
         path = tmp_path / "trace.csv"
+        pvflock.simulate._digit_tables()  # built on the first write, whichever test ran it
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -421,6 +424,26 @@ class TestTraceSerialization:
         finally:
             tracemalloc.stop()
         assert peak <= 2.28e6
+
+    def test_only_a_write_builds_the_digit_tables(self, tmp_path):
+        # import, gen-profile and metrics format no trace cell, so a fresh
+        # interpreter holds no digit table after them; the next write builds it
+        trace = tmp_path / "trace.csv"
+        write_trace(run_simulation(small_cfg()), trace)
+        code = "\n".join([
+            "import pvflock, pvflock.simulate",
+            "from pvflock.cli import main",
+            "cached = pvflock.simulate._digit_tables.cache_info",
+            f"assert main(['gen-profile', 'pv', {str(tmp_path / 'pv.csv')!r}]) == 0",
+            f"assert main(['metrics', {str(trace)!r}]) == 0",
+            "print(cached().currsize)",
+            f"pvflock.write_trace(pvflock.read_trace({str(trace)!r}), {str(tmp_path / 'again.csv')!r})",
+            "print(cached().currsize)",
+        ])
+        src = str(Path(pvflock.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout.splitlines()[-2:] == ["0", "1"]
 
     def test_lf_line_endings_and_flag_format(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -525,13 +548,13 @@ class TestCellFormat:
     def test_every_digit_group_is_written_as_percent_g_writes_it(self):
         # at each exponent from -4 to 5, each positive and negative: every high group with
         # the low groups 000, 001, 010 and 100, every low group with the high groups 100
-        # and 200, and one cell within 1e-6 of a tie; and 0.  A cell ORs its _HI and _LO
+        # and 200, and one cell within 1e-6 of a tie; and 0.  A cell ORs its hi_rows and lo_rows
         # entries, so a wrong bit in one hides under the same bit of the other.  At each
         # byte these partners set the fewest bits any partner sets: low group 000 sets "0"
         # and "." only at bytes every high group fills; high groups 100 and 200 set NUL
         # where "%.6g" drops a zero or the point, "0" at the other digits but the first,
         # and there "1" or "2", whose low bits differ.  "%.6g" writes a tie but for its
-        # separator byte, which ORs in _HI's row of high group 000: at exponents other
+        # separator byte, which ORs in hi_rows's row of high group 000: at exponents other
         # than 0 only a tie reads that row, and 0 reads it at 0.  A positive cell shows
         # the sign's byte, and of a cell and its negation one is not at a row's end, where
         # "\n" replaces the separator.  So a wrong bit that some cell can show shows here.
