@@ -1,6 +1,6 @@
 """End-to-end runs, trace write and read, the trace writer's digit tables, the
 run-constant and metrics stages, the iP law's tables, the plant's period map, one
-fused control period, and the one check of a run's guards."""
+fused control period, and the run's one range check over its reached states."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from pvflock.control import control_tables
 from pvflock.coordinator import building_bounds
 from pvflock.plant import BuildingParams, check_sane, transition_map
 from pvflock.scenario import synth_disturbances
-from pvflock.simulate import _FORMAT_BLOCK, _check_block, _digit_tables, _format_cells, build_fleet
+from pvflock.simulate import _FORMAT_BLOCK, _digit_tables, _format_cells, build_fleet
 
 
 @pytest.mark.parametrize("n, horizon_h, csv", [
@@ -164,11 +164,9 @@ def test_sanity_check(benchmark, period):
     benchmark(check_sane, period["states"], 12.0)
 
 
-def test_block_check(benchmark, period):
-    # a 72 h run's raw controls and reached states, all passing: the run's usual case
+def test_run_sanity_check(benchmark, period):
+    # a 72 h run's reached states, all sane: the run's usual case
     cfg, states = period["cfg"], period["states"]
-    steps, n = cfg.n_steps, states.shape[1]
-    u_raw = np.random.default_rng(1).uniform(-3.0, 0.0, (steps, n))
-    reached = np.broadcast_to(states, (steps, 3, n)).copy()
-    t_next = (np.arange(steps) + 1) * cfg.fleet.sample_dt
-    benchmark(_check_block, u_raw, reached, t_next)
+    reached = np.broadcast_to(states, (cfg.n_steps, *states.shape)).copy()
+    t_next = (np.arange(cfg.n_steps) + 1) * cfg.fleet.sample_dt
+    benchmark(check_sane, reached, t_next)

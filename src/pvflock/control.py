@@ -38,8 +38,9 @@ applied after any clamping, so saturation cannot wind up the estimate.
 
 These functions trust the settings they are given: alpha, kp and the
 window size were checked once, when the ScenarioConfig holding them was
-built.  A finite setting can still overflow a table (kp = 1e308 or
-alpha = 1e-308); run_simulation checks each raw control it computes.
+built.  A finite setting can still overflow the law (kp = 1e308 or
+alpha = 1e-308); run_simulation bounds every raw control from these tables
+before its first period, and rejects a law whose bound leaves float range.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ array (T1, T2, T3) and a fleet is a (3, n) block with one column per
 building.  transition_map trusts its settings: BuildingParams checks the
 constants when it is built and FleetConfig checks the period.  check_sane
 guards the computed states with one min and one max test, over one
-period's (3, n) block or over a stack of them.
+period's (3, n) block or over a stack of them, which may be empty.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def check_sane(states: np.ndarray, t) -> None:
     """
     lo, hi = SANITY_RANGE
     # NaN fails both comparisons, so it takes the naming path too
-    if lo <= states.min() and states.max() <= hi:
+    if lo <= states.min(initial=lo) and states.max(initial=hi) <= hi:
         return
     blocks = states.reshape(-1, 3, states.shape[-1])
     ok = np.all((blocks >= lo) & (blocks <= hi), axis=1)

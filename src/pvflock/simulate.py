@@ -17,12 +17,13 @@ then writes three statements into the history:
            into the next entry's T1, T2 and T3 rows
 
 The trace's t1, t2, t3 and u are views of z; p = -u and the clamp flags
-(u != raw) follow after the loop.  The run's two guards, that every raw iP
-control is finite and that every state stays in the sane range, run once
-after the loop (_check_block), over every raw control and reached state,
-and raise the error of the first failing period, a period's control before
-its plant step, as a check after each period would; a failing run thus
-runs to its end first, which takes no longer than a run that passes.
+(u != raw) follow after the loop.  The run has one guard before the loop
+and one after.  A window holds only zeros, the initial state, reached
+states and clamped controls, so while every state is sane the law's tables
+bound every raw control; a finite setting whose bound leaves float range
+(kp = 1e308, alpha = 1e-308) fails before the first period.  After the
+loop, check_sane tests every reached state at once and names the first
+period that left the sane range: no raw control can fail before it does.
 Initial air temperatures are drawn uniformly from the configured range with
 a seeded generator; interior mass starts at the air temperature and the wall
 core one degree above, so a hot start really is a hot building.
@@ -51,7 +52,7 @@ import numpy as np
 from .control import control_tables
 from .coordinator import building_bounds
 from .errors import ConfigurationError
-from .plant import check_sane, transition_map
+from .plant import SANITY_RANGE, check_sane, transition_map
 from .scenario import ScenarioConfig, load_profile_csv, read_csv_table, synth_disturbances, synth_pv
 
 
@@ -94,10 +95,10 @@ def build_fleet(cfg: ScenarioConfig) -> np.ndarray:
 def run_simulation(cfg: ScenarioConfig) -> SimulationTrace:
     """Run the configured scenario.
 
-    Raises ConfigurationError when a computed iP control is not finite, and
-    PlantDivergenceError naming the first building whose state leaves the
-    sane temperature range; the error raised is the first in period order.
-    Both are checked after the last period, so a failing run takes as long as one that passes.
+    Raises ConfigurationError before the first period when the iP law's
+    tables do not bound every raw control of sane states within float range,
+    and PlantDivergenceError after the last period, naming the first building
+    whose state left the sane temperature range.
     """
     n, steps, dt = cfg.fleet.n_buildings, cfg.n_steps, cfg.fleet.sample_dt
     c = min(cfg.window_capacity, steps)  # a window longer than the run never fills
@@ -116,12 +117,19 @@ def run_simulation(cfg: ScenarioConfig) -> SimulationTrace:
     z = np.zeros((steps + c + 1, 4, n))
     z[c, :3] = build_fleet(cfg)
     raw, f = np.empty((steps, n)), np.empty((3, n))
-    # a finite setting can overflow the iP law (kp = 1e308); _check_block
-    # tests every control and state, so numpy's warnings would only repeat
-    # its one error
+    # a finite setting can overflow the law's tables (kp = 1e308) and a diverging
+    # plant its states; the guards raise one error for each, which numpy's warnings
+    # would only repeat
     with np.errstate(over="ignore", invalid="ignore"):
         rows, bias = control_tables(t, z[c, 0], c, cfg.alpha, cfg.kp, cfg.setpoint,
                                     cfg.ramp_hours, dt)
+        # |T1| <= 60 while the states are sane and |u| <= hvac_max once clamped
+        bound = np.abs(rows).max(axis=0).sum(axis=0) @ [np.abs(SANITY_RANGE).max(),
+                                                         cfg.fleet.hvac_max]
+        if not bound + np.abs(bias).max(initial=0.0) < np.finfo(float).max / 2:
+            raise ConfigurationError(
+                "computed iP control is not finite: controller.kp or controller.alpha overflows it"
+            )
         for k in range(steps):
             x, x_next, r = z[k + c], z[k + c + 1, :3], raw[k]
             np.einsum("ij,ijn->n", rows[int(k >= c)], z[k:k + c + 1, ::3], out=r)
@@ -133,31 +141,12 @@ def run_simulation(cfg: ScenarioConfig) -> SimulationTrace:
             f += cw[k]
             np.einsum("ij,jn->in", s, f, out=x_next)
             x_next += x[:3]
-        _check_block(raw, z[c + 1:, :3], t + dt)
+        check_sane(z[c + 1:, :3], t + dt)
     t1, t2, t3, u = z[c:steps + c].transpose(1, 0, 2)
     clamped = u != raw
     p = np.negative(u, out=raw)  # the raw controls are spent: their array takes p
     return SimulationTrace(n, t, pv, p.sum(axis=1), band_lo, band_hi, infeasible,
                            t1, t2, t3, u, p, clamped)
-
-
-def _check_block(u_raw: np.ndarray, states: np.ndarray, t_next: np.ndarray) -> None:
-    """Check a block of periods, the whole run in run_simulation: their raw
-    controls, and the states their plant steps reached at the times t_next.
-
-    Raises the first failing period's error.  A period's control is checked
-    before its plant step, so the states are checked up to the first period
-    whose control is not finite, and that period's ConfigurationError is
-    raised only if none of them left the sane range.
-    """
-    finite = np.isfinite(u_raw).all(axis=1)
-    k = len(finite) if finite.all() else int(np.argmin(finite))
-    if k:
-        check_sane(states[:k], t_next[:k])
-    if k < len(finite):
-        raise ConfigurationError(
-            "computed iP control is not finite: controller.kp or controller.alpha overflows it"
-        )
 
 
 # ---------------------------------------------------------------------------

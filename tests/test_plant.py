@@ -248,6 +248,10 @@ class TestEquilibrium:
         with pytest.raises(PlantDivergenceError, match=r"^building 3 left the sane range at t = 1\.0000 h"):
             check_sane(states, np.array([0.5, 0.75, 1.0, 1.25]))
 
+    def test_sanity_guard_passes_an_empty_stack(self):
+        # a run of no steps reaches no state: its (0, 3, n) stack has no min or max
+        check_sane(np.empty((0, 3, 5)), np.empty(0))
+
     def test_diverging_period_is_flagged(self):
         hot = np.full((3, 1), 59.9)
         blazing = np.array([45.0, 2.0, 50.0])

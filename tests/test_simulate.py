@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import loop_oracle
 from loop_oracle import run_simulation_reference
@@ -154,13 +154,13 @@ class TestRunSimulation:
         profile = tmp_path / "pv.csv"
         assert main(["gen-profile", "pv", str(profile), "--horizon", "24"]) == 0
         blocks = []
-        check = pvflock.simulate._check_block
+        check = pvflock.simulate.check_sane
 
-        def counting_check(raw, states, t_next):
+        def counting_check(states, t_next):
             blocks.append(states.shape)
-            return check(raw, states, t_next)
+            return check(states, t_next)
 
-        monkeypatch.setattr(pvflock.simulate, "_check_block", counting_check)
+        monkeypatch.setattr(pvflock.simulate, "check_sane", counting_check)
         cfg = ScenarioConfig(pv=PvSourceConfig(kind="csv", csv_path=str(profile)))
         with pytest.raises(ProfileError, match=r"outside the profile span \[0\.0, 24\.0\] h"):
             run_simulation(cfg)
@@ -269,8 +269,9 @@ OVERFLOWS = [pytest.param(value, period, id=f"{name}{period}")
 
 
 class TestBlockChecks:
-    """The iP guard and the range check run once, over the whole run as one
-    block of periods, and still raise the error of the first failing period."""
+    """The iP guard runs once before the loop, on the law's tables; the range
+    check runs once after it, over the whole run as one block of periods, and
+    still raises the error of the first failing period."""
 
     @pytest.mark.parametrize("value, period", OVERFLOWS)
     def test_overflow_in_any_period(self, value, period, monkeypatch):
@@ -286,34 +287,63 @@ class TestBlockChecks:
             run_simulation(BLOCKED)
 
     @pytest.mark.parametrize("overflow_at, diverge_at", [(70, 90), (90, 70), (80, 80), (64, 127)])
-    def test_both_in_one_block_raise_the_earlier(self, overflow_at, diverge_at, monkeypatch):
-        # within a period the control is checked before the plant step
+    def test_a_non_finite_bias_wins_over_any_divergence(self, overflow_at, diverge_at, monkeypatch):
+        # the guard reads the whole bias column before the first period, so a
+        # non-finite entry wins wherever it sits, also after the period that diverges
         text = inject(monkeypatch, overflow_at=overflow_at, diverge_at=diverge_at)
-        if overflow_at <= diverge_at:
-            with pytest.raises(ConfigurationError, match=f"^{re.escape(IP_ERROR)}$"):
-                run_simulation(BLOCKED)
-        else:
-            with pytest.raises(PlantDivergenceError, match=f"^{re.escape(text)}$"):
-                run_simulation(BLOCKED)
-
-    def test_a_block_runs_to_its_end_before_it_is_checked(self, monkeypatch):
-        # the run is checked once its last period ran: every plant step ran,
-        # after period 64's overflow too, before the check stops the run
-        assert BLOCKED.n_steps == 150
-        inject(monkeypatch, overflow_at=64)
-        reached = []
-        check = pvflock.simulate._check_block
-
-        def recording(raw, states, t_next):
-            reached.append(states.copy())
-            return check(raw, states, t_next)
-
-        monkeypatch.setattr(pvflock.simulate, "_check_block", recording)
-        with pytest.raises(ConfigurationError):
+        assert f"left the sane range at t = {(diverge_at + 1) / 6:.4f} h" in text
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(IP_ERROR)}$"):
             run_simulation(BLOCKED)
-        assert [len(states) for states in reached] == [150]
-        # every plant step ran: no state is left at the history's zeros
-        assert np.all(reached[0] > 10.0) and np.all(np.isfinite(reached[0]))
+
+    def test_an_overflowing_law_raises_before_the_first_plant_step(self, monkeypatch):
+        # the last period's bias overflows and the first plant step diverges: the
+        # guard raises before the loop reads any period's bias, and no state is checked
+        inject(monkeypatch, overflow_at=149, diverge_at=0)
+        tables = pvflock.simulate.control_tables
+        read, checked = [], []
+
+        class LoggedBias(np.ndarray):
+            def __getitem__(self, key):
+                read.append(key)
+                return super().__getitem__(key)
+
+        def logged_tables(*args):
+            rows, bias = tables(*args)
+            return rows, bias.view(LoggedBias)
+
+        monkeypatch.setattr(pvflock.simulate, "control_tables", logged_tables)
+        monkeypatch.setattr(pvflock.simulate, "check_sane", lambda *args: checked.append(args))
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(IP_ERROR)}$"):
+            run_simulation(BLOCKED)
+        assert read == [] and checked == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(kp_exponent=st.floats(-3.0, 308.0), alpha_exponent=st.floats(-308.0, 308.0),
+           ramp=st.sampled_from([0.0, 3.0]))
+    # finite tables whose window kernel overflows on sane states, to -inf + inf = NaN:
+    # a guard that only checks the tables are finite lets this run diverge
+    @example(kp_exponent=-3.0, alpha_exponent=-307.0, ramp=0.0)
+    def test_a_law_the_guard_passes_computes_only_finite_controls(self, kp_exponent,
+                                                                   alpha_exponent, ramp):
+        # kp and alpha log-uniform over their whole float range: either the run
+        # rejects the law, or the per-period loop, which raises the iP error at its
+        # first non-finite control, ends as the run does
+        cfg = small_cfg(kp=10.0 ** kp_exponent, alpha=10.0 ** alpha_exponent, ramp_hours=ramp,
+                        horizon=6.0)
+
+        def divergence(run):
+            try:
+                run(cfg)
+            except PlantDivergenceError as err:
+                return str(err)
+            return None
+
+        try:
+            verdict = divergence(run_simulation)
+        except ConfigurationError as err:
+            assert str(err) == IP_ERROR
+            return
+        assert divergence(run_simulation_reference) == verdict
 
 
 class TestBuildFleet:
