@@ -1,11 +1,13 @@
-"""End-to-end runs, trace write and read, the trace writer's digit tables, the
-run-constant and metrics stages, the iP law's tables, the plant's period map, one
-fused control period, and the run's one range check over its reached states."""
+"""End-to-end runs, trace write and read, the trace writer's digit tables, the PV
+profile load, the run-constant and metrics stages, the iP law's tables, the plant's
+period map, one fused control period, and the run's one range check over its
+reached states."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from inputs import cloudy_pv_csv
 
 from pvflock import compute_metrics, load_profile_csv, read_trace, run_simulation, write_trace
 from pvflock.control import control_tables
@@ -64,6 +66,15 @@ def test_digit_tables(benchmark):
     # built on the first write of a process and cached: time the build, not a cache hit
     hi, lo = benchmark(_digit_tables.__wrapped__)
     assert hi.shape == lo.shape == (10000, 2)
+
+
+def test_load_profile_csv(benchmark, tmp_path):
+    # the long_horizon_csv workload's PV input: four weeks of cloudy 12 kW PV at seed 1
+    text, _, values = cloudy_pv_csv(1, 672.0, 12.0)
+    path = tmp_path / "pv.csv"
+    path.write_text(text)
+    profile = benchmark(load_profile_csv, path, non_negative=True)
+    assert np.array_equal(profile.values, values)
 
 
 @pytest.fixture(params=[130, 1300], ids=["130x72h", "1300x72h"])

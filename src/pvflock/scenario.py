@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -102,59 +103,69 @@ class Profile:
 
 
 def load_profile_csv(path: str | Path, *, non_negative: bool = False) -> Profile:
-    """Read a "t_hours,value" CSV; optionally reject negative values (PV)."""
-    table, lines = read_csv_table(
+    """Read a "t_hours,value" CSV; optionally reject negative values (PV).
+
+    File lines are counted only to name a non-finite or negative row.
+    """
+    table = read_csv_table(
         path, "profile",
         lambda fields: None if fields == ["t_hours", "value"]
         else "first line must be the header 't_hours,value'",
     )
-    bad = ~np.isfinite(table).all(axis=1) | (non_negative & (table[:, 1] < 0))
+    t, values = table.T  # one check per column: .all(axis=1) over rows of two is 4x slower
+    bad = ~(np.isfinite(t) & np.isfinite(values)) | (non_negative & (values < 0))
     if bad.any():
         i = int(np.argmax(bad))
         kind = "non-finite or negative" if non_negative else "non-finite"
-        raise ProfileError(f"{path}:{lines[i]}: {kind} row {table[i].tolist()}")
-    return Profile(table[:, 0], table[:, 1])
+        with open(path) as fh:
+            lineno, _ = next(islice(_nonblank(fh), i + 1, None))
+        raise ProfileError(f"{path}:{lineno}: {kind} row {table[i].tolist()}")
+    return Profile(t, values)
 
 
 def read_csv_table(
     path: str | Path, what: str, header_error: Callable[[list[str]], str | None]
-) -> tuple[np.ndarray, list[int]]:
+) -> np.ndarray:
     """Read a numeric CSV: a header line, then rows of one number per header field.
 
     Blank lines are skipped, whitespace around a cell or a header field is
     ignored and '#' is not a comment.  header_error(fields) sees the header
     before any row is parsed and returns why it is rejected, or None.
-    Returns the (rows, fields) table and each row's file line; errors name
-    the file line.
+    Returns the (rows, fields) table.  A well-formed file is one loadtxt pass
+    over the lines after its header; the lines are filtered one by one only
+    when that pass raises, and file lines are counted only to name a bad row.
     """
     path = Path(path)
-    lines: list[int] = []
     try:
         with open(path) as fh:
-            rows = _nonblank(fh, lines)
-            fields = "".join(next(rows, "").split()).split(",")
+            fields = "".join(next((line for line in fh if line.strip()), "").split()).split(",")
             reason = header_error(fields)
             if reason:
                 raise ProfileError(f"{path}: {reason}")
-            with warnings.catch_warnings():
-                # a header-only file is empty, which loadtxt warns about
-                warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+            try:
+                table = _loadtxt(fh)  # loadtxt skips empty lines and spaces around cells itself
+            except ValueError:  # a line of only spaces or tabs, or a bad row
+                fh.seek(0)
+                table = _loadtxt(line for _, line in islice(_nonblank(fh), 1, None))
     except (OSError, UnicodeDecodeError) as exc:  # a ValueError, but no row is at fault
         raise ProfileError(f"cannot read {what} {path}: {exc}") from exc
     except ValueError:
         table = None
     if table is None or (table.size and table.shape[1] != len(fields)):
         raise ProfileError(_first_bad_row(path, len(fields)))
-    return table.reshape(-1, len(fields)), lines[1:]  # a header-only file reads as (0, 1)
+    return table.reshape(-1, len(fields))  # a header-only file reads as (0, 1)
 
 
-def _nonblank(fh, lines: list[int]) -> Iterator[str]:
-    """The lines of fh that are not blank; appends each one's file line to lines."""
-    for lineno, line in enumerate(fh, start=1):
-        if line.strip():
-            lines.append(lineno)
-            yield line
+def _loadtxt(rows: Iterable[str]) -> np.ndarray:
+    with warnings.catch_warnings():
+        # a header-only file is empty, which loadtxt warns about
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+
+
+def _nonblank(fh) -> Iterator[tuple[int, str]]:
+    """Each line of fh that is not blank, with its file line."""
+    return ((lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip())
 
 
 def _first_bad_row(path: Path, width: int) -> str:
@@ -163,17 +174,14 @@ def _first_bad_row(path: Path, width: int) -> str:
     Only runs once the whole-file parse has failed, and parses each row the
     same way; loadtxt's own messages do not count the lines of the file.
     """
-    lines: list[int] = []
     with open(path) as fh:
-        rows = _nonblank(fh, lines)
-        next(rows)  # the header
-        for row in rows:
+        for lineno, row in islice(_nonblank(fh), 1, None):  # after the header
             if len(row.split(",")) != width:
-                return f"{path}:{lines[-1]}: expected {width} fields"
+                return f"{path}:{lineno}: expected {width} fields"
             try:
                 np.loadtxt([row], delimiter=",", comments=None)
             except ValueError as exc:
-                return f"{path}:{lines[-1]}: non-numeric field: {str(exc).partition(' at row')[0]}"
+                return f"{path}:{lineno}: non-numeric field: {str(exc).partition(' at row')[0]}"
     return f"{path}: unreadable"
 
 

@@ -356,7 +356,7 @@ def _trace_header_error(fields: list[str]) -> str | None:
 
 def read_trace(path: str | Path) -> SimulationTrace:
     """Load a trace CSV back into arrays (used by the metrics subcommand)."""
-    data, _ = read_csv_table(path, "trace", _trace_header_error)
+    data = read_csv_table(path, "trace", _trace_header_error)
     n = data.shape[1] // 6 - 1
     # file order: the six fleet columns, then six per building
     t, pv, sum_p, band_lo, band_hi, infeasible = data[:, :6].T

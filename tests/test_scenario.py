@@ -8,6 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import pvflock.scenario
 from pvflock import (
     BuildingParams,
     ConfigurationError,
@@ -178,6 +179,28 @@ class TestProfile:
         path.write_text("t_hours,value\n0,0\n\n1,1\n2,oops\n")
         with pytest.raises(ProfileError, match=":5:"):
             load_profile_csv(path)
+
+    def test_csv_names_the_file_line_of_a_rejected_value(self, tmp_path):
+        # blank and whitespace-only lines before the row count as file lines
+        path = tmp_path / "pv.csv"
+        path.write_text("t_hours,value\n\n0,1\n \t\n1,-0.5\n")
+        with pytest.raises(ProfileError, match=r"pv\.csv:5: non-finite or negative row \[1\.0, -0\.5\]"):
+            load_profile_csv(path, non_negative=True)
+        path.write_text("\n t_hours,value\r\n0,1\r\n\r\n  \r\n1,2\r\n\t\r\n2,nan\r\n")
+        with pytest.raises(ProfileError, match=r"pv\.csv:8: non-finite row \[2\.0, nan\]"):
+            load_profile_csv(path)
+
+    def test_well_formed_csv_loads_in_one_pass(self, tmp_path, monkeypatch):
+        # empty lines, CRLF endings and spaces around cells need no line-by-line filter
+        def line_by_line(*args):
+            raise AssertionError("the line-by-line parser ran")
+
+        monkeypatch.setattr(pvflock.scenario, "_nonblank", line_by_line)
+        path = tmp_path / "pv.csv"
+        path.write_bytes(b"\r\nt_hours,value\r\n0, 1\r\n\r\n 0.5 ,2\r\n1,3")
+        prof = load_profile_csv(path, non_negative=True)
+        np.testing.assert_array_equal(prof.t, [0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(prof.values, [1.0, 2.0, 3.0])
 
     def test_csv_non_numeric_row(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import loop_oracle
 from loop_oracle import run_simulation_reference
 
+import pvflock.scenario
 import pvflock.simulate
 from pvflock import (
     ConfigurationError,
@@ -493,6 +494,29 @@ class TestTraceSerialization:
             back = read_trace(path)
         assert back.n_steps == 0 and back.n_buildings == 3
         assert back.t1.shape == (0, 3) and back.clamped.dtype == bool
+
+    def test_written_trace_reads_in_one_pass(self, tmp_path, monkeypatch):
+        def line_by_line(*args):
+            raise AssertionError("the line-by-line parser ran")
+
+        path = tmp_path / "trace.csv"
+        write_trace(run_simulation(small_cfg()), path)
+        expected = read_trace(path)
+        monkeypatch.setattr(pvflock.scenario, "_nonblank", line_by_line)
+        back = read_trace(path)
+        for name in TRACE_ARRAYS:
+            assert np.array_equal(getattr(back, name), getattr(expected, name)), name
+
+    def test_crlf_and_whitespace_only_lines_read_as_the_clean_file(self, tmp_path):
+        clean = tmp_path / "trace.csv"
+        write_trace(run_simulation(small_cfg()), clean)
+        lines = clean.read_bytes().splitlines()
+        messy = tmp_path / "messy.csv"
+        messy.write_bytes(b"\r\n".join(lines[:3] + [b" \t "] + lines[3:] + [b""]))
+        a, b = read_trace(clean), read_trace(messy)
+        assert a.n_steps == b.n_steps == len(lines) - 1
+        for name in TRACE_ARRAYS:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_read_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "junk.csv"
