@@ -11,9 +11,9 @@ with h = t mod 24.  Real measurements can replace the PV shape through a
 two-column CSV (header "t_hours,value", strictly increasing times, linear
 interpolation between rows, so a log with gaps loads as it is).  None of
 these inputs depends on the fleet's state, so a run evaluates each one once
-over its whole time grid: the synthetic functions and Profile.value_at take
-an array of times, and a profile that does not cover the grid fails before
-anything is simulated.
+over its whole time grid: pv_output (the configured PV source), the
+synthetic functions and Profile.value_at take an array of times, and a
+profile that does not cover the grid fails before anything is simulated.
 
 Config files are flat "section.key = value" text; see CONFIG_KEYS for the
 schema.  Unknown keys are rejected so typos cannot silently fall back to
@@ -80,6 +80,15 @@ def synth_pv(t, peak: float):
     return peak * _solar_shape(np.mod(t, 24.0))
 
 
+def pv_output(t, pv: PvSourceConfig) -> np.ndarray:
+    """PV output (kW) at times t from pv's source: its CSV profile, the bell or zeros."""
+    if pv.kind == "csv":
+        return load_profile_csv(pv.csv_path, non_negative=True).value_at(t)
+    if pv.kind == "synthetic":
+        return synth_pv(t, pv.peak)
+    return np.zeros(np.shape(t))
+
+
 class Profile:
     """Scalar profile at strictly increasing times, linearly interpolated."""
 
@@ -128,9 +137,9 @@ def read_csv_table(
 ) -> np.ndarray:
     """Read a numeric CSV: a header line, then rows of one number per header field.
 
-    Blank lines are skipped, whitespace around a cell or a header field is
-    ignored and '#' is not a comment.  header_error(fields) sees the header
-    before any row is parsed and returns why it is rejected, or None.
+    Blank lines are skipped, whitespace around (not inside) a cell or a header
+    field is ignored and '#' is not a comment.  header_error(fields) sees the
+    header before any row is parsed and returns why it is rejected, or None.
     Returns the (rows, fields) table.  A well-formed file is one loadtxt pass
     over the lines after its header; the lines are filtered one by one only
     when that pass raises, and file lines are counted only to name a bad row.
@@ -138,7 +147,7 @@ def read_csv_table(
     path = Path(path)
     try:
         with open(path) as fh:
-            fields = "".join(next((line for line in fh if line.strip()), "").split()).split(",")
+            fields = [f.strip() for f in next((line for line in fh if line.strip()), "").split(",")]
             reason = header_error(fields)
             if reason:
                 raise ProfileError(f"{path}: {reason}")
@@ -187,7 +196,7 @@ def _first_bad_row(path: Path, width: int) -> str:
 
 @dataclass(frozen=True)
 class PvSourceConfig:
-    """Where the PV profile comes from: 'synthetic' (peak) or 'csv' (path)."""
+    """Where pv_output takes the PV from: 'synthetic' (peak), 'csv' (path) or 'off'."""
 
     kind: str = "synthetic"
     peak: float = 12.0
@@ -230,8 +239,8 @@ class ScenarioConfig:
         steps = self.horizon / self.fleet.sample_dt
         if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ConfigurationError("horizon must be a finite multiple of the sampling interval")
-        if not self.comfort_low < self.setpoint < self.comfort_high:
-            raise ConfigurationError("need comfort_low < setpoint < comfort_high")
+        if not -math.inf < self.comfort_low < self.setpoint < self.comfort_high < math.inf:
+            raise ConfigurationError("need finite comfort_low < setpoint < comfort_high")
         # build_fleet starts the wall core 1 degC above T1; NaN fails the comparison too
         lo, hi = SANITY_RANGE
         if not (lo <= self.initial_t1_low and self.initial_t1_high + 1.0 <= hi):

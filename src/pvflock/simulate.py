@@ -1,9 +1,9 @@
 """Fleet simulation driver, trace serialization and scenario metrics.
 
 A run first computes everything that depends only on the time grid and the
-settings: the times, the PV output, the aggregate band with the
-per-building bounds, the (steps, 3) disturbance forcing C w, the plant's
-transition map and the iP law's tables (control.control_tables).  The
+settings: the times, the PV output (scenario.pv_output), the aggregate band
+with the per-building bounds, the (steps, 3) disturbance forcing C w, the
+plant's transition map and the iP law's tables (control.control_tables).  The
 fleet's history lives in one (steps + c + 1, 4, N) array z: entry c + k
 holds the rows T1, T2, T3 and u of period k, and the first c entries are
 zeros, so period k's window z[k .. k + c] always exists.  A control period
@@ -44,7 +44,7 @@ A (config, seed) pair fully determines every byte of the trace.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +53,7 @@ from .control import control_tables
 from .coordinator import building_bounds
 from .errors import ConfigurationError
 from .plant import SANITY_RANGE, check_sane, transition_map
-from .scenario import ScenarioConfig, load_profile_csv, read_csv_table, synth_disturbances, synth_pv
+from .scenario import ScenarioConfig, pv_output, read_csv_table, synth_disturbances
 
 
 @dataclass
@@ -103,12 +103,7 @@ def run_simulation(cfg: ScenarioConfig) -> SimulationTrace:
     n, steps, dt = cfg.fleet.n_buildings, cfg.n_steps, cfg.fleet.sample_dt
     c = min(cfg.window_capacity, steps)  # a window longer than the run never fills
     t = np.arange(steps) * dt
-    if cfg.pv.kind == "csv":
-        pv = load_profile_csv(cfg.pv.csv_path, non_negative=True).value_at(t)
-    elif cfg.pv.kind == "synthetic":
-        pv = synth_pv(t, cfg.pv.peak)
-    else:
-        pv = np.zeros(steps)
+    pv = pv_output(t, cfg.pv)
     band_lo, band_hi, lo, hi, infeasible = building_bounds(pv, cfg.fleet)
     u_lo, u_hi = -hi, -lo
     tm = transition_map(cfg.building, dt)
@@ -159,17 +154,18 @@ _EPS_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Scenario-level summary; tracking fields are None when PV never ran."""
+    """Scenario-level summary, a field per printed key; tracking fields are None without PV."""
 
     empty: bool
     comfort_violation_steps: int
-    comfort_max_depth: float
-    tracking_rms: float | None
+    comfort_max_depth_c: float
+    tracking_rms_kw: float | None
     tracking_within_eps_pct: float | None
-    peak_sum_p: float
+    peak_sum_p_kw: float
     infeasible_steps: int
 
     def lines(self) -> list[str]:
+        """One "key=value" line per field, in field order."""
         def fmt(value) -> str:
             if value is None:
                 return "n/a"
@@ -179,15 +175,7 @@ class MetricsReport:
                 return str(value)
             return f"{value:.6g}"
 
-        return [
-            f"empty={fmt(self.empty)}",
-            f"comfort_violation_steps={fmt(self.comfort_violation_steps)}",
-            f"comfort_max_depth_c={fmt(self.comfort_max_depth)}",
-            f"tracking_rms_kw={fmt(self.tracking_rms)}",
-            f"tracking_within_eps_pct={fmt(self.tracking_within_eps_pct)}",
-            f"peak_sum_p_kw={fmt(self.peak_sum_p)}",
-            f"infeasible_steps={fmt(self.infeasible_steps)}",
-        ]
+        return [f"{f.name}={fmt(getattr(self, f.name))}" for f in fields(self)]
 
 
 def compute_metrics(trace: SimulationTrace, *, epsilon: float, comfort_low: float,
@@ -222,10 +210,10 @@ def compute_metrics(trace: SimulationTrace, *, epsilon: float, comfort_low: floa
     return MetricsReport(
         empty=empty,
         comfort_violation_steps=violation_steps,
-        comfort_max_depth=max_depth,
-        tracking_rms=rms,
+        comfort_max_depth_c=max_depth,
+        tracking_rms_kw=rms,
         tracking_within_eps_pct=within,
-        peak_sum_p=0.0 if empty else float(trace.sum_p.max()),
+        peak_sum_p_kw=0.0 if empty else float(trace.sum_p.max()),
         infeasible_steps=int(np.count_nonzero(trace.infeasible)),
     )
 

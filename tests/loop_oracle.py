@@ -18,7 +18,7 @@ from pvflock import ConfigurationError, PlantDivergenceError, SimulationTrace
 from pvflock.control import estimator_kernel
 from pvflock.coordinator import building_bounds
 from pvflock.plant import SANITY_RANGE, transition_map
-from pvflock.scenario import load_profile_csv, synth_disturbances, synth_pv
+from pvflock.scenario import pv_output, synth_disturbances
 from pvflock.simulate import build_fleet
 
 
@@ -27,12 +27,7 @@ def run_simulation_reference(cfg) -> SimulationTrace:
     n, steps, dt = cfg.fleet.n_buildings, cfg.n_steps, cfg.fleet.sample_dt
     c, alpha, kp = cfg.window_capacity, cfg.alpha, cfg.kp
     t = np.arange(steps) * dt
-    if cfg.pv.kind == "csv":
-        pv = load_profile_csv(cfg.pv.csv_path, non_negative=True).value_at(t)
-    elif cfg.pv.kind == "synthetic":
-        pv = synth_pv(t, cfg.pv.peak)
-    else:
-        pv = np.zeros(steps)
+    pv = pv_output(t, cfg.pv)
     band_lo, band_hi, lo, hi, infeasible = building_bounds(pv, cfg.fleet)
     tm = transition_map(cfg.building, dt)
     cw = synth_disturbances(t, cfg.disturbance) @ tm.c.T

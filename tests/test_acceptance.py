@@ -56,7 +56,7 @@ def test_criterion_1_regulation_comfort_and_runtime():
         walls.append(wall)
     report = scenario_metrics(trace, cfg)
     assert report.comfort_violation_steps == 0
-    assert report.comfort_max_depth == 0.0
+    assert report.comfort_max_depth_c == 0.0
     assert np.all(trace.p >= -1e-12) and np.all(trace.p <= 3.0 + 1e-12)
     wall = min(walls)
     assert wall < 1.0
@@ -74,14 +74,14 @@ def test_criterion_2_pv_tracking_quality():
     report = scenario_metrics(trace, cfg)
     assert report.tracking_within_eps_pct is not None
     assert report.tracking_within_eps_pct >= 95.0
-    assert report.tracking_rms is not None and report.tracking_rms <= 1.0
-    assert report.comfort_max_depth <= 0.5
+    assert report.tracking_rms_kw is not None and report.tracking_rms_kw <= 1.0
+    assert report.comfort_max_depth_c <= 0.5
     assert report.infeasible_steps == 0
     print(
         f"\n[acceptance] criterion 2 PASS — tracking within epsilon "
         f"{report.tracking_within_eps_pct:.1f}% (>= 95), rms "
-        f"{report.tracking_rms:.3f} kW (<= 1), comfort depth "
-        f"{report.comfort_max_depth:.3f} degC (<= 0.5)"
+        f"{report.tracking_rms_kw:.3f} kW (<= 1), comfort depth "
+        f"{report.comfort_max_depth_c:.3f} degC (<= 0.5)"
     )
 
 
@@ -98,13 +98,13 @@ def test_criterion_3_extra_building_relieves_overcooling():
     # the relief must not come at the cost of tracking quality
     assert report14.tracking_within_eps_pct is not None
     assert report14.tracking_within_eps_pct >= 95.0
-    assert report14.tracking_rms is not None and report14.tracking_rms <= 1.0
-    assert report14.comfort_max_depth <= 0.5
+    assert report14.tracking_rms_kw is not None and report14.tracking_rms_kw <= 1.0
+    assert report14.comfort_max_depth_c <= 0.5
     print(
         f"\n[acceptance] criterion 3 PASS — violation steps drop from "
         f"{viol13} (13 buildings) to {viol14} (14 buildings) with tracking "
         f"within epsilon {report14.tracking_within_eps_pct:.1f}%, rms "
-        f"{report14.tracking_rms:.3f} kW"
+        f"{report14.tracking_rms_kw:.3f} kW"
     )
 
 

@@ -21,9 +21,11 @@ from pvflock import (
     load_config,
     load_profile_csv,
     parse_config_text,
+    read_trace,
 )
 from pvflock.cli import main
 from pvflock.scenario import synth_disturbances, synth_pv
+from pvflock.simulate import trace_header
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +172,17 @@ class TestProfile:
         with pytest.raises(ProfileError, match="t_hours,value"):
             load_profile_csv(path)
 
+    def test_csv_header_keeps_spaces_inside_a_field(self, tmp_path):
+        # a header field loses only the whitespace around it, as a row cell does
+        path = tmp_path / "bad.csv"
+        path.write_text("t_hours,val ue\n0,0\n1,1\n")
+        with pytest.raises(ProfileError, match="t_hours,value"):
+            load_profile_csv(path)
+        header = trace_header(1).replace("T1_1", "T1 _1")
+        path.write_text(header + "\n" + ",".join(["0"] * 12) + "\n")
+        with pytest.raises(ProfileError, match="unrecognized trace header"):
+            read_trace(path)
+
     def test_csv_reports_the_offending_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t_hours,value\n0,0\nnot,a,row\n")
@@ -313,6 +326,12 @@ class TestConfig:
     def test_comfort_band_must_bracket_the_setpoint(self):
         with pytest.raises(ConfigurationError):
             parse_config_text("scenario.setpoint_c = 25")
+
+    @pytest.mark.parametrize("line", ["scenario.comfort_high_c = inf", "scenario.comfort_low_c = -inf"])
+    def test_comfort_bounds_must_be_finite(self, line):
+        # the rule `pvflock metrics` applies to --comfort-low and --comfort-high
+        with pytest.raises(ConfigurationError, match="finite comfort_low"):
+            parse_config_text(line)
 
     def test_window_capacity_must_be_odd(self):
         with pytest.raises(ConfigurationError):

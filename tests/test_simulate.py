@@ -642,7 +642,7 @@ class TestMetrics:
         )
         report = compute_metrics(trace, **self.settings)
         assert report.comfort_violation_steps == 1
-        assert report.comfort_max_depth == pytest.approx(0.5)
+        assert report.comfort_max_depth_c == pytest.approx(0.5)
 
     def test_overcooling_and_overheating_both_count(self):
         trace = manual_trace(
@@ -650,7 +650,7 @@ class TestMetrics:
         )
         report = compute_metrics(trace, **self.settings)
         assert report.comfort_violation_steps == 2
-        assert report.comfort_max_depth == pytest.approx(1.5)
+        assert report.comfort_max_depth_c == pytest.approx(1.5)
 
     def test_tracking_stats_cover_active_steps_only(self):
         trace = manual_trace(
@@ -661,9 +661,9 @@ class TestMetrics:
             infeasible=[False, True, False],
         )
         report = compute_metrics(trace, **self.settings)
-        assert report.tracking_rms == pytest.approx(np.sqrt((0.25 + 4.0) / 2.0))
+        assert report.tracking_rms_kw == pytest.approx(np.sqrt((0.25 + 4.0) / 2.0))
         assert report.tracking_within_eps_pct == pytest.approx(50.0)
-        assert report.peak_sum_p == pytest.approx(9.5)
+        assert report.peak_sum_p_kw == pytest.approx(9.5)
         assert report.infeasible_steps == 1
 
     def test_error_exactly_epsilon_counts_as_within(self):
@@ -676,7 +676,7 @@ class TestMetrics:
     def test_no_pv_reports_not_applicable(self):
         trace = manual_trace(t=[6.0], pv=[0.0], sum_p=[0.0], t1=[23.0])
         report = compute_metrics(trace, **self.settings)
-        assert report.tracking_rms is None
+        assert report.tracking_rms_kw is None
         assert report.tracking_within_eps_pct is None
         assert "tracking_rms_kw=n/a" in report.lines()
         assert "tracking_within_eps_pct=n/a" in report.lines()
@@ -685,16 +685,22 @@ class TestMetrics:
         trace = manual_trace(t=[0.0, 6.0], pv=[0.0, 0.0], sum_p=[0.0, 0.0], t1=[20.0, 23.0])
         strict = compute_metrics(trace, **{**self.settings, "transient_hours": 0.0})
         assert strict.comfort_violation_steps == 1
-        assert strict.comfort_max_depth == pytest.approx(2.0)
+        assert strict.comfort_max_depth_c == pytest.approx(2.0)
 
     def test_all_transient_is_quietly_clean(self):
         trace = manual_trace(t=[0.0, 1.0], pv=[0.0, 0.0], sum_p=[0.0, 0.0], t1=[10.0, 10.0])
         report = compute_metrics(trace, **self.settings)
         assert report.comfort_violation_steps == 0
-        assert report.comfort_max_depth == 0.0
+        assert report.comfort_max_depth_c == 0.0
 
     def test_lines_are_key_value_formatted(self):
         trace = manual_trace(t=[6.0], pv=[10.0], sum_p=[10.0], t1=[23.0])
-        lines = compute_metrics(trace, **self.settings).lines()
-        assert all("=" in line for line in lines)
-        assert lines[1] == "comfort_violation_steps=0"
+        assert compute_metrics(trace, **self.settings).lines() == [
+            "empty=false",
+            "comfort_violation_steps=0",
+            "comfort_max_depth_c=0",
+            "tracking_rms_kw=0",
+            "tracking_within_eps_pct=100",
+            "peak_sum_p_kw=10",
+            "infeasible_steps=0",
+        ]
