@@ -91,14 +91,10 @@ def _cmd_gen_profile(args: argparse.Namespace) -> int:
         raise PvflockError("--horizon must be positive, and its grid steps must fit one array")
     # --peak is checked as the config key pv.peak_kw is
     peak = PvSourceConfig(peak=args.peak).peak
-    # the fewest grid steps whose last time reaches the horizon, and at least
-    # one, as a profile needs two rows; horizon / dt may round across a grid time
-    steps = max(1, math.ceil(args.horizon / dt))
-    if steps * dt < args.horizon:
-        steps += 1
-    elif steps > 1 and (steps - 1) * dt >= args.horizon:
-        steps -= 1
-    t = np.arange(steps + 1) * dt
+    # the grid up to its first time that reaches the horizon (one step past
+    # ceil(h / dt) covers any rounding); t[0] = 0 < h, so that is two rows or more
+    t = np.arange(math.ceil(args.horizon / dt) + 2) * dt
+    t = t[:np.searchsorted(t, args.horizon) + 1]
     values = synth_pv(t, peak)
     # times in full (repr of the Python float round-trips), so the loader reads
     # back exactly the grid a run samples

@@ -14,8 +14,7 @@ aggregate band, which is the whole tracking argument: no optimization, no
 communication beyond the shared bounds.  When pv = 0 the band is inert and
 buildings regulate freely inside [0, hvac_max].  If the intersection above
 is empty (PV so large that even hvac_max per building cannot absorb it)
-the bounds collapse to the nearest feasible point and the step is flagged
-infeasible.
+both bounds pin to hvac_max and the step is flagged infeasible.
 
 The band depends on the PV output alone, never on the fleet's state, so
 building_bounds() computes it for a whole run at once, one entry per
@@ -75,12 +74,10 @@ def building_bounds(pv, cfg: FleetConfig):
     band_hi = np.where(active, pv + eps, 0.0)
     raw_lo = (pv - eps) / cfg.n_buildings
     raw_hi = (pv + eps) / cfg.n_buildings
-    # an inert band leaves the whole HVAC range, which is never infeasible
-    lo = np.where(active, np.maximum(0.0, raw_lo), 0.0)
+    # an inert band leaves the whole HVAC range; an active one has raw_hi >= max(raw_lo, 0),
+    # so it is empty only when raw_lo > hvac_max, and then both bounds pin to hvac_max
+    lo = np.where(active, np.clip(raw_lo, 0.0, hvac_max), 0.0)
     hi = np.where(active, np.minimum(raw_hi, hvac_max), hvac_max)
-    infeasible = lo > hi
-    # PV beyond what the fleet can absorb: pin to the nearest limit
-    pinned = np.where(raw_lo > hvac_max, hvac_max, 0.0)
-    lo, hi = np.where(infeasible, pinned, lo), np.where(infeasible, pinned, hi)
+    infeasible = active & (raw_lo > hvac_max)
     return band_lo, band_hi, lo, hi, infeasible
 

@@ -16,10 +16,11 @@ synthetic functions and Profile.value_at take an array of times, and a
 profile that does not cover the grid fails before anything is simulated.
 
 Config files are flat "section.key = value" text; see CONFIG_KEYS for the
-schema.  Unknown keys are rejected so typos cannot silently fall back to
-defaults.  Every setting is checked once, here: by the config dataclasses
-when they are built and by the loaders as they read a file.  The functions
-that run during a simulation trust what these checks let through.
+schema and SECTIONS for the dataclass each section builds.  Unknown keys
+are rejected so typos cannot silently fall back to defaults.  Every setting
+is checked once, here: by the config dataclasses when they are built and by
+the loaders as they read a file.  The functions that run during a
+simulation trust what these checks let through.
 """
 
 from __future__ import annotations
@@ -278,7 +279,11 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 # config file parsing
 
-#: config key -> (target object, attribute, parser)
+#: config section -> the dataclass its keys build; target "" is ScenarioConfig itself
+SECTIONS: dict[str, type] = {"fleet": FleetConfig, "building": BuildingParams,
+                             "disturbance": DisturbanceParams, "pv": PvSourceConfig}
+
+#: config key -> (target section, attribute, parser)
 CONFIG_KEYS: dict[str, tuple[str, str, type | object]] = {
     "scenario.horizon_hours": ("", "horizon", float),
     "scenario.setpoint_c": ("", "setpoint", float),
@@ -318,13 +323,7 @@ CONFIG_KEYS: dict[str, tuple[str, str, type | object]] = {
 
 def parse_config_text(text: str, origin: str = "<config>") -> ScenarioConfig:
     """Parse flat "section.key = value" lines into a ScenarioConfig."""
-    top: dict[str, object] = {}
-    nested: dict[str, dict[str, object]] = {
-        "fleet": {},
-        "building": {},
-        "disturbance": {},
-        "pv": {},
-    }
+    values: dict[str, dict[str, object]] = {name: {} for name in ("", *SECTIONS)}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -338,24 +337,16 @@ def parse_config_text(text: str, origin: str = "<config>") -> ScenarioConfig:
             raise ConfigurationError(f"{origin}:{lineno}: unknown config key {key!r}")
         target, attr, parser = CONFIG_KEYS[key]
         try:
-            value = parser(raw_value)  # type: ignore[operator]
+            values[target][attr] = parser(raw_value)  # type: ignore[operator]
         except (ValueError, TypeError) as exc:
             raise ConfigurationError(f"{origin}:{lineno}: bad value for {key}: {exc}") from exc
-        if target:
-            nested[target][attr] = value
-        else:
-            top[attr] = value
+    top = values.pop("")
     try:
-        fleet = FleetConfig(**nested["fleet"])
-        building = BuildingParams(**nested["building"])
-        disturbance = DisturbanceParams(**nested["disturbance"])
-        pv = PvSourceConfig(**nested["pv"])
+        sections = {name: SECTIONS[name](**kw) for name, kw in values.items()}
         # old files set RK4 substeps, which the exact plant map has no use for
         if top.pop("substeps", 1) < 1:
             raise ConfigurationError("substeps must be >= 1")
-        return ScenarioConfig(
-            fleet=fleet, building=building, disturbance=disturbance, pv=pv, **top
-        )
+        return ScenarioConfig(**sections, **top)
     except (TypeError, ValueError) as exc:  # a ConfigurationError passes through as it is
         raise ConfigurationError(f"{origin}: {exc}") from exc
 

@@ -116,8 +116,12 @@ class TestPerBuildingBounds:
     def test_summed_clamps_stay_inside_the_aggregate_band(self, pv, epsilon, n, draws):
         # the whole coordination argument: n values from the per-building
         # interval can never leave the aggregate band
-        band_lo, band_hi, lo, hi, infeasible = bounds_at(pv, FleetConfig(n_buildings=n, epsilon=epsilon))
+        cfg = FleetConfig(n_buildings=n, epsilon=epsilon)
+        band_lo, band_hi, lo, hi, infeasible = bounds_at(pv, cfg)
         if infeasible:
+            # only PV beyond what hvac_max per building absorbs, and then every building draws it
+            assert (pv - epsilon) / n > cfg.hvac_max
+            assert lo == hi == cfg.hvac_max
             return
         draws = np.array((draws * n)[:n])
         # the run clamps the raw thermal controls onto [-hi, -lo] and draws p = -u

@@ -24,7 +24,7 @@ from pvflock import (
     read_trace,
 )
 from pvflock.cli import main
-from pvflock.scenario import synth_disturbances, synth_pv
+from pvflock.scenario import CONFIG_KEYS, SECTIONS, synth_disturbances, synth_pv
 from pvflock.simulate import trace_header
 
 
@@ -292,6 +292,23 @@ class TestConfig:
         assert cfg.pv.kind == "off"
         assert cfg.output_path == "out.csv"
         assert cfg.ramp_hours == 1.0
+
+    def test_every_key_sets_one_field_and_every_field_has_one_key(self):
+        # each row's target is "" or a section and its attribute a field there;
+        # scenario.substeps is the one key that sets nothing, and the section
+        # fields of ScenarioConfig are built from their own keys
+        classes = {"": ScenarioConfig, **SECTIONS}
+        keyed = [(target, attr) for target, attr, _ in CONFIG_KEYS.values()
+                 if (target, attr) != ("", "substeps")]
+        settable = [(target, f.name) for target, cls in classes.items() for f in fields(cls)
+                    if not (target == "" and f.name in SECTIONS)]
+        assert sorted(keyed) == sorted(settable)
+
+    def test_sections_fail_before_the_substeps_shim_and_the_scenario(self):
+        with pytest.raises(ConfigurationError, match="n_buildings must be >= 1"):
+            parse_config_text("scenario.substeps = 0\nfleet.n_buildings = 0")
+        with pytest.raises(ConfigurationError, match="substeps must be >= 1"):
+            parse_config_text("scenario.substeps = 0\nscenario.seed = -1")
 
     def test_unknown_key_is_an_error_with_line_number(self):
         with pytest.raises(ConfigurationError, match=r":2: unknown config key"):
