@@ -142,7 +142,7 @@ def period(request, scenario_config):
         "row": rows[1],
         "bias": bias[100],
         "z": z,
-        "u_bounds": (np.array(-cfg.fleet.hvac_max), np.array(-0.0)),
+        "u_bounds": (np.array([-cfg.fleet.hvac_max]), np.array([-0.0])),
         "ab": np.column_stack([tm.a, tm.b]),
         "s": tm.s,
         "cw": (tm.c @ np.array([28.0, 0.02, 0.1]))[:, None],
@@ -150,25 +150,25 @@ def period(request, scenario_config):
 
 
 def test_control_period(benchmark, period):
-    # the statements of one period of run_simulation's loop
-    row, bias, z, ab, s, cw = (period[k] for k in ("row", "bias", "z", "ab", "s", "cw"))
-    u_lo, u_hi = period["u_bounds"]
+    # the statements of one period of run_simulation's loop, on the views its zip hands them
+    row, b, z, ab, s, cw_k = (period[k] for k in ("row", "bias", "z", "ab", "s", "cw"))
+    lo_k, hi_k = period["u_bounds"]
     c, n = len(row) - 1, z.shape[2]
-    raw, f = np.empty(n), np.empty((3, n))
-    x, x_next = z[c], z[c + 1, :3]
+    r, f = np.empty(n), np.empty((3, n))
+    w, x, u_k, x_now, x_next = z[:c + 1, ::3], z[c], z[c, 3], z[c, :3], z[c + 1, :3]
 
     def one_period():
-        np.einsum("ij,ijn->n", row, z[:c + 1, ::3], out=raw)
-        np.add(raw, bias, out=raw)
-        np.maximum(raw, u_lo, out=x[3])
-        np.minimum(x[3], u_hi, out=x[3])
-        np.einsum("ij,jn->in", ab, x, out=f)
-        np.add(f, cw, out=f)
-        np.einsum("ij,jn->in", s, f, out=x_next)
-        np.add(x_next, x[:3], out=x_next)
+        np.einsum("ij,ijn->n", row, w, out=r)
+        np.add(r, b, out=r)
+        np.maximum(r, lo_k, out=u_k)
+        np.minimum(u_k, hi_k, out=u_k)
+        np.matmul(ab, x, out=f)
+        np.add(f, cw_k, out=f)
+        np.matmul(s, f, out=x_next)
+        np.add(x_next, x_now, out=x_next)
 
     benchmark(one_period)
-    assert np.all(np.isfinite(x_next)) and np.all((-3.0 <= x[3]) & (x[3] <= 0.0))
+    assert np.all(np.isfinite(x_next)) and np.all((-3.0 <= u_k) & (u_k <= 0.0))
 
 
 def test_sanity_check(benchmark, period):

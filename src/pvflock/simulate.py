@@ -6,15 +6,16 @@ with the per-building bounds, the (steps, 3) disturbance forcing C w, the
 plant's transition map and the iP law's tables (control.control_tables).  The
 fleet's history lives in one (steps + c + 1, 4, N) array z: entry c + k
 holds the rows T1, T2, T3 and u of period k, and the first c entries are
-zeros, so period k's window z[k .. k + c] always exists.  A control period
-then writes three statements into the history:
+zeros, so period k's window z[k .. k + c] always exists.  The loop steps
+through per-period views of these arrays, all made before it, with one zip;
+each control period writes three statements into the history:
 
     raw    the law's row, before or after the window fills, times the window's
            T1 and u rows, plus the bias: the estimate and the iP law at once
     clamp  np.maximum with -hi, then np.minimum with -lo, of the raw controls,
-           into u's row
-    plant  the increment x + S ([A | B] (x, u) + C w), in two products,
-           into the next entry's T1, T2 and T3 rows
+           into u's row: a tie of zeros takes the bound's sign
+    plant  the increment x + S ([A | B] (x, u) + C w), in two matmul (BLAS)
+           products, into the next entry's T1, T2 and T3 rows
 
 The trace's t1, t2, t3 and u are views of z; p = -u and the clamp flags
 (u != raw) follow after the loop.  The run has one guard before the loop
@@ -38,7 +39,7 @@ in exponent form or not finite:
     t_hours,pv_kw,sum_p_kw,band_lo_kw,band_hi_kw,infeasible,
     then per building i (1-based): T1_i,T2_i,T3_i,u_i_kw,p_i_kw,clamped_i
 
-A (config, seed) pair fully determines every byte of the trace.
+A (config, seed) pair fixes every byte of the trace, at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .control import control_tables
 from .coordinator import building_bounds
@@ -125,17 +127,18 @@ def run_simulation(cfg: ScenarioConfig) -> SimulationTrace:
             raise ConfigurationError(
                 "computed iP control is not finite: controller.kp or controller.alpha overflows it"
             )
-        for k in range(steps):
-            x, x_next, r = z[k + c], z[k + c + 1, :3], raw[k]
-            np.einsum("ij,ijn->n", rows[int(k >= c)], z[k:k + c + 1, ::3], out=r)
-            r += bias[k]
-            # [k, ...] is a 0-d array, which numpy combines faster than a float
-            np.maximum(r, u_lo[k, ...], out=x[3])
-            np.minimum(x[3], u_hi[k, ...], out=x[3])
-            np.einsum("ij,jn->in", ab, x, out=f)
-            f += cw[k]
-            np.einsum("ij,jn->in", s, f, out=x_next)
-            x_next += x[:3]
+        windows = np.moveaxis(sliding_window_view(z[:, ::3], c + 1, axis=0), -1, 1)
+        for row, w, r, b, x, u_k, x_now, x_next, lo_k, hi_k, cw_k in zip(
+                (rows[int(k >= c)] for k in range(steps)), windows, raw, bias, z[c:], z[c:, 3],
+                z[c:, :3], z[c + 1:, :3], u_lo[:, None], u_hi[:, None], cw):
+            np.einsum("ij,ijn->n", row, w, out=r)
+            r += b
+            np.maximum(r, lo_k, out=u_k)
+            np.minimum(u_k, hi_k, out=u_k)
+            np.matmul(ab, x, out=f)
+            f += cw_k
+            np.matmul(s, f, out=x_next)
+            x_next += x_now
         check_sane(z[c + 1:, :3], t + dt)
     t1, t2, t3, u = z[c:steps + c].transpose(1, 0, 2)
     clamped = u != raw

@@ -50,12 +50,12 @@ def plant_period(states: np.ndarray, u: np.ndarray, cw: np.ndarray,
                  tm: TransitionMap) -> np.ndarray:
     """Advance a (3, n) block of states by one period as run_simulation does.
 
-    The increment x + S ([A | B] (x, u) + C w) in the run's two einsum
+    The increment x + S ([A | B] (x, u) + C w) in the run's two matmul
     products, for the controls u and the disturbance forcing cw = C w.
     """
-    f = np.einsum("ij,jn->in", np.column_stack([tm.a, tm.b]), np.vstack([states, u[None]]))
+    f = np.column_stack([tm.a, tm.b]) @ np.vstack([states, u[None]])
     f += cw[:, None]
-    return np.einsum("ij,jn->in", tm.s, f) + states
+    return tm.s @ f + states
 
 
 def equilibrium(u: float, w, p: BuildingParams) -> np.ndarray:

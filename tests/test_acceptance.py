@@ -208,7 +208,7 @@ def test_criterion_6_plant_integration_matches_adaptive_reference():
     # must stay there exactly — 24 h of steps may not move a single bit
     t_out = 30.0
     calm = np.array([t_out, 0.0, 0.0])
-    for n in (1, 2):  # einsum sums a lone column in another order than a fleet's
+    for n in (1, 2):  # BLAS sums a lone column in another order than a fleet's
         uniform = np.full((3, n), t_out)
         for k in range(1, 145):
             uniform = plant_period(uniform, np.zeros(n), tm.c @ calm, tm)

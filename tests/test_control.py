@@ -170,10 +170,11 @@ class TestAlgebraicEstimator:
 
     def test_fleet_columns_match_single_buildings(self, monkeypatch):
         # a building's run does not depend on the fleet around it: beside any
-        # other building it is bitwise the same, as each einsum product sums
-        # every column on its own, also past the 8 rows where numpy starts
-        # summing one column pairwise; alone, einsum drops the fleet axis and
-        # sums in another order, so it agrees to rounding and in every flag.
+        # other building it is bitwise the same, as the law's einsum and the
+        # plant's two BLAS products sum every column on its own, also past the
+        # 8 rows where numpy starts summing one column pairwise; alone, einsum
+        # drops the fleet axis and BLAS takes its matrix-vector path, each
+        # summing in another order, so it agrees to rounding and in every flag.
         # PV is off, so the bounds do not depend on the fleet's size.
         for capacity in (5, 9, 11):
             cfg = replace(ScenarioConfig(fleet=FleetConfig(n_buildings=4), horizon=12.0,

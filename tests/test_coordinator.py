@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pvflock.simulate
 from pvflock import (
     ConfigurationError,
     FleetConfig,
@@ -198,6 +199,47 @@ class TestCoordinatorStep:
         tr = fleet_run(13, constant_pv(tmp_path, 13.0), t1=(25.0, 25.0))
         for col in (tr.t1, tr.t2, tr.t3, tr.u, tr.p):
             assert np.all(col == col[:, :1])
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 130])
+    def test_identical_buildings_stay_bitwise_identical_at_blas_tail_sizes(self, n, tmp_path):
+        # BLAS takes the plant's columns in blocks and the last few in a tail
+        # kernel; every column must still be summed in the same order
+        tr = fleet_run(n, constant_pv(tmp_path, float(n)), t1=(25.0, 25.0))
+        for col in (tr.t1, tr.t2, tr.t3, tr.u, tr.p, tr.clamped):
+            bits = np.ascontiguousarray(col).view(np.uint8).reshape(tr.n_steps, n, -1)
+            assert np.all(bits == bits[:, :1])
+
+    @pytest.mark.parametrize("n", [1, 2, 13])
+    def test_the_clamp_keeps_the_zero_signs_of_maximum_then_minimum(self, n, monkeypatch):
+        # the clamp on raw controls of exactly zero, against bounds of +0 and -0 and
+        # against pinned ones: where the raw control and a bound tie, maximum and
+        # minimum give the bound's bits (ndarray.clip, with bounds broadcast from
+        # one value, can give the raw control's).  A product's sum starts at +0,
+        # so with zero rows a bias of +0 or -0 makes a raw control of +0.
+        pairs = [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, 3.0), (-0.0, 3.0),
+                 (3.0, 3.0), (1.5, 1.5)]
+        combos = [(b, lo, hi) for b in (0.0, -0.0) for lo, hi in pairs]
+        cfg = ScenarioConfig(fleet=FleetConfig(n_buildings=n), horizon=4.0)
+        bias, lo, hi = (np.resize(col, cfg.n_steps) for col in zip(*combos))
+        tables = pvflock.simulate.control_tables
+
+        def zero_law(*args):
+            rows, _ = tables(*args)
+            return np.zeros_like(rows), bias[:, None]
+
+        def bounds(pv, fleet):
+            zeros = np.zeros_like(pv)
+            return zeros, zeros, lo, hi, (lo == hi) & (lo > 0)
+
+        monkeypatch.setattr(pvflock.simulate, "control_tables", zero_law)
+        monkeypatch.setattr(pvflock.simulate, "building_bounds", bounds)
+        tr = run_simulation(cfg)
+        raw = np.zeros((cfg.n_steps, n)) + bias[:, None]
+        assert not np.signbit(raw).any()
+        u = np.minimum(np.maximum(raw, -hi[:, None]), -lo[:, None])
+        assert np.ascontiguousarray(tr.u).tobytes() == u.tobytes()
+        assert tr.p.tobytes() == np.negative(u).tobytes()
+        assert np.signbit(u).any() and not np.signbit(u).all()
 
     def test_applied_power_respects_bounds_every_step(self, tmp_path):
         tr = fleet_run(13, constant_pv(tmp_path, 13.0))

@@ -115,6 +115,37 @@ class TestRunSimulation:
         write_trace(run_simulation(cfg), b)
         assert a.read_bytes() != b.read_bytes()
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 130])
+    def test_a_few_buildings_run_as_they_do_inside_a_fleet(self, n, monkeypatch):
+        # BLAS takes the plant's columns in blocks and the last few in a tail
+        # kernel, but sums each column on its own: two or three buildings, the
+        # fleet's last among them, run bitwise as they do inside it.  PV is
+        # off, so the bounds do not depend on the fleet's size.
+        cfg = small_cfg(fleet=FleetConfig(n_buildings=n), horizon=12.0,
+                        pv=PvSourceConfig(kind="off"), initial_t1_low=21.0)
+        fleet, states = run_simulation(cfg), build_fleet(cfg)
+        assert fleet.clamped.any() and not fleet.clamped.all()
+        for cols in ([n - 1, 0], [n // 2, n - 1, 0])[:n - 1]:
+            monkeypatch.setattr(pvflock.simulate, "build_fleet", lambda _, cols=cols: states[:, cols])
+            part = run_simulation(replace(cfg, fleet=FleetConfig(n_buildings=len(cols))))
+            for name in ("t1", "t2", "t3", "u", "p", "clamped"):
+                want = np.ascontiguousarray(getattr(fleet, name)[:, cols])
+                assert np.ascontiguousarray(getattr(part, name)).tobytes() == want.tobytes(), name
+
+    def test_the_blas_thread_count_changes_no_byte(self, tmp_path):
+        # BLAS sums the plant's products; a (config, seed) pair still fixes the trace
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("scenario.horizon_hours = 12\nfleet.n_buildings = 1300\n")
+        src = str(Path(pvflock.simulate.__file__).resolve().parent.parent)
+        traces = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"trace_{threads}.csv"
+            subprocess.run([sys.executable, "-m", "pvflock.cli", "run", str(cfg), "--out", str(out),
+                            "--quiet"], check=True,
+                           env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads})
+            traces.append(out.read_bytes())
+        assert traces[0] == traces[1]
+
     def test_zero_horizon_yields_an_empty_trace(self):
         trace = run_simulation(small_cfg(horizon=0.0))
         assert trace.n_steps == 0
@@ -191,8 +222,8 @@ class TestAgainstThePerPeriodLoop:
     ORACLE_TOLERANCE, the clamp and infeasible flags and the errors exact.
 
     The run folds the estimate and the iP law into one table of coefficients
-    and sums each product in einsum's order, so it cannot match the loop's
-    rounding bit for bit.  The pinned CSV digests see only six significant
+    and sums each product in einsum's or BLAS's order, so it cannot match the
+    loop's rounding bit for bit.  The pinned CSV digests see only six significant
     digits of each cell.
     """
 
