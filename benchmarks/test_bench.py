@@ -1,7 +1,7 @@
 """End-to-end runs, trace write and read, the trace writer's digit tables, the PV
-profile load, the run-constant and metrics stages, the iP law's tables, the plant's
-period map, one fused control period, and the run's one range check over its
-reached states."""
+profile load, the run's constants as one stage and stage by stage, the metrics, the
+iP law's tables, the plant's period map, one fused control period, and the run's
+one range check over its reached states."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from pvflock.control import control_tables
 from pvflock.coordinator import building_bounds
 from pvflock.plant import BuildingParams, check_sane, transition_map
 from pvflock.scenario import synth_disturbances
-from pvflock.simulate import _FORMAT_BLOCK, _digit_tables, _format_cells, build_fleet
+from pvflock.simulate import _FORMAT_BLOCK, _digit_tables, _format_cells, run_constants
 
 
 @pytest.mark.parametrize("n, horizon_h, csv", [
@@ -79,19 +79,25 @@ def test_load_profile_csv(benchmark, tmp_path):
 
 @pytest.fixture(params=[130, 1300], ids=["130x72h", "1300x72h"])
 def day(request, scenario_config):
-    """The time grid and loaded config of n buildings over 72 h, PV from a cloudy CSV."""
+    """The loaded config of n buildings over 72 h, PV from a cloudy CSV, and its run's constants."""
     cfg = scenario_config(request.param, 72.0, csv=True)
-    return cfg, np.arange(cfg.n_steps) * cfg.fleet.sample_dt
+    return cfg, run_constants(cfg)
+
+
+def test_run_constants(benchmark, day):
+    # everything a run builds before its law's tables, the PV CSV's load among it
+    cfg, run = day
+    got = benchmark(run_constants, cfg)
+    assert got.pv.tobytes() == run.pv.tobytes() and got.cw.shape == (cfg.n_steps, 3)
 
 
 def test_building_bounds(benchmark, day):
-    cfg, t = day
-    pv = load_profile_csv(cfg.pv.csv_path, non_negative=True).value_at(t)
-    benchmark(building_bounds, pv, cfg.fleet)
+    cfg, run = day
+    benchmark(building_bounds, run.pv, cfg.fleet)
 
 
 def test_disturbance_and_pv_lookup(benchmark, day):
-    cfg, t = day
+    cfg, t = day[0], day[1].t
     profile = load_profile_csv(cfg.pv.csv_path, non_negative=True)
 
     def lookup():
@@ -110,10 +116,9 @@ def test_compute_metrics(benchmark, day):
 
 def test_run_tables(benchmark, day):
     # the control table and the bias, built once per run before the loop
-    cfg, t = day
-    y0 = build_fleet(cfg)[0]
-    benchmark(control_tables, t, y0, cfg.window_capacity, cfg.alpha, cfg.kp, cfg.setpoint,
-              cfg.ramp_hours, cfg.fleet.sample_dt)
+    cfg, run = day
+    benchmark(control_tables, run.t, run.x0[0], cfg.window_capacity, cfg.alpha, cfg.kp,
+              cfg.setpoint, cfg.ramp_hours, cfg.fleet.sample_dt)
 
 
 def test_plant_map(benchmark):
@@ -124,28 +129,26 @@ def test_plant_map(benchmark):
 
 @pytest.fixture(params=[13, 1300], ids=["n13", "n1300"])
 def period(request, scenario_config):
-    """One control period's tables and history for a fleet of n buildings, mid-run."""
+    """Period 100's law, bounds and forcing in a fleet of n buildings, with a made-up history."""
     cfg = scenario_config(request.param, 72.0)
-    c, dt, n = cfg.window_capacity, cfg.fleet.sample_dt, request.param
-    rng = np.random.default_rng(0)
-    t = np.arange(cfg.n_steps) * dt
-    states = build_fleet(cfg)
-    rows, bias = control_tables(t, states[0], c, cfg.alpha, cfg.kp, cfg.setpoint,
+    c, dt, n, k = cfg.window_capacity, cfg.fleet.sample_dt, request.param, 100
+    run = run_constants(cfg)
+    rows, bias = control_tables(run.t, run.x0[0], c, cfg.alpha, cfg.kp, cfg.setpoint,
                                 cfg.ramp_hours, dt)
-    z = np.zeros((c + 2, 4, n))  # the window of period 100: c past entries and its own
-    z[:, :3] = states + rng.uniform(-1.0, 1.0, (c + 2, 1, n))
+    rng = np.random.default_rng(0)
+    z = np.zeros((c + 2, 4, n))  # the window of period k: c past entries and its own
+    z[:, :3] = run.x0 + rng.uniform(-1.0, 1.0, (c + 2, 1, n))
     z[:c, 3] = rng.uniform(-3.0, 0.0, (c, n))
-    tm = transition_map(cfg.building, dt)
     return {
         "cfg": cfg,
-        "states": states,
+        "states": run.x0,
         "row": rows[1],
-        "bias": bias[100],
+        "bias": bias[k],
         "z": z,
-        "u_bounds": (np.array([-cfg.fleet.hvac_max]), np.array([-0.0])),
-        "ab": np.column_stack([tm.a, tm.b]),
-        "s": tm.s,
-        "cw": (tm.c @ np.array([28.0, 0.02, 0.1]))[:, None],
+        "u_bounds": (-run.hi[k:k + 1], -run.lo[k:k + 1]),
+        "ab": np.column_stack([run.tm.a, run.tm.b]),
+        "s": run.tm.s,
+        "cw": run.cw[k][:, None],
     }
 
 

@@ -73,11 +73,11 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     low, high = args.comfort_low, args.comfort_high
     if not (math.isfinite(low) and math.isfinite(high) and low < high):
         raise PvflockError("need finite --comfort-low < --comfort-high")
-    if not (args.epsilon > 0 and math.isfinite(args.epsilon)):
-        raise PvflockError("--epsilon must be positive and finite")
+    # --epsilon is checked as the config key fleet.epsilon_kw is
+    epsilon = FleetConfig(epsilon=args.epsilon).epsilon
     if not (args.transient_hours >= 0 and math.isfinite(args.transient_hours)):
         raise PvflockError("--transient-hours must be >= 0 and finite")
-    report = compute_metrics(read_trace(args.trace), epsilon=args.epsilon, comfort_low=low,
+    report = compute_metrics(read_trace(args.trace), epsilon=epsilon, comfort_low=low,
                              comfort_high=high, transient_hours=args.transient_hours)
     for line in report.lines():
         print(line)

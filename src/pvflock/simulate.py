@@ -1,14 +1,15 @@
 """Fleet simulation driver, trace serialization and scenario metrics.
 
 A run first computes everything that depends only on the time grid and the
-settings: the times, the PV output (scenario.pv_output), the aggregate band
-with the per-building bounds, the (steps, 3) disturbance forcing C w, the
-plant's transition map and the iP law's tables (control.control_tables).  The
-fleet's history lives in one (steps + c + 1, 4, N) array z: entry c + k
-holds the rows T1, T2, T3 and u of period k, and the first c entries are
-zeros, so period k's window z[k .. k + c] always exists.  The loop steps
-through per-period views of these arrays, all made before it, with one zip;
-each control period writes three statements into the history:
+settings: run_constants, the one place they are built, gives the times, the PV
+output, the per-building bounds, the plant's transition map, the disturbance
+forcing C w and the initial states, and the run adds the iP law's tables
+(control.control_tables).  The fleet's history lives in one (steps + c + 1,
+4, N) array z: entry c + k holds the rows T1, T2, T3 and u of period k, and
+the first c entries are zeros, so period k's window z[k .. k + c] always
+exists.  The loop steps through per-period views of these arrays, all made
+before it, with one zip; each control period writes three statements into
+the history:
 
     raw    the law's row, before or after the window fills, times the window's
            T1 and u rows, plus the bias: the estimate and the iP law at once
@@ -45,6 +46,7 @@ A (config, seed) pair fixes every byte of the trace, at any BLAS thread count.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -94,6 +96,18 @@ def build_fleet(cfg: ScenarioConfig) -> np.ndarray:
     return np.stack([t1, t1, t1 + 1.0])
 
 
+RunConstants = namedtuple("RunConstants", "t pv band_lo band_hi lo hi infeasible tm cw x0")
+
+
+def run_constants(cfg: ScenarioConfig) -> RunConstants:
+    """The time grid, the PV output, building_bounds's five columns, the plant's
+    map, the (steps, 3) forcing C w and the (3, n) initial states of cfg's run."""
+    t = np.arange(cfg.n_steps) * cfg.fleet.sample_dt
+    pv, tm = pv_output(t, cfg.pv), transition_map(cfg.building, cfg.fleet.sample_dt)
+    return RunConstants(t, pv, *building_bounds(pv, cfg.fleet), tm,
+                        synth_disturbances(t, cfg.disturbance) @ tm.c.T, build_fleet(cfg))
+
+
 def run_simulation(cfg: ScenarioConfig) -> SimulationTrace:
     """Run the configured scenario.
 
@@ -104,15 +118,11 @@ def run_simulation(cfg: ScenarioConfig) -> SimulationTrace:
     """
     n, steps, dt = cfg.fleet.n_buildings, cfg.n_steps, cfg.fleet.sample_dt
     c = min(cfg.window_capacity, steps)  # a window longer than the run never fills
-    t = np.arange(steps) * dt
-    pv = pv_output(t, cfg.pv)
-    band_lo, band_hi, lo, hi, infeasible = building_bounds(pv, cfg.fleet)
+    t, pv, band_lo, band_hi, lo, hi, infeasible, tm, cw, x0 = run_constants(cfg)
     u_lo, u_hi = -hi, -lo
-    tm = transition_map(cfg.building, dt)
     ab, s = np.column_stack([tm.a, tm.b]), tm.s
-    cw = (synth_disturbances(t, cfg.disturbance) @ tm.c.T)[:, :, None]
     z = np.zeros((steps + c + 1, 4, n))
-    z[c, :3] = build_fleet(cfg)
+    z[c, :3] = x0
     raw, f = np.empty((steps, n)), np.empty((3, n))
     # a finite setting can overflow the law's tables (kp = 1e308) and a diverging
     # plant its states; the guards raise one error for each, which numpy's warnings
@@ -130,7 +140,7 @@ def run_simulation(cfg: ScenarioConfig) -> SimulationTrace:
         windows = np.moveaxis(sliding_window_view(z[:, ::3], c + 1, axis=0), -1, 1)
         for row, w, r, b, x, u_k, x_now, x_next, lo_k, hi_k, cw_k in zip(
                 (rows[int(k >= c)] for k in range(steps)), windows, raw, bias, z[c:], z[c:, 3],
-                z[c:, :3], z[c + 1:, :3], u_lo[:, None], u_hi[:, None], cw):
+                z[c:, :3], z[c + 1:, :3], u_lo[:, None], u_hi[:, None], cw[:, :, None]):
             np.einsum("ij,ijn->n", row, w, out=r)
             r += b
             np.maximum(r, lo_k, out=u_k)

@@ -3,11 +3,12 @@
 run_simulation_reference marches the fleet one control period at a time,
 each period's estimate, iP law, clamp, plant step and checks written out as
 separate array expressions in the order the model is stated, every error
-raised in the period that caused it.  It shares with run_simulation only the
-run constants (time grid, PV column, bounds, disturbance forcing, transition
-map, estimator kernel and initial states).  The run folds the estimate and
-the law into one table and sums in another order, so the two agree to
-rounding, not bit for bit; the clamp flags and the errors agree exactly.
+raised in the period that caused it.  Of the run's set-up it shares
+run_constants and nothing else: its law, from estimator_kernel's weights,
+and its overflow check are its own, so it checks control_tables and the
+run's guard.  The run folds the estimate and the law into one table and
+sums in another order, so the two agree to rounding, not bit for bit; the
+clamp flags and the errors agree exactly.
 """
 
 from __future__ import annotations
@@ -16,24 +17,17 @@ import numpy as np
 
 from pvflock import ConfigurationError, PlantDivergenceError, SimulationTrace
 from pvflock.control import estimator_kernel
-from pvflock.coordinator import building_bounds
-from pvflock.plant import SANITY_RANGE, transition_map
-from pvflock.scenario import pv_output, synth_disturbances
-from pvflock.simulate import build_fleet
+from pvflock.plant import SANITY_RANGE
+from pvflock.simulate import run_constants
 
 
 def run_simulation_reference(cfg) -> SimulationTrace:
     """The trace of cfg's run, or its first error, one period at a time."""
     n, steps, dt = cfg.fleet.n_buildings, cfg.n_steps, cfg.fleet.sample_dt
     c, alpha, kp = cfg.window_capacity, cfg.alpha, cfg.kp
-    t = np.arange(steps) * dt
-    pv = pv_output(t, cfg.pv)
-    band_lo, band_hi, lo, hi, infeasible = building_bounds(pv, cfg.fleet)
-    tm = transition_map(cfg.building, dt)
-    cw = synth_disturbances(t, cfg.disturbance) @ tm.c.T
+    t, pv, band_lo, band_hi, lo, hi, infeasible, tm, cw, states = run_constants(cfg)
     t1, t2, t3, u, p = (np.zeros((steps, n)) for _ in range(5))
     clamped = np.zeros((steps, n), dtype=bool)
-    states = build_fleet(cfg)
     y0 = states[0]
     lo_ok, hi_ok = SANITY_RANGE
     with np.errstate(over="ignore", invalid="ignore"):

@@ -20,7 +20,7 @@ from pvflock import (
     run_simulation,
 )
 from pvflock.control import control_tables, estimator_kernel
-from pvflock.simulate import build_fleet
+from pvflock.simulate import build_fleet, run_constants
 
 DT = 1.0 / 6.0
 #: the largest difference between the run's controls and the formulas as written, in kW
@@ -217,7 +217,7 @@ class TestAlgebraicEstimator:
             read.clear()
             run_simulation(cfg)
             assert len(read) == cfg.n_steps == 4032
-            t, alpha, tau = np.arange(cfg.n_steps) * DT, cfg.alpha, (c - 1) * DT
+            t, alpha, tau = run_constants(cfg).t, cfg.alpha, (c - 1) * DT
             s = t[:c] - t[0]
             simpson = np.r_[1.0, np.tile([4.0, 2.0], (c - 3) // 2), 4.0, 1.0]
             kernel = np.stack([(tau - 2.0 * s) * simpson, alpha * s * (tau - s) * simpson], axis=-1)

@@ -28,7 +28,7 @@ from pvflock import (
     run_simulation,
 )
 from pvflock.plant import SANITY_RANGE, build_matrices, check_sane, transition_map
-from pvflock.scenario import synth_disturbances
+from pvflock.simulate import run_constants
 
 RESIDENTIAL = BuildingParams()
 FAST_AIR = BuildingParams(c1=150.0)  # 3600/c1 = 24 degC/h per kW
@@ -149,9 +149,8 @@ class TestIntegrator:
         # plant_period is the run's own update: each state of a run's trace
         # follows bitwise from the period before it, its control and its forcing
         cfg = ScenarioConfig(fleet=FleetConfig(n_buildings=n), horizon=12.0)
-        tr = run_simulation(cfg)
-        tm = transition_map(cfg.building, cfg.fleet.sample_dt)
-        cw = synth_disturbances(tr.t, cfg.disturbance) @ tm.c.T
+        tr, run = run_simulation(cfg), run_constants(cfg)
+        tm, cw = run.tm, run.cw
         x = np.stack([tr.t1, tr.t2, tr.t3], axis=1)  # (steps, 3, n)
         for k in range(tr.n_steps - 1):
             assert plant_period(x[k], tr.u[k], cw[k], tm).tobytes() == x[k + 1].tobytes()

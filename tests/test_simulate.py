@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-import loop_oracle
 from loop_oracle import run_simulation_reference
 
 import pvflock.scenario
@@ -36,7 +35,7 @@ from pvflock import (
 )
 from pvflock.cli import main
 from pvflock.scenario import DisturbanceParams
-from pvflock.simulate import _format_cells, build_fleet, trace_header
+from pvflock.simulate import _format_cells, build_fleet, run_constants, trace_header
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -202,6 +201,43 @@ class TestRunSimulation:
         assert blocks == [(144, 3, 13)]
 
 
+class TestRunConstants:
+    """run_constants is the one builder of what a run computes before its
+    first period, and the run uses what it builds as it is."""
+
+    @pytest.mark.parametrize("pv, infeasible", [
+        (PvSourceConfig(peak=6.0), False),
+        (PvSourceConfig(peak=30.0), True),
+        (PvSourceConfig(kind="off"), False),
+    ], ids=["feasible", "infeasible", "off"])
+    def test_a_run_carries_its_constants_bitwise(self, pv, infeasible):
+        cfg = small_cfg(horizon=24.0, pv=pv)
+        run, trace = run_constants(cfg), run_simulation(cfg)
+        for name in ("t", "pv", "band_lo", "band_hi", "infeasible"):
+            got, want = getattr(trace, name), getattr(run, name)
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
+        first = np.stack([trace.t1[0], trace.t2[0], trace.t3[0]])
+        assert first.tobytes() == run.x0.tobytes()
+        assert run.cw.shape == (144, 3) and run.x0.shape == (3, 3)
+        assert run.infeasible.any() == infeasible and run.pv.any() == (pv.kind != "off")
+
+    def test_a_short_pv_profile_fails_before_the_law_is_built(self, tmp_path, monkeypatch):
+        profile = tmp_path / "pv.csv"
+        assert main(["gen-profile", "pv", str(profile), "--horizon", "24"]) == 0
+
+        def no_tables(*args):
+            raise AssertionError("control_tables was called")
+
+        monkeypatch.setattr(pvflock.simulate, "control_tables", no_tables)
+        cfg = ScenarioConfig(pv=PvSourceConfig(kind="csv", csv_path=str(profile)))
+        with pytest.raises(ProfileError, match="outside the profile span") as ran:
+            run_simulation(cfg)
+        with pytest.raises(ProfileError, match=f"^{re.escape(str(ran.value))}$"):
+            run_constants(cfg)
+        # a profile that covers the run builds every constant, and still no law
+        assert len(run_constants(replace(cfg, horizon=24.0)).pv) == 144
+
+
 #: the largest difference between a run and the per-period loop, in degC and kW
 ORACLE_TOLERANCE = 1e-11
 
@@ -284,8 +320,7 @@ def inject(monkeypatch, overflow_at=None, diverge_at=None, value=np.inf):
         return w
 
     monkeypatch.setattr(pvflock.simulate, "control_tables", faulty_tables)
-    for module in (pvflock.simulate, loop_oracle):
-        monkeypatch.setattr(module, "synth_disturbances", huge_gain)
+    monkeypatch.setattr(pvflock.simulate, "synth_disturbances", huge_gain)
     try:
         run_simulation_reference(BLOCKED)
     except PlantDivergenceError as err:
