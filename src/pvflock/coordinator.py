@@ -51,13 +51,11 @@ class FleetConfig:
 
     def __post_init__(self) -> None:
         if self.n_buildings < 1:
-            raise ConfigurationError("n_buildings must be >= 1")
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ConfigurationError("epsilon must be positive")
-        if not (self.hvac_max > 0 and math.isfinite(self.hvac_max)):
-            raise ConfigurationError("hvac_max must be positive")
-        if not (self.sample_dt > 0 and math.isfinite(self.sample_dt)):
-            raise ConfigurationError("sample_dt must be positive")
+            raise ConfigurationError("fleet.n_buildings must be >= 1")
+        for key, value in (("epsilon_kw", self.epsilon), ("hvac_max_kw", self.hvac_max),
+                           ("sample_dt_hours", self.sample_dt)):
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigurationError(f"fleet.{key} must be positive and finite")
 
 
 def building_bounds(pv, cfg: FleetConfig):

@@ -7,16 +7,23 @@ forcing C w and the initial states, and the run adds the iP law's tables
 (control.control_tables).  The fleet's history lives in one (steps + c + 1,
 4, N) array z: entry c + k holds the rows T1, T2, T3 and u of period k, and
 the first c entries are zeros, so period k's window z[k .. k + c] always
-exists.  The loop steps through per-period views of these arrays, all made
-before it, with one zip; each control period writes three statements into
-the history:
+exists.  The loop steps through per-period views of these arrays with one
+zip; each control period writes three statements into the history:
 
     raw    the law's row, before or after the window fills, times the window's
            T1 and u rows, plus the bias: the estimate and the iP law at once
     clamp  np.maximum with -hi, then np.minimum with -lo, of the raw controls,
            into u's row: a tie of zeros takes the bound's sign
-    plant  the increment x + S ([A | B] (x, u) + C w), in two matmul (BLAS)
-           products, into the next entry's T1, T2 and T3 rows
+    plant  the increment x + S [A | B | C w] (T1, T2, T3, u, 1), in two matmul
+           (BLAS) products, into the next entry's T1, T2 and T3 rows
+
+The plant's 1 is the next entry's T1 row, viewed as a fifth row of period k's
+entry: it is preset to 1 and holds it until period k's own plant step writes
+the row.  No window reads it before then, as period k's window ends at its own
+entry.  BLAS adds 1 C w as the product's last term, which rounds as a separate
+add would.  Every operand of a period is full-width or 0-d (the bounds, and the
+bias when no ramp runs, are 0-d views made one per period), so no call
+broadcasts.
 
 The trace's t1, t2, t3 and u are views of z; p = -u and the clamp flags
 (u != raw) follow after the loop.  The run has one guard before the loop
@@ -48,10 +55,11 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 from dataclasses import dataclass, fields
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .control import control_tables
 from .coordinator import building_bounds
@@ -119,10 +127,10 @@ def run_simulation(cfg: ScenarioConfig) -> SimulationTrace:
     n, steps, dt = cfg.fleet.n_buildings, cfg.n_steps, cfg.fleet.sample_dt
     c = min(cfg.window_capacity, steps)  # a window longer than the run never fills
     t, pv, band_lo, band_hi, lo, hi, infeasible, tm, cw, x0 = run_constants(cfg)
-    u_lo, u_hi = -hi, -lo
-    ab, s = np.column_stack([tm.a, tm.b]), tm.s
+    abc, s = np.empty((steps, 3, 5)), tm.s
+    abc[..., :3], abc[..., 3], abc[..., 4] = tm.a, tm.b, cw  # period k's [A | B | C w_k]
     z = np.zeros((steps + c + 1, 4, n))
-    z[c, :3] = x0
+    z[c, :3], z[c + 1:, 0] = x0, 1.0  # each period's (T1, T2, T3, u, 1) ends in the next T1 row
     raw, f = np.empty((steps, n)), np.empty((3, n))
     # a finite setting can overflow the law's tables (kp = 1e308) and a diverging
     # plant its states; the guards raise one error for each, which numpy's warnings
@@ -138,15 +146,18 @@ def run_simulation(cfg: ScenarioConfig) -> SimulationTrace:
                 "computed iP control is not finite: controller.kp or controller.alpha overflows it"
             )
         windows = np.moveaxis(sliding_window_view(z[:, ::3], c + 1, axis=0), -1, 1)
-        for row, w, r, b, x, u_k, x_now, x_next, lo_k, hi_k, cw_k in zip(
-                (rows[int(k >= c)] for k in range(steps)), windows, raw, bias, z[c:], z[c:, 3],
-                z[c:, :3], z[c + 1:, :3], u_lo[:, None], u_hi[:, None], cw[:, :, None]):
+        # 0-d views of a one-column bias and the bounds, made one per period, not held in a list
+        biases, u_lo, u_hi = (map(a.__getitem__, zip(range(steps), repeat(...))) for a in
+                              (bias[:, 0] if bias.shape[1] == 1 else bias, -hi, -lo))
+        for row, w, r, b, u_k, lo_k, hi_k, abc_k, x, x_now, x_next in zip(
+                (rows[int(k >= c)] for k in range(steps)), windows, raw, biases, z[c:, 3],
+                u_lo, u_hi, abc, as_strided(z[c:], (steps, 5, n), z.strides), z[c:, :3],
+                z[c + 1:, :3]):
             np.einsum("ij,ijn->n", row, w, out=r)
             r += b
             np.maximum(r, lo_k, out=u_k)
             np.minimum(u_k, hi_k, out=u_k)
-            np.matmul(ab, x, out=f)
-            f += cw_k
+            np.matmul(abc_k, x, out=f)
             np.matmul(s, f, out=x_next)
             x_next += x_now
         check_sane(z[c + 1:, :3], t + dt)

@@ -131,6 +131,12 @@ class TestRun:
         one_error_line(capsys)
         assert not out.exists()
 
+    def test_infinite_epsilon_names_its_key_and_rule(self, config_file, tmp_path, capsys):
+        cfg, out = config_file(SMALL + "fleet.epsilon_kw = inf\n"), tmp_path / "trace.csv"
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        assert one_error_line(capsys) == "error: fleet.epsilon_kw must be positive and finite\n"
+        assert not out.exists()
+
     # numpy raises ValueError, not MemoryError, for an array past np.intp's range
     @pytest.mark.parametrize("line", [
         "scenario.horizon_hours = 1e18",
@@ -292,6 +298,10 @@ class TestMetricsCommand:
     def test_bad_flags_are_one_error_line(self, flags, small_trace, capsys):
         assert main(["metrics", str(small_trace), *flags]) == 1
         one_error_line(capsys)
+
+    def test_infinite_epsilon_is_checked_as_its_config_key(self, small_trace, capsys):
+        assert main(["metrics", str(small_trace), "--epsilon", "inf"]) == 1
+        assert one_error_line(capsys) == "error: fleet.epsilon_kw must be positive and finite\n"
 
     @pytest.mark.parametrize("rows_before", [0, 2000])
     def test_non_utf8_trace_is_one_error_line(self, rows_before, tmp_path, capsys):

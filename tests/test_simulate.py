@@ -274,6 +274,22 @@ class TestAgainstThePerPeriodLoop:
         assert trace.clamped.any() and not trace.clamped.all()
         assert_matches_the_loop(trace, run_simulation_reference(cfg))
 
+    # the plant's fifth row is the next entry's T1 row, preset to 1: the first period
+    # reads the first preset row, and the last one the history's last entry, which only
+    # the range check reads after it (TestBlockChecks diverges there).  A config rejects
+    # a nonzero run of c periods or fewer (its window would never fill), so the edges
+    # are no period and the shortest runs past the window
+    @pytest.mark.parametrize("past_window", [None, 1, 2], ids=["0", "c+1", "c+2"])
+    @pytest.mark.parametrize("n", [1, 13])
+    @pytest.mark.parametrize("capacity", [3, 5])
+    def test_runs_at_the_edges_match(self, capacity, n, past_window):
+        steps = 0 if past_window is None else capacity + past_window
+        cfg = replace(ScenarioConfig(), fleet=FleetConfig(n_buildings=n),
+                      horizon=steps * FleetConfig.sample_dt, window_capacity=capacity)
+        trace = run_simulation(cfg)
+        assert trace.t1.shape == (steps, n)
+        assert_matches_the_loop(trace, run_simulation_reference(cfg))
+
     @pytest.mark.parametrize("name", ["default", "fleet14", "regulation_only"])
     def test_shipped_configs_are_bitwise_equal(self, name):
         cfg = load_config(CONFIGS / f"{name}.cfg")
