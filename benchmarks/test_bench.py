@@ -115,7 +115,8 @@ def test_compute_metrics(benchmark, day):
 
 
 def test_run_tables(benchmark, day):
-    # the control table and the bias, built once per run before the loop
+    # the control table and the bias, built once per run before the loop, which
+    # writes the bias into each period's u row
     cfg, run = day
     benchmark(control_tables, run.t, run.x0[0], cfg.window_capacity, cfg.alpha, cfg.kp,
               cfg.setpoint, cfg.ramp_hours, cfg.fleet.sample_dt)
@@ -129,8 +130,8 @@ def test_plant_map(benchmark):
 
 @pytest.fixture(params=[13, 1300], ids=["n13", "n1300"])
 def period(request, scenario_config):
-    """Period 100's law, 0-d bias and bounds and [A | B | C w] table in a fleet of n
-    buildings, with a made-up history."""
+    """Period 100's law, bounds and [A | B | C w] table in a fleet of n buildings, with
+    a made-up history whose current u row holds the period's bias."""
     cfg = scenario_config(request.param, 72.0)
     c, dt, n, k = cfg.window_capacity, cfg.fleet.sample_dt, request.param, 100
     run = run_constants(cfg)
@@ -140,34 +141,33 @@ def period(request, scenario_config):
     z = np.zeros((c + 2, 4, n))  # the window of period k: c past entries and its own
     z[:, :3] = run.x0 + rng.uniform(-1.0, 1.0, (c + 2, 1, n))
     z[:c, 3] = rng.uniform(-3.0, 0.0, (c, n))
+    z[c, 3] = bias[k]  # the bias, preset in the current u row as the run presets it
     z[c + 1, 0] = 1.0  # the next entry's T1 row, preset as the run presets it
     return {
         "cfg": cfg,
         "states": run.x0,
         "row": rows[1],
-        "bias": bias[:, 0][k, ...],
         "z": z,
-        "u_bounds": ((-run.hi)[k, ...], (-run.lo)[k, ...]),
+        "u_bounds": (float(-run.hi[k]), float(-run.lo[k])),
         "abc": np.column_stack([run.tm.a, run.tm.b, run.cw[k]]),
         "s": run.tm.s,
     }
 
 
 def test_control_period(benchmark, period):
-    # the seven statements of one period of run_simulation's loop, on the views its zip
+    # the six statements of one period of run_simulation's loop, on the operands its zip
     # hands them; the plant's (T1, T2, T3, u, 1) is entry c and the next entry's T1 row
-    row, b, z, abc, s = (period[k] for k in ("row", "bias", "z", "abc", "s"))
+    row, z, abc, s = (period[k] for k in ("row", "z", "abc", "s"))
     lo_k, hi_k = period["u_bounds"]
     c, n = len(row) - 1, z.shape[2]
     r, f = np.empty(n), np.empty((3, n))
-    w, x, u_k, x_now = z[:c + 1, ::3], z.reshape(-1, n)[4 * c:4 * c + 5], z[c, 3], z[c, :3]
-    # the run writes the next states over the row of ones; here they go apart, so every
-    # round reads the 1
-    x_next = np.empty((3, n))
+    w, x, x_now = z[:c + 1, ::3], z.reshape(-1, n)[4 * c:4 * c + 5], z[c, :3]
+    # the run writes the clamped u over the bias and the next states over the row of
+    # ones; here they go apart, so every round reads the bias and the 1
+    u_k, x_next, bias = np.empty(n), np.empty((3, n)), z[c, 3].copy()
 
     def one_period():
         np.einsum("ij,ijn->n", row, w, out=r)
-        np.add(r, b, out=r)
         np.maximum(r, lo_k, out=u_k)
         np.minimum(u_k, hi_k, out=u_k)
         np.matmul(abc, x, out=f)
@@ -175,7 +175,7 @@ def test_control_period(benchmark, period):
         np.add(x_next, x_now, out=x_next)
 
     benchmark(one_period)
-    assert b.ndim == lo_k.ndim == hi_k.ndim == 0 and np.all(x[4] == 1.0)
+    assert type(lo_k) is type(hi_k) is float and np.all(x[4] == 1.0) and np.all(x[3] == bias)
     assert np.all(np.isfinite(x_next)) and np.all((-3.0 <= u_k) & (u_k <= 0.0))
 
 

@@ -30,11 +30,12 @@ The estimate and the law are both linear in the history of y and of the
 applied u, with coefficients that depend only on the settings.  So
 control_tables writes period k's raw control as one row of coefficients on
 the c + 1 history entries k - c .. k of (y, u), the row before the window
-fills or the one after (estimator_kernel gives its window part), plus a
-bias; a control period is then one product and a sum.  Times are in hours,
-temperatures in degC, controls in kW with the thermal sign convention
-(u <= 0 extracts heat).  The window reads the control that was actually
-applied after any clamping, so saturation cannot wind up the estimate.
+fills or the one after (estimator_kernel gives its window part), and a
+bias, which the row takes with a coefficient of 1 from period k's own u
+until the clamp writes u there: a control period is one product.  Times are
+in hours, temperatures in degC, controls in kW with the thermal sign
+convention (u <= 0 extracts heat).  The window reads the control that was
+actually applied after any clamping, so saturation cannot wind up the estimate.
 
 These functions trust the settings they are given: alpha, kp and the
 window size were checked once, when the ScenarioConfig holding them was
@@ -67,18 +68,18 @@ def control_tables(t: np.ndarray, y0: np.ndarray, c: int, alpha: float, kp: floa
                    setpoint: float, ramp_hours: float, dt: float):
     """The iP law over the time grid t as a linear map of the history.
 
-    Returns (rows, bias): period k's raw control is the sum of
-    rows[int(k >= c)] * (y, u) over the history entries k - c .. k, the last
-    one being period k's own, plus bias[k].  rows is (2, c + 1, 2): row 0
-    serves the periods before the window fills and holds only -kp/alpha on
-    the current y; row 1 serves the periods after and adds the window's kernel,
+    Returns (rows, bias).  With bias[k] in the u of period k's own entry, the
+    last of the history entries k - c .. k of (y, u), rows[int(k >= c)] · window
+    is period k's raw control.  rows is (2, c + 1, 2): row 0 serves the periods
+    before the window fills and holds only -kp/alpha on the current y and 1 on
+    the current u; row 1 serves the periods after and adds the window's kernel,
     with the scale (6/tau^3) (dt/3) / alpha folded in.  bias is (len(t), 1),
     or one column per first measurement y0 when a ramp runs.
     """
     rows = np.zeros((2, c + 1, 2))
     ky, ku = estimator_kernel(c, alpha, dt)
     rows[1, :c] = np.stack([ky, ku], axis=-1) * (6.0 / ((c - 1) * dt) ** 3 * dt / 3.0 / alpha)
-    rows[:, c, 0] = -kp / alpha
+    rows[:, c] = -kp / alpha, 1.0
     bias = np.full((len(t), 1), kp * setpoint / alpha)
     ramp = t < ramp_hours
     if ramp.any():

@@ -8,31 +8,33 @@ forcing C w and the initial states, and the run adds the iP law's tables
 4, N) array z: entry c + k holds the rows T1, T2, T3 and u of period k, and
 the first c entries are zeros, so period k's window z[k .. k + c] always
 exists.  The loop steps through per-period views of these arrays with one
-zip; each control period writes three statements into the history:
+zip; each control period writes three statements, six numpy calls, into the
+history:
 
     raw    the law's row, before or after the window fills, times the window's
-           T1 and u rows, plus the bias: the estimate and the iP law at once
+           T1 and u rows: the estimate and the iP law at once
     clamp  np.maximum with -hi, then np.minimum with -lo, of the raw controls,
            into u's row: a tie of zeros takes the bound's sign
     plant  the increment x + S [A | B | C w] (T1, T2, T3, u, 1), in two matmul
            (BLAS) products, into the next entry's T1, T2 and T3 rows
 
-The plant's 1 is the next entry's T1 row, viewed as a fifth row of period k's
-entry: it is preset to 1 and holds it until period k's own plant step writes
-the row.  No window reads it before then, as period k's window ends at its own
-entry.  BLAS adds 1 C w as the product's last term, which rounds as a separate
-add would.  Every operand of a period is full-width or 0-d (the bounds, and the
-bias when no ramp runs, are 0-d views made one per period), so no call
-broadcasts.
+Two rows hold a preset until a statement writes them.  Period k's u row holds
+its bias, which the law's row takes with a coefficient of 1, until the clamp
+writes u over it.  The plant's 1 is the next entry's T1 row, viewed as a fifth
+row of period k's entry, until period k's own plant step writes the row; no
+window reads it before then, as period k's window ends at its own entry.  BLAS
+adds 1 C w as the product's last term, which rounds as a separate add would.
+Array operands are full-width and the bounds Python floats: no call broadcasts.
 
 The trace's t1, t2, t3 and u are views of z; p = -u and the clamp flags
 (u != raw) follow after the loop.  The run has one guard before the loop
 and one after.  A window holds only zeros, the initial state, reached
-states and clamped controls, so while every state is sane the law's tables
-bound every raw control; a finite setting whose bound leaves float range
-(kp = 1e308, alpha = 1e-308) fails before the first period.  After the
-loop, check_sane tests every reached state at once and names the first
-period that left the sane range: no raw control can fail before it does.
+states, clamped controls and its period's bias, so while every state is
+sane the law's tables and the bias bound every raw control; a finite setting
+whose bound leaves float range (kp = 1e308, alpha = 1e-308) fails before the
+first period.  After the loop, check_sane tests every reached state at once
+and names the first period that left the sane range: no raw control can fail
+before it does.
 Initial air temperatures are drawn uniformly from the configured range with
 a seeded generator; interior mass starts at the air temperature and the wall
 core one degree above, so a hot start really is a hot building.
@@ -55,7 +57,6 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 from dataclasses import dataclass, fields
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -138,23 +139,20 @@ def run_simulation(cfg: ScenarioConfig) -> SimulationTrace:
     with np.errstate(over="ignore", invalid="ignore"):
         rows, bias = control_tables(t, z[c, 0], c, cfg.alpha, cfg.kp, cfg.setpoint,
                                     cfg.ramp_hours, dt)
-        # |T1| <= 60 while the states are sane and |u| <= hvac_max once clamped
-        bound = np.abs(rows).max(axis=0).sum(axis=0) @ [np.abs(SANITY_RANGE).max(),
-                                                         cfg.fleet.hvac_max]
-        if not bound + np.abs(bias).max(initial=0.0) < np.finfo(float).max / 2:
+        # |T1| <= 60 while sane, |u| <= hvac_max once clamped; the current u row holds the bias
+        bound = np.abs(rows).max(axis=0) * [np.abs(SANITY_RANGE).max(), cfg.fleet.hvac_max]
+        bound[c, 1] = np.abs(bias).max(initial=0.0)
+        if not bound.sum() < np.finfo(float).max / 2:
             raise ConfigurationError(
                 "computed iP control is not finite: controller.kp or controller.alpha overflows it"
             )
+        z[c:steps + c, 3] = bias  # period k's u row holds its bias, which the law's 1 adds
         windows = np.moveaxis(sliding_window_view(z[:, ::3], c + 1, axis=0), -1, 1)
-        # 0-d views of a one-column bias and the bounds, made one per period, not held in a list
-        biases, u_lo, u_hi = (map(a.__getitem__, zip(range(steps), repeat(...))) for a in
-                              (bias[:, 0] if bias.shape[1] == 1 else bias, -hi, -lo))
-        for row, w, r, b, u_k, lo_k, hi_k, abc_k, x, x_now, x_next in zip(
-                (rows[int(k >= c)] for k in range(steps)), windows, raw, biases, z[c:, 3],
-                u_lo, u_hi, abc, as_strided(z[c:], (steps, 5, n), z.strides), z[c:, :3],
-                z[c + 1:, :3]):
+        for row, w, r, u_k, lo_k, hi_k, abc_k, x, x_now, x_next in zip(
+                (rows[int(k >= c)] for k in range(steps)), windows, raw, z[c:, 3],
+                (-hi).tolist(), (-lo).tolist(), abc, as_strided(z[c:], (steps, 5, n), z.strides),
+                z[c:, :3], z[c + 1:, :3]):
             np.einsum("ij,ijn->n", row, w, out=r)
-            r += b
             np.maximum(r, lo_k, out=u_k)
             np.minimum(u_k, hi_k, out=u_k)
             np.matmul(abc_k, x, out=f)

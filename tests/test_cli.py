@@ -271,6 +271,17 @@ class TestMetricsCommand:
         assert main(["metrics", str(tmp_path / "absent.csv")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_a_non_finite_trace_cell_is_an_error(self, small_trace, capsys):
+        # read as it stands, its nan would print comfort_max_depth_c=nan and leave
+        # its step out of the violation count
+        lines = small_trace.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[6] = "nan"  # T1_1
+        lines[3] = ",".join(cells)
+        small_trace.write_text("\n".join(lines) + "\n")
+        assert main(["metrics", str(small_trace)]) == 1
+        assert f"{small_trace}:4: non-finite row" in capsys.readouterr().err
+
     # the scenario's setpoint plays no part: a band that leaves the default
     # 23 degC setpoint outside is still a band to count against, and so is
     # one too narrow to hold any setpoint between its ends

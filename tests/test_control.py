@@ -198,7 +198,8 @@ class TestAlgebraicEstimator:
         # the law is time-invariant once the window fills: over four weeks each
         # period k >= c reads bitwise the same row, whose window part is the
         # kernel of the grid's first c times as the integral is written
-        # (the scale folded in), and each earlier one only -kp/alpha on its T1
+        # (the scale folded in), and each earlier one only -kp/alpha on its T1;
+        # every row takes 1 times its own u entry, which holds the bias until clamped
         tables, read = pvflock.simulate.control_tables, []
 
         class Recorded(np.ndarray):
@@ -222,7 +223,7 @@ class TestAlgebraicEstimator:
             simpson = np.r_[1.0, np.tile([4.0, 2.0], (c - 3) // 2), 4.0, 1.0]
             kernel = np.stack([(tau - 2.0 * s) * simpson, alpha * s * (tau - s) * simpson], axis=-1)
             law = np.zeros((c + 1, 2))
-            law[c, 0] = -cfg.kp / alpha
+            law[c] = -cfg.kp / alpha, 1.0
             assert all(row.tobytes() == law.tobytes() for row in read[:c])
             law[:c] = kernel * (6.0 / tau**3 * DT / 3.0 / alpha)
             assert len({row.tobytes() for row in read[c:]}) == 1

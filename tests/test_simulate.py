@@ -400,6 +400,25 @@ class TestBlockChecks:
             run_simulation(BLOCKED)
         assert read == [] and checked == []
 
+    @pytest.mark.parametrize("ramp", [0.0, 3.0])
+    @pytest.mark.parametrize("n", [1, 3, 13])
+    def test_the_last_checked_states_are_the_next_periods_row(self, n, ramp, monkeypatch):
+        # the last plant step's states reach no trace column, only the range check:
+        # they must be bitwise the T1, T2, T3 row `steps` of the run one period longer
+        check, checked = pvflock.simulate.check_sane, []
+
+        def recording(states, t_next):
+            checked.append(states.copy())
+            check(states, t_next)
+
+        monkeypatch.setattr(pvflock.simulate, "check_sane", recording)
+        cfg = small_cfg(fleet=FleetConfig(n_buildings=n), horizon=4.0, ramp_hours=ramp)
+        run_simulation(cfg)
+        longer = run_simulation(replace(cfg, horizon=cfg.horizon + cfg.fleet.sample_dt))
+        assert longer.n_steps == cfg.n_steps + 1 == len(checked[0]) + 1
+        row = np.stack([longer.t1[-1], longer.t2[-1], longer.t3[-1]])
+        assert checked[0][-1].tobytes() == row.tobytes()
+
     @settings(max_examples=200, deadline=None)
     @given(kp_exponent=st.floats(-3.0, 308.0), alpha_exponent=st.floats(-308.0, 308.0),
            ramp=st.sampled_from([0.0, 3.0]))
@@ -640,6 +659,21 @@ class TestTraceSerialization:
         # '#' starts no comment: trailing text is a bad number like any other
         path.write_text(f"{trace_header(1)}\n{good}\n\n{good}\n{good} # note\n")
         with pytest.raises(ProfileError, match=r"trace\.csv:5: non-numeric field"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("column, value", [("T1_2", "nan"), ("sum_p_kw", "inf"),
+                                               ("clamped_3", "-inf")])
+    def test_read_names_the_file_line_of_a_non_finite_row(self, column, value, tmp_path):
+        # a trace cell the metrics would turn into nan or inf, or silently leave out
+        path = tmp_path / "trace.csv"
+        write_trace(run_simulation(small_cfg()), path)
+        lines = path.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[lines[0].split(",").index(column)] = value
+        lines[5] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        row = re.escape(str([float(x) for x in cells]))
+        with pytest.raises(ProfileError, match=rf"^{re.escape(str(path))}:6: non-finite row {row}$"):
             read_trace(path)
 
     def test_read_is_exact_on_the_written_digits(self, tmp_path):
