@@ -5,6 +5,8 @@ one range check over its reached states."""
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 import pytest
 from inputs import cloudy_pv_csv
@@ -14,7 +16,7 @@ from pvflock.control import control_tables
 from pvflock.coordinator import building_bounds
 from pvflock.plant import BuildingParams, check_sane, transition_map
 from pvflock.scenario import synth_disturbances
-from pvflock.simulate import _FORMAT_BLOCK, _digit_tables, _format_cells, run_constants
+from pvflock.simulate import _FORMAT_BLOCK, _digit_tables, _format_cells, c_einsum, run_constants
 
 
 @pytest.mark.parametrize("n, horizon_h, csv", [
@@ -156,10 +158,11 @@ def period(request, scenario_config):
 
 def test_control_period(benchmark, period):
     # the six statements of one period of run_simulation's loop, on the operands its zip
-    # hands them; the plant's (T1, T2, T3, u, 1) is entry c and the next entry's T1 row
+    # hands them, the law's row from itertools.repeat as the loop takes it past the
+    # window; the plant's (T1, T2, T3, u, 1) is entry c and the next entry's T1 row
     row, z, abc, s = (period[k] for k in ("row", "z", "abc", "s"))
     lo_k, hi_k = period["u_bounds"]
-    c, n = len(row) - 1, z.shape[2]
+    c, n, rows = len(row) - 1, z.shape[2], repeat(row)
     r, f = np.empty(n), np.empty((3, n))
     w, x, x_now = z[:c + 1, ::3], z.reshape(-1, n)[4 * c:4 * c + 5], z[c, :3]
     # the run writes the clamped u over the bias and the next states over the row of
@@ -167,7 +170,7 @@ def test_control_period(benchmark, period):
     u_k, x_next, bias = np.empty(n), np.empty((3, n)), z[c, 3].copy()
 
     def one_period():
-        np.einsum("ij,ijn->n", row, w, out=r)
+        c_einsum("ij,ijn->n", next(rows), w, out=r)
         np.maximum(r, lo_k, out=u_k)
         np.minimum(u_k, hi_k, out=u_k)
         np.matmul(abc, x, out=f)

@@ -199,20 +199,15 @@ class TestAlgebraicEstimator:
         # period k >= c reads bitwise the same row, whose window part is the
         # kernel of the grid's first c times as the integral is written
         # (the scale folded in), and each earlier one only -kp/alpha on its T1;
-        # every row takes 1 times its own u entry, which holds the bias until clamped
-        tables, read = pvflock.simulate.control_tables, []
+        # every row takes 1 times its own u entry, which holds the bias until clamped;
+        # the law's product records the row each period hands it
+        product, read = pvflock.simulate.c_einsum, []
 
-        class Recorded(np.ndarray):
-            def __getitem__(self, key):
-                row = np.asarray(self)[key]
-                read.append(row.copy())
-                return row
+        def recording(subscripts, row, *args, **kwargs):
+            read.append(row.copy())
+            return product(subscripts, row, *args, **kwargs)
 
-        def recording(*args):
-            rows, bias = tables(*args)
-            return rows.view(Recorded), bias
-
-        monkeypatch.setattr(pvflock.simulate, "control_tables", recording)
+        monkeypatch.setattr(pvflock.simulate, "c_einsum", recording)
         for c in (3, 5, 9):
             cfg = ScenarioConfig(fleet=FleetConfig(n_buildings=2), horizon=672.0, window_capacity=c)
             read.clear()

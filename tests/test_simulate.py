@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from loop_oracle import run_simulation_reference
+from numpy.lib.stride_tricks import sliding_window_view
 
 import pvflock.scenario
 import pvflock.simulate
@@ -144,6 +145,32 @@ class TestRunSimulation:
                            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads})
             traces.append(out.read_bytes())
         assert traces[0] == traces[1]
+
+    @pytest.mark.parametrize("c", [3, 5, 9])
+    @pytest.mark.parametrize("n", [1, 2, 13, 130])
+    def test_the_laws_product_is_einsums_c_entry(self, n, c):
+        # the loop calls einsum's C entry, past np.einsum's Python dispatch; on the
+        # loop's strided window views, both rows and results written into a row of
+        # raw controls, the two round alike, so a numpy that reroutes np.einsum fails here
+        rng = np.random.default_rng(100 * n + c)
+        steps = 2 * c + 3
+        z = rng.uniform(-60.0, 60.0, (steps + c + 1, 4, n))
+        rows = rng.standard_normal((2, c + 1, 2)) * 10.0 ** rng.integers(-3, 4, (2, c + 1, 2))
+        windows = np.moveaxis(sliding_window_view(z[:, ::3], c + 1, axis=0), -1, 1)
+        got, want = np.empty((steps, n)), np.empty((steps, n))
+        for k, (w, r, expected) in enumerate(zip(windows, got, want)):
+            row = rows[int(k >= c)]
+            pvflock.simulate.c_einsum("ij,ijn->n", row, w, out=r)
+            np.einsum("ij,ijn->n", row, w, out=expected)
+        assert got.tobytes() == want.tobytes()
+
+    def test_no_period_dispatches_through_np_einsum(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("np.einsum called")
+
+        monkeypatch.setattr(np, "einsum", refused)
+        trace = run_simulation(small_cfg())
+        assert trace.n_steps == 12 and np.all(np.isfinite(trace.u))
 
     def test_zero_horizon_yields_an_empty_trace(self):
         trace = run_simulation(small_cfg(horizon=0.0))
