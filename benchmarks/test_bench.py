@@ -16,7 +16,8 @@ from pvflock.control import control_tables
 from pvflock.coordinator import building_bounds
 from pvflock.plant import BuildingParams, check_sane, transition_map
 from pvflock.scenario import synth_disturbances
-from pvflock.simulate import _FORMAT_BLOCK, _digit_tables, _format_cells, c_einsum, run_constants
+from pvflock.simulate import (_FORMAT_BLOCK, _digit_tables, _format_cells, c_dot, c_einsum,
+                              run_constants)
 
 
 @pytest.mark.parametrize("n, horizon_h, csv", [
@@ -173,8 +174,8 @@ def test_control_period(benchmark, period):
         c_einsum("ij,ijn->n", next(rows), w, out=r)
         np.maximum(r, lo_k, out=u_k)
         np.minimum(u_k, hi_k, out=u_k)
-        np.matmul(abc, x, out=f)
-        np.matmul(s, f, out=x_next)
+        c_dot(abc, x, out=f)
+        c_dot(s, f, out=x_next)
         np.add(x_next, x_now, out=x_next)
 
     benchmark(one_period)

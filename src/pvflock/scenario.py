@@ -114,13 +114,10 @@ class Profile:
 
 def load_profile_csv(path: str | Path, *, non_negative: bool = False) -> Profile:
     """Read a "t_hours,value" CSV; optionally reject negative values (PV)."""
-    table = read_csv_table(
-        path, "profile",
-        lambda fields: None if fields == ["t_hours", "value"]
-        else "first line must be the header 't_hours,value'",
-    )
-    if non_negative and (table[:, 1] < 0).any():  # the message states the whole rule
-        raise _row_error(path, table, int(np.argmax(table[:, 1] < 0)), "non-finite or negative")
+    table = read_csv_table(path, "profile", lambda fields: None if fields == ["t_hours", "value"]
+                           else "first line must be the header 't_hours,value'")
+    if non_negative and (table[:, 1] < 0).any():  # the reader has rejected non-finite cells
+        raise _cell_error(path, ["value"], table[:, 1:], table[:, 1:] < 0, "negative")
     return Profile(*table.T)
 
 
@@ -156,7 +153,7 @@ def read_csv_table(
         raise ProfileError(_first_bad_row(path, len(fields)))
     table = table.reshape(-1, len(fields))  # a header-only file reads as (0, 1)
     if not np.isfinite(table).all():
-        raise _row_error(path, table, int(np.argmin(np.isfinite(table).all(axis=1))), "non-finite")
+        raise _cell_error(path, fields, table, ~np.isfinite(table), "non-finite")
     return table
 
 
@@ -172,11 +169,13 @@ def _nonblank(fh) -> Iterator[tuple[int, str]]:
     return ((lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip())
 
 
-def _row_error(path: str | Path, table: np.ndarray, i: int, kind: str) -> ProfileError:
-    """The error naming row i of the table read from path by its file line."""
+def _cell_error(path: str | Path, fields: list[str], cells: np.ndarray, bad: np.ndarray,
+                kind: str) -> ProfileError:
+    """The error naming the first bad cell, in row order, by file line, field and value."""
+    i, j = np.unravel_index(np.argmax(bad), bad.shape)
     with open(path) as fh:
         lineno, _ = next(islice(_nonblank(fh), i + 1, None))
-    return ProfileError(f"{path}:{lineno}: {kind} row {table[i].tolist()}")
+    return ProfileError(f"{path}:{lineno}: {kind} {fields[j]} = {cells[i, j]}")
 
 
 def _first_bad_row(path: Path, width: int) -> str:

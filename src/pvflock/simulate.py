@@ -16,8 +16,9 @@ statements, six numpy calls, into the history:
            which np.einsum forwards to: its sum and rounding, less 0.9 us of dispatch
     clamp  np.maximum with -hi, then np.minimum with -lo, of the raw controls,
            into u's row: a tie of zeros takes the bound's sign
-    plant  the increment x + S [A | B | C w] (T1, T2, T3, u, 1), in two matmul
-           (BLAS) products, into the next entry's T1, T2 and T3 rows
+    plant  the increment x + S [A | B | C w] (T1, T2, T3, u, 1), in two products
+           through np.dot's C entry, the gemm of @ less its dispatch, into the
+           next entry's T1, T2 and T3 rows
 
 Two rows hold a preset until a statement writes them.  Period k's u row holds
 its bias, which the law's row takes with a coefficient of 1, until the clamp
@@ -62,6 +63,7 @@ from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
+from numpy._core._multiarray_umath import dot as c_dot
 from numpy._core.multiarray import c_einsum
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
@@ -158,8 +160,8 @@ def run_simulation(cfg: ScenarioConfig) -> SimulationTrace:
             c_einsum("ij,ijn->n", row, w, out=r)
             np.maximum(r, lo_k, out=u_k)
             np.minimum(u_k, hi_k, out=u_k)
-            np.matmul(abc_k, x, out=f)
-            np.matmul(s, f, out=x_next)
+            c_dot(abc_k, x, out=f)
+            c_dot(s, f, out=x_next)
             x_next += x_now
         check_sane(z[c + 1:, :3], t + dt)
     t1, t2, t3, u = z[c:steps + c].transpose(1, 0, 2)

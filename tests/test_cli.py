@@ -280,7 +280,7 @@ class TestMetricsCommand:
         lines[3] = ",".join(cells)
         small_trace.write_text("\n".join(lines) + "\n")
         assert main(["metrics", str(small_trace)]) == 1
-        assert f"{small_trace}:4: non-finite row" in capsys.readouterr().err
+        assert f"{small_trace}:4: non-finite T1_1 = nan\n" in capsys.readouterr().err
 
     # the scenario's setpoint plays no part: a band that leaves the default
     # 23 degC setpoint outside is still a band to count against, and so is

@@ -197,10 +197,14 @@ class TestProfile:
         # blank and whitespace-only lines before the row count as file lines
         path = tmp_path / "pv.csv"
         path.write_text("t_hours,value\n\n0,1\n \t\n1,-0.5\n")
-        with pytest.raises(ProfileError, match=r"pv\.csv:5: non-finite or negative row \[1\.0, -0\.5\]"):
+        with pytest.raises(ProfileError, match=r"pv\.csv:5: negative value = -0\.5$"):
             load_profile_csv(path, non_negative=True)
         path.write_text("\n t_hours,value\r\n0,1\r\n\r\n  \r\n1,2\r\n\t\r\n2,nan\r\n")
-        with pytest.raises(ProfileError, match=r"pv\.csv:8: non-finite row \[2\.0, nan\]"):
+        with pytest.raises(ProfileError, match=r"pv\.csv:8: non-finite value = nan$"):
+            load_profile_csv(path)
+        # the first bad cell in file order, not the first bad column's
+        path.write_text("t_hours,value\n0,1\n1,nan\ninf,2\n")
+        with pytest.raises(ProfileError, match=r"pv\.csv:3: non-finite value = nan$"):
             load_profile_csv(path)
 
     def test_well_formed_csv_loads_in_one_pass(self, tmp_path, monkeypatch):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from loop_oracle import run_simulation_reference
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 import pvflock.scenario
 import pvflock.simulate
@@ -171,6 +171,36 @@ class TestRunSimulation:
         monkeypatch.setattr(np, "einsum", refused)
         trace = run_simulation(small_cfg())
         assert trace.n_steps == 12 and np.all(np.isfinite(trace.u))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 13, 17, 130])
+    def test_the_plant_products_are_dots_c_entry(self, n):
+        # the loop calls np.dot's C entry, past its Python dispatch, on the history's
+        # strided (T1, T2, T3, u, 1) view, whose 1 is the next entry's T1 row, into
+        # rows of the history; BLAS sums it as np.matmul does (gemv at n = 1), so a
+        # numpy that moves the entry or reroutes either product fails here
+        assert pvflock.simulate.c_dot is np.dot._implementation
+        rng = np.random.default_rng(n)
+        steps = 7
+        z = rng.uniform(-60.0, 60.0, (steps + 1, 4, n))
+        z[1:, 0] = 1.0
+        abc = rng.standard_normal((steps, 3, 5)) * 10.0 ** rng.integers(-3, 4, (steps, 3, 5))
+        s = rng.standard_normal((3, 3))
+        f, want_f, want_next = np.empty((3, n)), np.empty((3, n)), np.empty((3, n))
+        for abc_k, x, x_next in zip(abc, as_strided(z, (steps, 5, n), z.strides), z[1:, :3]):
+            np.matmul(abc_k, x, out=want_f)
+            np.matmul(s, want_f, out=want_next)
+            pvflock.simulate.c_dot(abc_k, x, out=f)
+            pvflock.simulate.c_dot(s, f, out=x_next)
+            assert f.tobytes() == want_f.tobytes() and x_next.tobytes() == want_next.tobytes()
+
+    def test_no_period_dispatches_through_np_matmul_or_np_dot(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("np.matmul or np.dot called")
+
+        monkeypatch.setattr(np, "matmul", refused)
+        monkeypatch.setattr(np, "dot", refused)
+        trace = run_simulation(small_cfg())
+        assert trace.n_steps == 12 and np.all(np.isfinite(trace.t1))
 
     def test_zero_horizon_yields_an_empty_trace(self):
         trace = run_simulation(small_cfg(horizon=0.0))
@@ -691,7 +721,8 @@ class TestTraceSerialization:
     @pytest.mark.parametrize("column, value", [("T1_2", "nan"), ("sum_p_kw", "inf"),
                                                ("clamped_3", "-inf")])
     def test_read_names_the_file_line_of_a_non_finite_row(self, column, value, tmp_path):
-        # a trace cell the metrics would turn into nan or inf, or silently leave out
+        # a trace cell the metrics would turn into nan or inf, or silently leave out,
+        # named by its header field: the row of a wide fleet is hundreds of numbers
         path = tmp_path / "trace.csv"
         write_trace(run_simulation(small_cfg()), path)
         lines = path.read_text().splitlines()
@@ -699,8 +730,8 @@ class TestTraceSerialization:
         cells[lines[0].split(",").index(column)] = value
         lines[5] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
-        row = re.escape(str([float(x) for x in cells]))
-        with pytest.raises(ProfileError, match=rf"^{re.escape(str(path))}:6: non-finite row {row}$"):
+        named = rf"^{re.escape(str(path))}:6: non-finite {column} = {value}$"
+        with pytest.raises(ProfileError, match=named):
             read_trace(path)
 
     def test_read_is_exact_on_the_written_digits(self, tmp_path):
