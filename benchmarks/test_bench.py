@@ -1,11 +1,9 @@
 """End-to-end runs, trace write and read, the trace writer's digit tables, the PV
 profile load, the run's constants as one stage and stage by stage, the metrics, the
-iP law's tables, the plant's period map, one fused control period, and the run's
+iP law's tables, the plant's period map, the run's control loop, and the run's
 one range check over its reached states."""
 
 from __future__ import annotations
-
-from itertools import repeat
 
 import numpy as np
 import pytest
@@ -16,8 +14,7 @@ from pvflock.control import control_tables
 from pvflock.coordinator import building_bounds
 from pvflock.plant import BuildingParams, check_sane, transition_map
 from pvflock.scenario import synth_disturbances
-from pvflock.simulate import (_FORMAT_BLOCK, _digit_tables, _format_cells, c_dot, c_einsum,
-                              run_constants)
+from pvflock.simulate import _FORMAT_BLOCK, _digit_tables, _format_cells, _march, run_constants
 
 
 @pytest.mark.parametrize("n, horizon_h, csv", [
@@ -132,64 +129,29 @@ def test_plant_map(benchmark):
 
 
 @pytest.fixture(params=[13, 1300], ids=["n13", "n1300"])
-def period(request, scenario_config):
-    """Period 100's law, bounds and [A | B | C w] table in a fleet of n buildings, with
-    a made-up history whose current u row holds the period's bias."""
+def loop(request, scenario_config):
+    """The loaded config of n buildings over 72 h, its run's constants and its law's
+    (rows, bias), as run_simulation hands them to its control loop."""
     cfg = scenario_config(request.param, 72.0)
-    c, dt, n, k = cfg.window_capacity, cfg.fleet.sample_dt, request.param, 100
     run = run_constants(cfg)
-    rows, bias = control_tables(run.t, run.x0[0], c, cfg.alpha, cfg.kp, cfg.setpoint,
-                                cfg.ramp_hours, dt)
-    rng = np.random.default_rng(0)
-    z = np.zeros((c + 2, 4, n))  # the window of period k: c past entries and its own
-    z[:, :3] = run.x0 + rng.uniform(-1.0, 1.0, (c + 2, 1, n))
-    z[:c, 3] = rng.uniform(-3.0, 0.0, (c, n))
-    z[c, 3] = bias[k]  # the bias, preset in the current u row as the run presets it
-    z[c + 1, 0] = 1.0  # the next entry's T1 row, preset as the run presets it
-    return {
-        "cfg": cfg,
-        "states": run.x0,
-        "row": rows[1],
-        "z": z,
-        "u_bounds": (float(-run.hi[k]), float(-run.lo[k])),
-        "abc": np.column_stack([run.tm.a, run.tm.b, run.cw[k]]),
-        "s": run.tm.s,
-    }
+    return cfg, run, control_tables(run.t, run.x0[0], cfg.window_capacity, cfg.alpha, cfg.kp,
+                                    cfg.setpoint, cfg.ramp_hours, cfg.fleet.sample_dt)
 
 
-def test_control_period(benchmark, period):
-    # the six statements of one period of run_simulation's loop, on the operands its zip
-    # hands them, the law's row from itertools.repeat as the loop takes it past the
-    # window; the plant's (T1, T2, T3, u, 1) is entry c and the next entry's T1 row
-    row, z, abc, s = (period[k] for k in ("row", "z", "abc", "s"))
-    lo_k, hi_k = period["u_bounds"]
-    c, n, rows = len(row) - 1, z.shape[2], repeat(row)
-    r, f = np.empty(n), np.empty((3, n))
-    w, x, x_now = z[:c + 1, ::3], z.reshape(-1, n)[4 * c:4 * c + 5], z[c, :3]
-    # the run writes the clamped u over the bias and the next states over the row of
-    # ones; here they go apart, so every round reads the bias and the 1
-    u_k, x_next, bias = np.empty(n), np.empty((3, n)), z[c, 3].copy()
-
-    def one_period():
-        c_einsum("ij,ijn->n", next(rows), w, out=r)
-        np.maximum(r, lo_k, out=u_k)
-        np.minimum(u_k, hi_k, out=u_k)
-        c_dot(abc, x, out=f)
-        c_dot(s, f, out=x_next)
-        np.add(x_next, x_now, out=x_next)
-
-    benchmark(one_period)
-    assert type(lo_k) is type(hi_k) is float and np.all(x[4] == 1.0) and np.all(x[3] == bias)
-    assert np.all(np.isfinite(x_next)) and np.all((-3.0 <= u_k) & (u_k <= 0.0))
+def test_control_loop(benchmark, loop):
+    # the run's own loop, all 432 periods of the day: the estimate and the law, the
+    # clamp and the plant step, with the set-up of its history and [A | B | C w] table
+    cfg, run, (rows, bias) = loop
+    z, raw = benchmark(_march, run, rows, bias)
+    assert raw.shape == (cfg.n_steps, cfg.fleet.n_buildings) and np.all(np.isfinite(z))
 
 
-def test_sanity_check(benchmark, period):
-    benchmark(check_sane, period["states"], 12.0)
+def test_sanity_check(benchmark, loop):
+    benchmark(check_sane, loop[1].x0, 12.0)
 
 
-def test_run_sanity_check(benchmark, period):
-    # a 72 h run's reached states, all sane: the run's usual case
-    cfg, states = period["cfg"], period["states"]
-    reached = np.broadcast_to(states, (cfg.n_steps, *states.shape)).copy()
-    t_next = (np.arange(cfg.n_steps) + 1) * cfg.fleet.sample_dt
-    benchmark(check_sane, reached, t_next)
+def test_run_sanity_check(benchmark, loop):
+    # a 72 h run's reached states, all sane: the run's usual case, on its own operand
+    cfg, run, (rows, bias) = loop
+    z, _ = _march(run, rows, bias)
+    benchmark(check_sane, z[cfg.window_capacity + 1:, :3], run.t + cfg.fleet.sample_dt)

@@ -5,8 +5,8 @@
                             [--transient-hours T]
     pvflock gen-profile pv <out> [--horizon H] [--peak P]
 
-The --seed flag overrides the config file's scenario.seed.  Errors print one
-diagnostic line to stderr and exit nonzero.
+--seed and --out override the config's scenario.seed and output.path, through
+their checks.  Errors print one diagnostic line to stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -54,18 +54,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    cfg = replace(load_config(args.config), **{key: value for key, value in
+                  (("seed", args.seed), ("output_path", args.out)) if value is not None})
     trace = run_simulation(cfg)
-    out = args.out or cfg.output_path
-    write_trace(trace, out)
+    write_trace(trace, cfg.output_path)
     if not args.quiet:
         report = compute_metrics(trace, epsilon=cfg.fleet.epsilon, comfort_low=cfg.comfort_low,
                                  comfort_high=cfg.comfort_high, transient_hours=cfg.transient_hours)
         for line in report.lines():
             print(line)
-        print(f"trace={out}")
+        print(f"trace={cfg.output_path}")
     return 0
 
 

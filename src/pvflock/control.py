@@ -31,11 +31,10 @@ applied u, with coefficients that depend only on the settings.  So
 control_tables writes period k's raw control as one row of coefficients on
 the c + 1 history entries k - c .. k of (y, u), the row before the window
 fills or the one after (estimator_kernel gives its window part), and a bias,
-which the row takes with a coefficient of 1 from period k's own u until the
-clamp writes u there: a period is one product, in einsum's C entry (np.einsum's
-sum and rounding, less 0.9 us of dispatch).  Times are in hours, temperatures
-in degC, controls in kW with the thermal sign convention (u <= 0 extracts
-heat).  The window reads u as clamped, so saturation cannot wind up the estimate.
+which the row takes with a coefficient of 1 from period k's own u; the loop
+that applies them is pvflock.simulate's.  Times are in hours, temperatures in
+degC, controls in kW with the thermal sign convention (u <= 0 extracts heat).
+The window reads u as clamped, so saturation cannot wind up the estimate.
 
 These functions trust the settings they are given: alpha, kp and the
 window size were checked once, when the ScenarioConfig holding them was

@@ -25,11 +25,9 @@ by build_matrices().  With the inputs held over each control period (zero-
 order hold), the period's exact solution is the affine update
 x+ = x + S (A x + B u + C w) with S = A^-1 (e^(A dt) - I), which
 transition_map computes once per run: a shortfall in comfort or tracking
-belongs to the controller, not to an integrator.  The run writes a period
-as that increment: one product of [A | B] with the state and control, the
-disturbance forcing C w of the period (computed for every period before
-the loop) added, and one product with S added to the state.  The tests
-check S against scipy's matrix exponential.
+belongs to the controller, not to an integrator.  The run steps each period
+as that increment (pvflock.simulate's docstring shows how).  The tests check
+S against scipy's matrix exponential.
 
 Everything here takes plain arrays: one building's state is the length-3
 array (T1, T2, T3) and a fleet is a (3, n) block with one column per
@@ -68,7 +66,7 @@ class BuildingParams:
     def __post_init__(self) -> None:
         for name in ("c1", "c2", "c3", "k1", "k2", "k4", "k5"):
             if not (getattr(self, name) > 0 and math.isfinite(getattr(self, name))):
-                raise ConfigurationError(f"{name} must be positive and finite")
+                raise ConfigurationError(f"building.{name} must be positive and finite")
 
 
 def build_matrices(p: BuildingParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

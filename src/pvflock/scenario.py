@@ -50,11 +50,13 @@ class DisturbanceParams:
     d3_night: float = 0.05
 
     def __post_init__(self) -> None:
-        for name in ("d1_mean", "d1_amp", "d2_peak", "d3_day", "d3_night"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite")
-        if self.d2_peak < 0 or self.d3_day < 0 or self.d3_night < 0:
-            raise ConfigurationError("gain magnitudes must be >= 0")
+        for key, value in (("d1_mean_c", self.d1_mean), ("d1_amp_c", self.d1_amp)):
+            if not math.isfinite(value):
+                raise ConfigurationError(f"disturbance.{key} must be finite")
+        for key, value in (("d2_peak_kw", self.d2_peak), ("d3_day_kw", self.d3_day),
+                           ("d3_night_kw", self.d3_night)):
+            if not (value >= 0 and math.isfinite(value)):
+                raise ConfigurationError(f"disturbance.{key} must be >= 0 and finite")
 
 
 def _solar_shape(h):
@@ -207,7 +209,7 @@ class PvSourceConfig:
         if self.kind not in ("synthetic", "csv", "off"):
             raise ConfigurationError(f"pv.source must be synthetic, csv or off, got {self.kind!r}")
         if self.kind == "synthetic" and not (self.peak >= 0 and math.isfinite(self.peak)):
-            raise ConfigurationError("pv.peak_kw must be >= 0")
+            raise ConfigurationError("pv.peak_kw must be >= 0 and finite")
         if self.kind == "csv" and not self.csv_path:
             raise ConfigurationError("pv.source = csv requires pv.csv_path")
 
@@ -236,7 +238,7 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         if self.horizon < 0 or not math.isfinite(self.horizon):
-            raise ConfigurationError("horizon must be >= 0")
+            raise ConfigurationError("scenario.horizon_hours must be >= 0 and finite")
         steps = self.horizon / self.fleet.sample_dt
         if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ConfigurationError("horizon must be a finite multiple of the sampling interval")
@@ -250,11 +252,13 @@ class ScenarioConfig:
         if self.initial_t1_low > self.initial_t1_high:
             raise ConfigurationError("initial temperature range is inverted")
         if not (self.transient_hours >= 0 and math.isfinite(self.transient_hours)):
-            raise ConfigurationError("transient_hours must be >= 0 and finite")
+            raise ConfigurationError("scenario.transient_hours must be >= 0 and finite")
         if self.seed < 0:
-            raise ConfigurationError("seed must be >= 0")
+            raise ConfigurationError("scenario.seed must be >= 0")
+        if not self.output_path:
+            raise ConfigurationError("output.path must be a non-empty path")
         if self.window_capacity < 3 or self.window_capacity % 2 == 0:
-            raise ConfigurationError("window_capacity must be odd and >= 3")
+            raise ConfigurationError("controller.window_capacity must be odd and >= 3")
         if 0 < self.n_steps <= self.window_capacity:
             raise ConfigurationError(f"window_capacity must be under the run's {self.n_steps} steps")
         # the (steps + c + 1, 4, n) float64 history; past np.intp's range numpy raises ValueError
@@ -265,11 +269,11 @@ class ScenarioConfig:
             )
         # dT1/dt rises with u (by 3600/c1), so the model's input gain must share its sign
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ConfigurationError("alpha must be positive and finite")
+            raise ConfigurationError("controller.alpha must be positive and finite")
         if not (self.kp > 0 and math.isfinite(self.kp)):
-            raise ConfigurationError("kp must be positive (closed-loop stability)")
+            raise ConfigurationError("controller.kp must be positive and finite (for stability)")
         if not (self.ramp_hours >= 0 and math.isfinite(self.ramp_hours)):
-            raise ConfigurationError("ramp_hours must be >= 0 and finite")
+            raise ConfigurationError("scenario.ramp_hours must be >= 0 and finite")
 
     @property
     def n_steps(self) -> int:
@@ -345,7 +349,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> ScenarioConfig:
         sections = {name: SECTIONS[name](**kw) for name, kw in values.items()}
         # old files set RK4 substeps, which the exact plant map has no use for
         if top.pop("substeps", 1) < 1:
-            raise ConfigurationError("substeps must be >= 1")
+            raise ConfigurationError("scenario.substeps must be >= 1")
         return ScenarioConfig(**sections, **top)
     except (TypeError, ValueError) as exc:  # a ConfigurationError passes through as it is
         raise ConfigurationError(f"{origin}: {exc}") from exc

@@ -4,16 +4,16 @@ A run first computes everything that depends only on the time grid and the
 settings: run_constants, the one place they are built, gives the times, the PV
 output, the per-building bounds, the plant's transition map, the disturbance
 forcing C w and the initial states, and the run adds the iP law's tables
-(control.control_tables).  The fleet's history lives in one (steps + c + 1,
-4, N) array z: entry c + k holds the rows T1, T2, T3 and u of period k, and
-the first c entries are zeros, so period k's window z[k .. k + c] always
-exists.  The loop steps through per-period views of these arrays with one
-zip, the law's rows from itertools.repeat; each control period writes three
-statements, six numpy calls, into the history:
+(control.control_tables).  _march, the one control loop, holds the fleet's
+history in one (steps + c + 1, 4, N) array z: entry c + k holds the rows T1,
+T2, T3 and u of period k, and the first c entries are zeros, so period k's
+window z[k .. k + c] always exists.  It steps through per-period views of
+these arrays with one zip, the law's rows from itertools.repeat; each control
+period writes three statements, six numpy calls, into the history:
 
     raw    the law's row, before or after the window fills, times the window's
            T1 and u rows: the estimate and the iP law at once, in einsum's C entry,
-           which np.einsum forwards to: its sum and rounding, less 0.9 us of dispatch
+           which np.einsum forwards to: its sum and rounding, less its dispatch
     clamp  np.maximum with -hi, then np.minimum with -lo, of the raw controls,
            into u's row: a tie of zeros takes the bound's sign
     plant  the increment x + S [A | B | C w] (T1, T2, T3, u, 1), in two products
@@ -122,6 +122,29 @@ def run_constants(cfg: ScenarioConfig) -> RunConstants:
                         synth_disturbances(t, cfg.disturbance) @ tm.c.T, build_fleet(cfg))
 
 
+def _march(run: RunConstants, rows: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every period of run under the law's (rows, bias): the history z and the raw controls."""
+    (steps, n), c, s = (len(run.t), run.x0.shape[1]), len(rows[0]) - 1, run.tm.s
+    abc = np.empty((steps, 3, 5))
+    abc[..., :3], abc[..., 3], abc[..., 4] = run.tm.a, run.tm.b, run.cw  # period k's [A | B | C w_k]
+    z = np.zeros((steps + c + 1, 4, n))
+    z[c, :3], z[c + 1:, 0] = run.x0, 1.0  # each period's (T1, T2, T3, u, 1) ends in the next T1 row
+    z[c:-1, 3] = bias  # period k's u row holds its bias, which the law's 1 adds
+    raw, f = np.empty((steps, n)), np.empty((3, n))
+    windows = np.moveaxis(sliding_window_view(z[:, ::3], c + 1, axis=0), -1, 1)
+    for row, w, r, u_k, lo_k, hi_k, abc_k, x, x_now, x_next in zip(
+            chain(repeat(rows[0], c), repeat(rows[1])), windows, raw, z[c:, 3],
+            (-run.hi).tolist(), (-run.lo).tolist(), abc, as_strided(z[c:], (steps, 5, n), z.strides),
+            z[c:, :3], z[c + 1:, :3]):
+        c_einsum("ij,ijn->n", row, w, out=r)
+        np.maximum(r, lo_k, out=u_k)
+        np.minimum(u_k, hi_k, out=u_k)
+        c_dot(abc_k, x, out=f)
+        c_dot(s, f, out=x_next)
+        x_next += x_now
+    return z, raw
+
+
 def run_simulation(cfg: ScenarioConfig) -> SimulationTrace:
     """Run the configured scenario.
 
@@ -130,19 +153,14 @@ def run_simulation(cfg: ScenarioConfig) -> SimulationTrace:
     and PlantDivergenceError after the last period, naming the first building
     whose state left the sane temperature range.
     """
-    n, steps, dt = cfg.fleet.n_buildings, cfg.n_steps, cfg.fleet.sample_dt
-    c = min(cfg.window_capacity, steps)  # a window longer than the run never fills
-    t, pv, band_lo, band_hi, lo, hi, infeasible, tm, cw, x0 = run_constants(cfg)
-    abc, s = np.empty((steps, 3, 5)), tm.s
-    abc[..., :3], abc[..., 3], abc[..., 4] = tm.a, tm.b, cw  # period k's [A | B | C w_k]
-    z = np.zeros((steps + c + 1, 4, n))
-    z[c, :3], z[c + 1:, 0] = x0, 1.0  # each period's (T1, T2, T3, u, 1) ends in the next T1 row
-    raw, f = np.empty((steps, n)), np.empty((3, n))
+    dt = cfg.fleet.sample_dt
+    c = min(cfg.window_capacity, cfg.n_steps)  # a window longer than the run never fills
+    run = run_constants(cfg)
     # a finite setting can overflow the law's tables (kp = 1e308) and a diverging
     # plant its states; the guards raise one error for each, which numpy's warnings
     # would only repeat
     with np.errstate(over="ignore", invalid="ignore"):
-        rows, bias = control_tables(t, z[c, 0], c, cfg.alpha, cfg.kp, cfg.setpoint,
+        rows, bias = control_tables(run.t, run.x0[0], c, cfg.alpha, cfg.kp, cfg.setpoint,
                                     cfg.ramp_hours, dt)
         # |T1| <= 60 while sane, |u| <= hvac_max once clamped; the current u row holds the bias
         bound = np.abs(rows).max(axis=0) * [np.abs(SANITY_RANGE).max(), cfg.fleet.hvac_max]
@@ -151,24 +169,13 @@ def run_simulation(cfg: ScenarioConfig) -> SimulationTrace:
             raise ConfigurationError(
                 "computed iP control is not finite: controller.kp or controller.alpha overflows it"
             )
-        z[c:steps + c, 3] = bias  # period k's u row holds its bias, which the law's 1 adds
-        windows = np.moveaxis(sliding_window_view(z[:, ::3], c + 1, axis=0), -1, 1)
-        for row, w, r, u_k, lo_k, hi_k, abc_k, x, x_now, x_next in zip(
-                chain(repeat(rows[0], c), repeat(rows[1])), windows, raw, z[c:, 3],
-                (-hi).tolist(), (-lo).tolist(), abc, as_strided(z[c:], (steps, 5, n), z.strides),
-                z[c:, :3], z[c + 1:, :3]):
-            c_einsum("ij,ijn->n", row, w, out=r)
-            np.maximum(r, lo_k, out=u_k)
-            np.minimum(u_k, hi_k, out=u_k)
-            c_dot(abc_k, x, out=f)
-            c_dot(s, f, out=x_next)
-            x_next += x_now
-        check_sane(z[c + 1:, :3], t + dt)
-    t1, t2, t3, u = z[c:steps + c].transpose(1, 0, 2)
+        z, raw = _march(run, rows, bias)
+        check_sane(z[c + 1:, :3], run.t + dt)
+    t1, t2, t3, u = z[c:-1].transpose(1, 0, 2)
     clamped = u != raw
     p = np.negative(u, out=raw)  # the raw controls are spent: their array takes p
-    return SimulationTrace(n, t, pv, p.sum(axis=1), band_lo, band_hi, infeasible,
-                           t1, t2, t3, u, p, clamped)
+    return SimulationTrace(cfg.fleet.n_buildings, run.t, run.pv, p.sum(axis=1), run.band_lo,
+                           run.band_hi, run.infeasible, t1, t2, t3, u, p, clamped)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +373,8 @@ def _trace_header_error(fields: list[str]) -> str | None:
         return "unrecognized trace header"
     if len(fields) % 6:
         return "trace header has a partial building group"
+    if len(fields) == 6:
+        return "trace has no building columns"
     return None
 
 

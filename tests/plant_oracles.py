@@ -51,11 +51,8 @@ def plant_period(states: np.ndarray, u: np.ndarray, cw: np.ndarray,
     """Advance a (3, n) block of states by one period as run_simulation does.
 
     The increment x + S ([A | B] (x, u) + C w) in two @ products, for the
-    controls u and the disturbance forcing cw = C w.  The run takes its two
-    products through np.dot's C entry, the same gemm as @ without the
-    dispatch.  Here C w is added apart; the run folds it into its first
-    product, [A | B | C w] (x, u, 1), which BLAS sums with C w last, so the
-    two agree bit for bit.
+    controls u and the disturbance forcing cw = C w, which is added apart;
+    pvflock.simulate's docstring says why the run's period agrees bit for bit.
     """
     f = np.column_stack([tm.a, tm.b]) @ np.vstack([states, u[None]])
     f += cw[:, None]

@@ -137,6 +137,21 @@ class TestRun:
         assert one_error_line(capsys) == "error: fleet.epsilon_kw must be positive and finite\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, flag", [("output.path =\n", []), ("", ["--out", ""])],
+                             ids=["config", "flag"])
+    def test_an_empty_output_path_fails_before_the_run(self, line, flag, config_file, tmp_path,
+                                                       monkeypatch, capsys):
+        # the flag goes through output.path's own check, as --seed goes through scenario.seed's
+        def refused(cfg):
+            raise AssertionError("run_simulation called")
+
+        monkeypatch.setattr(pvflock.cli, "run_simulation", refused)
+        monkeypatch.chdir(tmp_path)
+        cfg = config_file(SMALL + f"output.path = {tmp_path / 'trace.csv'}\n" + line)
+        assert main(["run", str(cfg), *flag]) == 1
+        assert one_error_line(capsys) == "error: output.path must be a non-empty path\n"
+        assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
+
     # numpy raises ValueError, not MemoryError, for an array past np.intp's range
     @pytest.mark.parametrize("line", [
         "scenario.horizon_hours = 1e18",

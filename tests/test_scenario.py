@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -430,3 +431,20 @@ class TestConfig:
         # NaN fails every comparison, so a range check alone lets it through
         with pytest.raises(ConfigurationError):
             cls(**{name: math.nan})
+
+    @pytest.mark.parametrize("line", [
+        "scenario.horizon_hours = -1", "scenario.horizon_hours = inf", "scenario.transient_hours = inf",
+        "scenario.ramp_hours = nan", "scenario.seed = -1", "scenario.substeps = 0",
+        "controller.alpha = 0", "controller.kp = inf", "controller.window_capacity = 4",
+        "fleet.n_buildings = 0", "fleet.sample_dt_hours = inf", "building.c1 = 0", "building.k4 = inf",
+        "disturbance.d1_mean_c = nan", "disturbance.d1_amp_c = inf", "disturbance.d2_peak_kw = -1",
+        "disturbance.d3_day_kw = -1", "disturbance.d3_night_kw = inf", "pv.peak_kw = inf",
+        "output.path =",
+    ])
+    def test_a_range_error_starts_with_the_key_typed(self, line):
+        # a rule on one setting names it as the config file does; one that rejects
+        # infinity says so
+        key, _, value = (part.strip() for part in line.partition("="))
+        with pytest.raises(ConfigurationError, match=rf"^{re.escape(key)} must be") as err:
+            parse_config_text(line)
+        assert "finite" in str(err.value) or value not in ("inf", "nan")

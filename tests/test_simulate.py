@@ -16,7 +16,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from loop_oracle import run_simulation_reference
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 import pvflock.scenario
 import pvflock.simulate
@@ -35,6 +34,7 @@ from pvflock import (
     write_trace,
 )
 from pvflock.cli import main
+from pvflock.control import control_tables
 from pvflock.scenario import DisturbanceParams
 from pvflock.simulate import _format_cells, build_fleet, run_constants, trace_header
 
@@ -146,23 +146,52 @@ class TestRunSimulation:
             traces.append(out.read_bytes())
         assert traces[0] == traces[1]
 
+    @pytest.mark.parametrize("law", ["shipped", "random"])
     @pytest.mark.parametrize("c", [3, 5, 9])
-    @pytest.mark.parametrize("n", [1, 2, 13, 130])
-    def test_the_laws_product_is_einsums_c_entry(self, n, c):
-        # the loop calls einsum's C entry, past np.einsum's Python dispatch; on the
-        # loop's strided window views, both rows and results written into a row of
-        # raw controls, the two round alike, so a numpy that reroutes np.einsum fails here
-        rng = np.random.default_rng(100 * n + c)
-        steps = 2 * c + 3
-        z = rng.uniform(-60.0, 60.0, (steps + c + 1, 4, n))
-        rows = rng.standard_normal((2, c + 1, 2)) * 10.0 ** rng.integers(-3, 4, (2, c + 1, 2))
-        windows = np.moveaxis(sliding_window_view(z[:, ::3], c + 1, axis=0), -1, 1)
-        got, want = np.empty((steps, n)), np.empty((steps, n))
-        for k, (w, r, expected) in enumerate(zip(windows, got, want)):
-            row = rows[int(k >= c)]
-            pvflock.simulate.c_einsum("ij,ijn->n", row, w, out=r)
-            np.einsum("ij,ijn->n", row, w, out=expected)
-        assert got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 13, 17, 130])
+    def test_the_loops_products_are_the_c_entries(self, n, c, law, monkeypatch):
+        # the loop's products go through einsum's and np.dot's C entries, past their
+        # Python dispatch, and round as np.einsum and np.matmul do (gemv at n = 1): run
+        # through those two, three products a period, the loop gives the same bytes
+        assert pvflock.simulate.c_dot is np.dot._implementation
+        cfg = small_cfg(fleet=FleetConfig(n_buildings=n), horizon=4.0, window_capacity=c)
+        run = run_constants(cfg)
+        rows, bias = control_tables(run.t, run.x0[0], c, cfg.alpha, cfg.kp, cfg.setpoint,
+                                    cfg.ramp_hours, cfg.fleet.sample_dt)
+        if law == "random":  # coefficients of mixed magnitude; the bias's stays 1
+            rng = np.random.default_rng(100 * n + c)
+            rows = rng.standard_normal(rows.shape) * 10.0 ** rng.integers(-3, 4, rows.shape)
+            rows[:, c, 1] = 1.0
+        got, calls = pvflock.simulate._march(run, rows, bias), []
+
+        def through(product):
+            def call(*args, **kwargs):
+                calls.append(product.__name__)
+                return product(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(pvflock.simulate, "c_einsum", through(np.einsum))
+        monkeypatch.setattr(pvflock.simulate, "c_dot", through(np.matmul))
+        want = pvflock.simulate._march(run, rows, bias)
+        assert calls == ["einsum", "matmul", "matmul"] * cfg.n_steps
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]  # z and raw
+
+    def test_a_run_marches_once_on_its_own_constants(self, monkeypatch):
+        # the benchmark times _march: a run must step all its periods through it, or
+        # the benchmark would time a loop that no run executes
+        cfg, march, calls = small_cfg(), pvflock.simulate._march, []
+
+        def recording(run, rows, bias):
+            calls.append((run, march(run, rows, bias)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(pvflock.simulate, "_march", recording)
+        trace = run_simulation(cfg)
+        assert len(calls) == 1
+        (run, (z, raw)), want = calls[0], run_constants(cfg)
+        for got, expected in zip([*run[:7], *run.tm, *run[8:]], [*want[:7], *want.tm, *want[8:]]):
+            assert got.tobytes() == expected.tobytes()
+        assert np.shares_memory(trace.t1, z) and np.shares_memory(trace.p, raw)
 
     def test_no_period_dispatches_through_np_einsum(self, monkeypatch):
         def refused(*args, **kwargs):
@@ -171,27 +200,6 @@ class TestRunSimulation:
         monkeypatch.setattr(np, "einsum", refused)
         trace = run_simulation(small_cfg())
         assert trace.n_steps == 12 and np.all(np.isfinite(trace.u))
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 13, 17, 130])
-    def test_the_plant_products_are_dots_c_entry(self, n):
-        # the loop calls np.dot's C entry, past its Python dispatch, on the history's
-        # strided (T1, T2, T3, u, 1) view, whose 1 is the next entry's T1 row, into
-        # rows of the history; BLAS sums it as np.matmul does (gemv at n = 1), so a
-        # numpy that moves the entry or reroutes either product fails here
-        assert pvflock.simulate.c_dot is np.dot._implementation
-        rng = np.random.default_rng(n)
-        steps = 7
-        z = rng.uniform(-60.0, 60.0, (steps + 1, 4, n))
-        z[1:, 0] = 1.0
-        abc = rng.standard_normal((steps, 3, 5)) * 10.0 ** rng.integers(-3, 4, (steps, 3, 5))
-        s = rng.standard_normal((3, 3))
-        f, want_f, want_next = np.empty((3, n)), np.empty((3, n)), np.empty((3, n))
-        for abc_k, x, x_next in zip(abc, as_strided(z, (steps, 5, n), z.strides), z[1:, :3]):
-            np.matmul(abc_k, x, out=want_f)
-            np.matmul(s, want_f, out=want_next)
-            pvflock.simulate.c_dot(abc_k, x, out=f)
-            pvflock.simulate.c_dot(s, f, out=x_next)
-            assert f.tobytes() == want_f.tobytes() and x_next.tobytes() == want_next.tobytes()
 
     def test_no_period_dispatches_through_np_matmul_or_np_dot(self, monkeypatch):
         def refused(*args, **kwargs):
@@ -683,6 +691,10 @@ class TestTraceSerialization:
             read_trace(path)
         path.write_text("")
         with pytest.raises(ProfileError, match="empty file, not a trace"):
+            read_trace(path)
+        # the fleet columns alone, which no run writes
+        path.write_text(trace_header(0) + "\n0,0,0,0,0,0\n")
+        with pytest.raises(ProfileError, match="trace has no building columns"):
             read_trace(path)
         # the fleet columns and one building's first three
         path.write_text(",".join(trace_header(1).split(",")[:9]) + "\n")
