@@ -68,9 +68,11 @@ def test_digit_tables(benchmark):
     assert hi.shape == lo.shape == (10000, 2)
 
 
-def test_load_profile_csv(benchmark, tmp_path):
-    # the long_horizon_csv workload's PV input: four weeks of cloudy 12 kW PV at seed 1
-    text, _, values = cloudy_pv_csv(1, 672.0, 12.0)
+@pytest.mark.parametrize("horizon_h", [672.0, 8760.0], ids=["4weeks", "1year"])
+def test_load_profile_csv(benchmark, tmp_path, horizon_h):
+    # cloudy 12 kW PV at seed 1: four weeks is the long_horizon_csv workload's PV input,
+    # a year of 15-minute rows (35 041 of them) a long measured log
+    text, _, values = cloudy_pv_csv(1, horizon_h, 12.0)
     path = tmp_path / "pv.csv"
     path.write_text(text)
     profile = benchmark(load_profile_csv, path, non_negative=True)

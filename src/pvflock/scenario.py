@@ -28,11 +28,13 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable, Iterable, Iterator
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
+from numpy._core._multiarray_umath import _load_from_filelike
 
 from .coordinator import FleetConfig
 from .errors import ConfigurationError, ProfileError
@@ -131,19 +133,23 @@ def read_csv_table(
     Blank lines are skipped, whitespace around (not inside) a cell or a header
     field is ignored and '#' is not a comment.  header_error(fields) sees the
     header before any row is parsed and returns why it is rejected, or None.
-    Returns the (rows, fields) table of finite cells.  A well-formed file is one
-    loadtxt pass over the lines after its header; the lines are filtered one by
-    one only when that pass raises, and file lines are counted only to name a row.
+    Returns the (rows, fields) table of finite cells; a UTF-8 byte-order mark is not part of
+    the header.  The rest of the open file goes to numpy's chunked C reader, np.loadtxt's own
+    when it opens a file, never the path (numpy would decompress by suffix or open a URL).
+    Lines are filtered one by one only when that pass raises, and counted only to name a row.
     """
     path = Path(path)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             fields = [f.strip() for f in next((line for line in fh if line.strip()), "").split(",")]
             reason = header_error(fields)
             if reason:
                 raise ProfileError(f"{path}: {reason}")
-            try:
-                table = _loadtxt(fh)  # loadtxt skips empty lines and spaces around cells itself
+            try:  # np.loadtxt(fh, delimiter=",", comments=None)'s call, read by fh.read in chunks
+                table = _load_from_filelike(
+                    fh, delimiter=",", comment=None, quote=None, imaginary_unit="j", usecols=None,
+                    skiplines=0, max_rows=-1, converters=None, dtype=np.dtype(float),
+                    encoding=fh.encoding, filelike=True, byte_converters=False)
             except ValueError:  # a line of only spaces or tabs, or a bad row
                 fh.seek(0)
                 table = _loadtxt(line for _, line in islice(_nonblank(fh), 1, None))
@@ -175,7 +181,7 @@ def _cell_error(path: str | Path, fields: list[str], cells: np.ndarray, bad: np.
                 kind: str) -> ProfileError:
     """The error naming the first bad cell, in row order, by file line, field and value."""
     i, j = np.unravel_index(np.argmax(bad), bad.shape)
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         lineno, _ = next(islice(_nonblank(fh), i + 1, None))
     return ProfileError(f"{path}:{lineno}: {kind} {fields[j]} = {cells[i, j]}")
 
@@ -183,17 +189,23 @@ def _cell_error(path: str | Path, fields: list[str], cells: np.ndarray, bad: np.
 def _first_bad_row(path: Path, width: int) -> str:
     """Name the first row of a CSV that is not `width` numbers.
 
-    Only runs once the whole-file parse has failed, and parses each row the
-    same way; loadtxt's own messages do not count the lines of the file.
+    Only runs once the whole-file parse has failed.  Parses rows in blocks, one by one only
+    in the first block that fails; loadtxt's own messages do not count the lines of the file.
     """
-    with open(path) as fh:
-        for lineno, row in islice(_nonblank(fh), 1, None):  # after the header
-            if len(row.split(",")) != width:
-                return f"{path}:{lineno}: expected {width} fields"
-            try:
-                np.loadtxt([row], delimiter=",", comments=None)
-            except ValueError as exc:
-                return f"{path}:{lineno}: non-numeric field: {str(exc).partition(' at row')[0]}"
+    with open(path, encoding="utf-8-sig") as fh:
+        rows = islice(_nonblank(fh), 1, None)  # after the header
+        while block := list(islice(rows, 1024)):
+            with suppress(ValueError):  # a block parses exactly when each of its rows does
+                if all(row.count(",") == width - 1 for _, row in block):
+                    np.loadtxt([row for _, row in block], delimiter=",", comments=None)
+                    continue
+            for lineno, row in block:
+                if len(row.split(",")) != width:
+                    return f"{path}:{lineno}: expected {width} fields"
+                try:
+                    np.loadtxt([row], delimiter=",", comments=None)
+                except ValueError as exc:
+                    return f"{path}:{lineno}: non-numeric field: {str(exc).partition(' at row')[0]}"
     return f"{path}: unreadable"
 
 
@@ -359,7 +371,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
     """Read a config file; an empty file yields pure defaults."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text, origin=str(path))

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import re
+import sys
+import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
+import numpy.lib._npyio_impl
 import pytest
 
 import pvflock.scenario
@@ -23,10 +28,57 @@ from pvflock import (
     load_profile_csv,
     parse_config_text,
     read_trace,
+    run_simulation,
+    write_trace,
 )
 from pvflock.cli import main
-from pvflock.scenario import CONFIG_KEYS, SECTIONS, synth_disturbances, synth_pv
+from pvflock.scenario import CONFIG_KEYS, SECTIONS, read_csv_table, synth_disturbances, synth_pv
 from pvflock.simulate import trace_header
+
+PERFBENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+
+
+def _gen_profile(path):
+    assert main(["gen-profile", "pv", str(path), "--horizon", "672"]) == 0
+
+
+def _cloudy_pv(path):
+    # the long_horizon_csv workload's PV input, four weeks of it
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH_INPUTS)
+    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    spec.loader.exec_module(inputs)
+    path.write_text(inputs.cloudy_pv_csv(1, 672.0, 12.0)[0])
+
+
+def _trace(n):
+    def write(path):
+        trace = run_simulation(ScenarioConfig(fleet=FleetConfig(n_buildings=n), horizon=24.0))
+        # cells the writer prints in exponent form, and a negative zero
+        trace.t1[1, 0], trace.u[2, -1], trace.sum_p[3], trace.pv[0] = 1e-7, 2.5e-300, 1e16, -0.0
+        write_trace(trace, path)
+    return write
+
+
+def assert_same_trace(a, b):
+    for name in ("t", "pv", "sum_p", "band_lo", "band_hi", "infeasible",
+                 "t1", "t2", "t3", "u", "p", "clamped"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+#: the files whose tables must equal np.loadtxt's over their non-blank lines after the header
+CSV_FILES = {
+    "gen_profile_672h": _gen_profile,
+    "cloudy_pv_672h": _cloudy_pv,
+    "trace_n1": _trace(1),
+    "trace_n13": _trace(13),
+    "trace_n130": _trace(130),
+    "round_trip_crlf": lambda p: p.write_bytes(b"t_hours,value\r\n0,0\r\n0.5,6\r\n1,12\r\n"),
+    "round_trip_blank_lines": lambda p: p.write_bytes(b"\nt_hours,value\n0,0\n\n0.5,6\n\n1,12\n\n"),
+    "round_trip_spaces": lambda p: p.write_bytes(
+        b"\r\n t_hours , value \r\n 0 ,0\r\n  \r\n0.5, 6 \r\n\t1,12\r\n\r\n"),
+    "round_trip_no_final_newline": lambda p: p.write_bytes(b"t_hours,value\n0,0\n0.5,6\n1,12"),
+    "header_only": lambda p: p.write_bytes(b"t_hours,value\n"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +265,100 @@ class TestProfile:
         def line_by_line(*args):
             raise AssertionError("the line-by-line parser ran")
 
+        trace_path = tmp_path / "trace.csv"
+        write_trace(run_simulation(ScenarioConfig(fleet=FleetConfig(n_buildings=3), horizon=2.0)),
+                    trace_path)
+        expected = read_trace(trace_path)
         monkeypatch.setattr(pvflock.scenario, "_nonblank", line_by_line)
+        # nor does any of them go through np.loadtxt's line-by-line iteration of an open file
+        monkeypatch.setattr(np, "loadtxt", line_by_line)
         path = tmp_path / "pv.csv"
         path.write_bytes(b"\r\nt_hours,value\r\n0, 1\r\n\r\n 0.5 ,2\r\n1,3")
         prof = load_profile_csv(path, non_negative=True)
         np.testing.assert_array_equal(prof.t, [0.0, 0.5, 1.0])
         np.testing.assert_array_equal(prof.values, [1.0, 2.0, 3.0])
+        back = read_trace(trace_path)
+        assert_same_trace(back, expected)
+
+    def test_the_reader_is_loadtxts_own_c_entry(self):
+        # a numpy that renames or moves its loader fails here, not in some later parse
+        assert pvflock.scenario._load_from_filelike is numpy.lib._npyio_impl._load_from_filelike
+
+    @pytest.mark.parametrize("make", sorted(CSV_FILES), ids=sorted(CSV_FILES))
+    def test_the_table_is_loadtxts_bit_for_bit(self, tmp_path, make):
+        path = tmp_path / "data.csv"
+        CSV_FILES[make](path)
+        lines = path.read_text().splitlines()
+        start = next(i for i, line in enumerate(lines) if line.strip())
+        fields = lines[start].split(",")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on the header-only file
+            expected = np.loadtxt([line for line in lines[start + 1:] if line.strip()],
+                                  delimiter=",", comments=None, ndmin=2)
+        got = read_csv_table(path, "table", lambda fields: None)
+        assert got.dtype == expected.dtype and got.shape == expected.reshape(-1, len(fields)).shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_a_plain_profile_named_like_an_archive_loads(self, tmp_path):
+        # handed the path, numpy's DataSource would try to gunzip it
+        path = tmp_path / "pv.csv.gz"
+        path.write_text("t_hours,value\n0,1\n1,2\n")
+        np.testing.assert_array_equal(load_profile_csv(path).values, [1.0, 2.0])
+
+    def test_a_byte_order_mark_starts_no_pv_header(self, tmp_path):
+        path = tmp_path / "pv.csv"
+        path.write_bytes(b"\xef\xbb\xbft_hours,value\r\n0,1\r\n1,2\r\n")
+        np.testing.assert_array_equal(load_profile_csv(path, non_negative=True).values, [1.0, 2.0])
+        # only the first line loses it: a non-ASCII byte in a cell fails as before
+        path.write_bytes(b"\xef\xbb\xbft_hours,value\n0,1\n1,2\xc3\xa9\n")
+        with pytest.raises(ProfileError, match=r"pv\.csv:3: non-numeric field: .*'2\xe9'"):
+            load_profile_csv(path)
+        path.write_bytes(b"t_hours,value\n0,1\n1,2\xe9\n")
+        with pytest.raises(ProfileError, match="cannot read profile .*can't decode byte 0xe9"):
+            load_profile_csv(path)
+
+    def test_a_byte_order_mark_starts_no_trace_header(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace(run_simulation(ScenarioConfig(fleet=FleetConfig(n_buildings=2), horizon=2.0)),
+                    path)
+        expected = read_trace(path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        back = read_trace(path)
+        assert_same_trace(back, expected)
+
+    def test_a_bad_row_is_found_in_blocks(self, tmp_path, monkeypatch):
+        # 100 000 rows, the bad one near the end: the search parses whole blocks of rows
+        # up to the one that fails, and one by one only inside it
+        rows, block = 100_000, 1024
+        path = tmp_path / "pv.csv"
+        lines = [f"{i},{i % 7}.25" for i in range(rows)]
+        lines[rows - 10] = f"{rows - 10},oops"
+        path.write_text("t_hours,value\n" + "\n".join(lines) + "\n")
+        calls = 0
+        loadtxt = np.loadtxt
+
+        def recorder(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", recorder)
+        with pytest.raises(ProfileError, match=rf"pv\.csv:{rows - 8}: non-numeric field: "
+                                               r"could not convert string 'oops' to float64$"):
+            load_profile_csv(path)
+        assert calls <= rows / block + block + 2
+
+    @pytest.mark.parametrize("bad", [0, 1, 1022, 1023, 1024, 1025, 2047, 2999])
+    def test_a_bad_row_at_any_place_in_a_block_is_named(self, tmp_path, bad):
+        # blank lines count: row i sits on file line 2 i + 3 (header, blank, rows after blanks)
+        path = tmp_path / "pv.csv"
+        for cell, error in (("x", "non-numeric field: could not convert string 'x' to float64"),
+                            ("1,2", "expected 2 fields")):
+            cells = [f"{i}" for i in range(3000)]
+            cells[bad] = cell
+            path.write_text("t_hours,value\n" + "".join(f"\n{i},{c}\n" for i, c in enumerate(cells)))
+            with pytest.raises(ProfileError, match=rf"pv\.csv:{2 * bad + 3}: {re.escape(error)}$"):
+                load_profile_csv(path)
 
     def test_csv_non_numeric_row(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -388,6 +528,12 @@ class TestConfig:
 
     def test_load_config_reads_a_file(self, config_file):
         path = config_file("scenario.seed = 3\nfleet.n_buildings = 5\n")
+        cfg = load_config(path)
+        assert cfg.seed == 3 and cfg.fleet.n_buildings == 5
+
+    def test_a_byte_order_mark_starts_no_config_key(self, tmp_path):
+        path = tmp_path / "scenario.cfg"
+        path.write_bytes(b"\xef\xbb\xbfscenario.seed = 3\r\nfleet.n_buildings = 5\r\n")
         cfg = load_config(path)
         assert cfg.seed == 3 and cfg.fleet.n_buildings == 5
 
