@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 from inputs import cloudy_pv_csv
 
-from pvflock import compute_metrics, load_profile_csv, read_trace, run_simulation, write_trace
+from pvflock import (
+    ProfileError,
+    compute_metrics,
+    load_profile_csv,
+    read_trace,
+    run_simulation,
+    write_trace,
+)
 from pvflock.control import control_tables
 from pvflock.coordinator import building_bounds
 from pvflock.plant import BuildingParams, check_sane, transition_map
@@ -77,6 +84,24 @@ def test_load_profile_csv(benchmark, tmp_path, horizon_h):
     path.write_text(text)
     profile = benchmark(load_profile_csv, path, non_negative=True)
     assert np.array_equal(profile.values, values)
+
+
+def test_load_profile_csv_bad_last_row(benchmark, tmp_path):
+    # the error path: the year of 15-minute rows with its last value x, which the C pass
+    # refuses and the walk in blocks names by its file line
+    text, t, _ = cloudy_pv_csv(1, 8760.0, 12.0)
+    path = tmp_path / "pv.csv"
+    path.write_text(text[:text.rstrip("\n").rindex(",") + 1] + "x\n")
+
+    def refused() -> str:
+        try:
+            load_profile_csv(path, non_negative=True)
+        except ProfileError as exc:
+            return str(exc)
+        raise AssertionError("the bad row was not rejected")
+
+    assert benchmark(refused) == (f"{path}:{len(t) + 1}: non-numeric field: "
+                                  "could not convert string 'x' to float64")
 
 
 @pytest.fixture(params=[130, 1300], ids=["130x72h", "1300x72h"])

@@ -26,8 +26,7 @@ simulation trust what these checks let through.
 from __future__ import annotations
 
 import math
-import warnings
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import islice
@@ -136,7 +135,7 @@ def read_csv_table(
     Returns the (rows, fields) table of finite cells; a UTF-8 byte-order mark is not part of
     the header.  The rest of the open file goes to numpy's chunked C reader, np.loadtxt's own
     when it opens a file, never the path (numpy would decompress by suffix or open a URL).
-    Lines are filtered one by one only when that pass raises, and counted only to name a row.
+    A file it refuses (a line of only spaces or tabs, or a bad row) is read once more, in blocks.
     """
     path = Path(path)
     try:
@@ -151,25 +150,44 @@ def read_csv_table(
                     skiplines=0, max_rows=-1, converters=None, dtype=np.dtype(float),
                     encoding=fh.encoding, filelike=True, byte_converters=False)
             except ValueError:  # a line of only spaces or tabs, or a bad row
+                table = None
+            if table is None or (table.size and table.shape[1] != len(fields)):
                 fh.seek(0)
-                table = _loadtxt(line for _, line in islice(_nonblank(fh), 1, None))
+                table = _rows_in_blocks(fh, path, len(fields))
     except (OSError, UnicodeDecodeError) as exc:  # a ValueError, but no row is at fault
         raise ProfileError(f"cannot read {what} {path}: {exc}") from exc
-    except ValueError:
-        table = None
-    if table is None or (table.size and table.shape[1] != len(fields)):
-        raise ProfileError(_first_bad_row(path, len(fields)))
     table = table.reshape(-1, len(fields))  # a header-only file reads as (0, 1)
     if not np.isfinite(table).all():
         raise _cell_error(path, fields, table, ~np.isfinite(table), "non-finite")
     return table
 
 
-def _loadtxt(rows: Iterable[str]) -> np.ndarray:
-    with warnings.catch_warnings():
-        # a header-only file is empty, which loadtxt warns about
-        warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+def _rows_in_blocks(fh, path: Path, width: int) -> np.ndarray:
+    """The (rows, width) table of the non-blank rows after the header line of fh.
+
+    Parses blocks of 1 024 rows, one by one only in the first block that fails, and raises
+    the error naming its first row that is not `width` numbers; loadtxt's own messages do not
+    count the lines of the file.
+    """
+    parts = []
+    rows = islice(_nonblank(fh), 1, None)  # after the header
+    while block := list(islice(rows, 1024)):
+        # a block parses to `width` columns exactly when each of its rows is `width` numbers
+        with suppress(ValueError):
+            part = np.loadtxt([row for _, row in block], delimiter=",", comments=None, ndmin=2)
+            if part.shape[1] == width:
+                parts.append(part)
+                continue
+        for lineno, row in block:
+            if len(row.split(",")) != width:
+                raise ProfileError(f"{path}:{lineno}: expected {width} fields")
+            try:
+                np.loadtxt([row], delimiter=",", comments=None)
+            except ValueError as exc:
+                reason = str(exc).partition(" at row")[0]
+                raise ProfileError(f"{path}:{lineno}: non-numeric field: {reason}") from None
+        raise ProfileError(f"{path}: unreadable")
+    return np.concatenate(parts) if parts else np.empty((0, width))
 
 
 def _nonblank(fh) -> Iterator[tuple[int, str]]:
@@ -184,29 +202,6 @@ def _cell_error(path: str | Path, fields: list[str], cells: np.ndarray, bad: np.
     with open(path, encoding="utf-8-sig") as fh:
         lineno, _ = next(islice(_nonblank(fh), i + 1, None))
     return ProfileError(f"{path}:{lineno}: {kind} {fields[j]} = {cells[i, j]}")
-
-
-def _first_bad_row(path: Path, width: int) -> str:
-    """Name the first row of a CSV that is not `width` numbers.
-
-    Only runs once the whole-file parse has failed.  Parses rows in blocks, one by one only
-    in the first block that fails; loadtxt's own messages do not count the lines of the file.
-    """
-    with open(path, encoding="utf-8-sig") as fh:
-        rows = islice(_nonblank(fh), 1, None)  # after the header
-        while block := list(islice(rows, 1024)):
-            with suppress(ValueError):  # a block parses exactly when each of its rows does
-                if all(row.count(",") == width - 1 for _, row in block):
-                    np.loadtxt([row for _, row in block], delimiter=",", comments=None)
-                    continue
-            for lineno, row in block:
-                if len(row.split(",")) != width:
-                    return f"{path}:{lineno}: expected {width} fields"
-                try:
-                    np.loadtxt([row], delimiter=",", comments=None)
-                except ValueError as exc:
-                    return f"{path}:{lineno}: non-numeric field: {str(exc).partition(' at row')[0]}"
-    return f"{path}: unreadable"
 
 
 @dataclass(frozen=True)

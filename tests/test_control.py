@@ -314,14 +314,15 @@ class TestIpController:
             assert e_next / e == pytest.approx(2.0 / 3.0, abs=1e-6)
             e = e_next
 
-    def test_window_sees_applied_not_raw_control(self):
+    @pytest.mark.parametrize("capacity", [3, 5, 9])
+    def test_window_sees_applied_not_raw_control(self, capacity):
         # the estimate reads the clamped u of the trace: recomputing it from
         # the applied controls reproduces the law on steps after a clamp bit
-        cfg, tr = small_run(horizon=12.0)  # PV starts at 6 h and the clamps bite
-        hits = 0
-        for k in range(3, tr.n_steps):
-            after_clamp = tr.clamped[k - 3:k].any(axis=0) & ~tr.clamped[k]
-            f_hat = kernel_estimate(tr.t[k - 3:k], tr.t1[k - 3:k], tr.u[k - 3:k], cfg.alpha, DT)
+        cfg, tr = small_run(horizon=12.0, window_capacity=capacity)  # PV from 6 h: clamps bite
+        c, hits = cfg.window_capacity, 0
+        for k in range(c, tr.n_steps):
+            after_clamp = tr.clamped[k - c:k].any(axis=0) & ~tr.clamped[k]
+            f_hat = kernel_estimate(tr.t[k - c:k], tr.t1[k - c:k], tr.u[k - c:k], cfg.alpha, DT)
             u = ip_law(f_hat, 0.0, tr.t1[k] - cfg.setpoint, cfg.alpha, cfg.kp)
             np.testing.assert_allclose(tr.u[k][after_clamp], u[after_clamp], rtol=0,
                                        atol=FORMULA_TOLERANCE)

@@ -78,6 +78,10 @@ CSV_FILES = {
         b"\r\n t_hours , value \r\n 0 ,0\r\n  \r\n0.5, 6 \r\n\t1,12\r\n\r\n"),
     "round_trip_no_final_newline": lambda p: p.write_bytes(b"t_hours,value\n0,0\n0.5,6\n1,12"),
     "header_only": lambda p: p.write_bytes(b"t_hours,value\n"),
+    # lines of only spaces or tabs send a file past the C pass to the walk in blocks
+    "whitespace_lines_over_blocks": lambda p: p.write_text("t_hours,value\n" + "".join(
+        f"{i},{i % 7}.25\n" + (" \t\n" if i % 700 == 699 else "") for i in range(3000))),
+    "header_then_whitespace_lines": lambda p: p.write_bytes(b"t_hours,value\n \n\t\n  \t \n"),
 }
 
 
@@ -348,17 +352,42 @@ class TestProfile:
             load_profile_csv(path)
         assert calls <= rows / block + block + 2
 
-    @pytest.mark.parametrize("bad", [0, 1, 1022, 1023, 1024, 1025, 2047, 2999])
+    @pytest.mark.parametrize("bad", [0, 1, 1022, 1023, 1024, 1025, 2047, 2999,
+                                     pytest.param(range(1024, 2048), id="block1024-2047")])
     def test_a_bad_row_at_any_place_in_a_block_is_named(self, tmp_path, bad):
-        # blank lines count: row i sits on file line 2 i + 3 (header, blank, rows after blanks)
+        # blank lines count: row i sits on file line 2 i + 3 (header, blank, rows after blanks);
+        # a block whose rows all hold 3 fields parses whole, but not to the header's width
+        bad = bad if isinstance(bad, range) else range(bad, bad + 1)
         path = tmp_path / "pv.csv"
         for cell, error in (("x", "non-numeric field: could not convert string 'x' to float64"),
                             ("1,2", "expected 2 fields")):
             cells = [f"{i}" for i in range(3000)]
-            cells[bad] = cell
+            for i in bad:
+                cells[i] = cell
             path.write_text("t_hours,value\n" + "".join(f"\n{i},{c}\n" for i, c in enumerate(cells)))
-            with pytest.raises(ProfileError, match=rf"pv\.csv:{2 * bad + 3}: {re.escape(error)}$"):
+            with pytest.raises(ProfileError,
+                               match=rf"pv\.csv:{2 * bad[0] + 3}: {re.escape(error)}$"):
                 load_profile_csv(path)
+
+    def test_a_refused_file_is_read_once_more(self, tmp_path, monkeypatch):
+        # after the C pass raises on the bad last row, one walk over the open file both
+        # parses the rows and names the bad one: no second open, no second walk
+        path = tmp_path / "pv.csv"
+        path.write_text("t_hours,value\n" + "".join(f"{i},1\n" for i in range(3000)) + "3000,x\n")
+        opens, walks = [], []
+
+        def counted(calls, function):
+            def call(*args, **kwargs):
+                calls.append(args)
+                return function(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(pvflock.scenario, "open", counted(opens, open), raising=False)
+        monkeypatch.setattr(pvflock.scenario, "_nonblank",
+                            counted(walks, pvflock.scenario._nonblank))
+        with pytest.raises(ProfileError, match=r"pv\.csv:3002: non-numeric field: "):
+            load_profile_csv(path)
+        assert len(opens) == 1 and len(walks) == 1
 
     def test_csv_non_numeric_row(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -12,6 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import numpy._core.einsumfunc
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -154,6 +155,7 @@ class TestRunSimulation:
         # Python dispatch, and round as np.einsum and np.matmul do (gemv at n = 1): run
         # through those two, three products a period, the loop gives the same bytes
         assert pvflock.simulate.c_dot is np.dot._implementation
+        assert pvflock.simulate.c_einsum is numpy._core.einsumfunc.c_einsum
         cfg = small_cfg(fleet=FleetConfig(n_buildings=n), horizon=4.0, window_capacity=c)
         run = run_constants(cfg)
         rows, bias = control_tables(run.t, run.x0[0], c, cfg.alpha, cfg.kp, cfg.setpoint,
